@@ -8,7 +8,7 @@ piece of the atomic order parameter), so everything here is deterministic.
 import numpy as np
 
 from gtap import MixedModel, OrderParameter, solve, solve_band, unify
-from gtap.tap import band_coords
+from gtap.measures import band_coords
 
 model = MixedModel(coeffs_sq=(0.0, 0.7, 0.3))     # xi = 0.7 s^2 + 0.3 s^3
 print(f"model: xi(1) = {model.xi(1.0):.4f}, xi'(1) = {model.xi_prime(1.0):.4f}")

@@ -41,6 +41,6 @@ for beta, h in [(0.8, 0.1), (1.2, 0.3), (1.5, 1.0), (10.0, 3.5)]:
               "below AT" if r["at_ok"] else "above AT")
     print(f"{beta:6.1f} {h:5.1f} {r['q']:8.4f} {r['at_value']:8.3f} "
           f"{r['plefka_lhs']:8.3f}  {regime}")
-print("\nThe last row shows the advertised phenomenon: stable below the AT")
-print("line, yet the generalized TAP correction cannot be replica symmetric")
-print("there because Plefka's necessary condition fails.")
+print("\nThe rows marked 'Plefka violated' show the advertised phenomenon:")
+print("stable below the AT line, yet the generalized TAP correction cannot be")
+print("replica symmetric there because Plefka's necessary condition fails.")

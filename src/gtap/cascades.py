@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .disorder import _band_mask, all_configs
 from .measures import OrderParameter
 from .numerics import log2cosh, logsumexp
 
@@ -152,6 +153,28 @@ def sample_tree_field(cascade: CascadeSample, fprime_nodes, n_copies: int,
     return out
 
 
+def _replicates(cascade: CascadeSample, fprime_nodes, n_copies: int,
+                log_leaf, n_reps: int, seed: int, norm: float = 1.0):
+    """Mean and standard error of log sum_alpha v_alpha exp(log_leaf(g)) / norm.
+
+    Each replicate redraws the cascade weights (when there are levels) and
+    the tree fields g, shape (n_copies, n_leaves).
+    """
+    vals = np.empty(n_reps)
+    rng = np.random.default_rng(seed)
+    for rep in range(n_reps):
+        if cascade.levels:
+            c = sample_cascade(cascade.levels, cascade.K,
+                               seed=int(rng.integers(2 ** 62)))
+        else:
+            c = cascade
+        g = sample_tree_field(c, fprime_nodes, n_copies, rng)
+        vals[rep] = float(logsumexp(np.log(c.weights) + log_leaf(g))) / norm
+    mean = float(np.mean(vals))
+    se = float(np.std(vals, ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0
+    return mean, se
+
+
 def psi_full(cascade: CascadeSample, fprime_nodes, m, lam: float = 0.0,
              v=None, n_reps: int = 200, seed: int = 1) -> dict:
     """Monte-Carlo estimate of the site-factorized cascade functional.
@@ -165,21 +188,13 @@ def psi_full(cascade: CascadeSample, fprime_nodes, m, lam: float = 0.0,
     N = m.size
     shifts = lam * m + (np.array([float(v(x)) for x in m]) if v is not None
                         else np.zeros(N))
-    vals = np.empty(n_reps)
-    rng = np.random.default_rng(seed)
-    for rep in range(n_reps):
-        if cascade.levels:
-            c = sample_cascade(cascade.levels, cascade.K,
-                               seed=int(rng.integers(2 ** 62)))
-        else:
-            c = cascade
-        g = sample_tree_field(c, fprime_nodes, N, rng)
+
+    def log_leaf(g):
         x = g + shifts[:, None]
-        site = log2cosh(x) - m[:, None] * x        # log sum_s e^{(s-m)x}
-        s_alpha = site.sum(axis=0)
-        vals[rep] = float(logsumexp(np.log(c.weights) + s_alpha)) / N
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_reps))
+        return (log2cosh(x) - m[:, None] * x).sum(axis=0)   # log sum_s e^{(s-m)x}
+
+    mean, se = _replicates(cascade, fprime_nodes, N, log_leaf, n_reps, seed,
+                           norm=N)
     return {"mean": mean, "se": se, "coverage": cascade.coverage,
             "n_reps": n_reps}
 
@@ -199,31 +214,21 @@ def psi_band(cascade: CascadeSample, fprime_nodes, m, eps: float,
     N = m.size
     if N > 14:
         raise ValueError("band enumeration is capped at N = 14")
-    idx = np.arange(1 << N, dtype=np.uint32)
-    bits = (idx[:, None] >> np.arange(N, dtype=np.uint32)[None, :]) & 1
-    S = bits.astype(np.float64) * 2.0 - 1.0
-    inside = np.abs((S - m) @ m) / N < eps
+    S = all_configs(N)
+    inside = _band_mask(S, m, eps)
     if not np.any(inside):
         raise ValueError("empty band; increase eps")
     T = (S[inside] - m)                      # (n_cfg, N)
     shifts = lam * m + (np.array([float(v(x)) for x in m]) if v is not None
                         else np.zeros(N))
-    vals = np.empty(n_reps)
-    rng = np.random.default_rng(seed)
-    for rep in range(n_reps):
-        if cascade.levels:
-            c = sample_cascade(cascade.levels, cascade.K,
-                               seed=int(rng.integers(2 ** 62)))
-        else:
-            c = cascade
-        g = sample_tree_field(c, fprime_nodes, N, rng)   # (N, L)
-        x = g + shifts[:, None]
-        expo = T @ x                                     # (n_cfg, L)
+
+    def log_leaf(g):
+        expo = T @ (g + shifts[:, None])                 # (n_cfg, L)
         mx = expo.max()
-        inner = np.log(np.sum(np.exp(expo - mx), axis=0)) + mx
-        vals[rep] = float(logsumexp(np.log(c.weights) + inner)) / N
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0
+        return np.log(np.sum(np.exp(expo - mx), axis=0)) + mx
+
+    mean, se = _replicates(cascade, fprime_nodes, N, log_leaf, n_reps, seed,
+                           norm=N)
     return {"mean": mean, "se": se, "n_reps": n_reps,
             "band_size": int(T.shape[0])}
 
@@ -247,16 +252,6 @@ def upsilon_mc(cascade: CascadeSample, f, zeta_band: OrderParameter,
     levels, theta_nodes = zeta_to_cascade_params(zeta_band, theta)
     if tuple(levels) != cascade.levels:
         raise ValueError("cascade levels do not match the order parameter")
-    vals = np.empty(n_reps)
-    rng = np.random.default_rng(seed)
-    for rep in range(n_reps):
-        if cascade.levels:
-            c = sample_cascade(cascade.levels, cascade.K,
-                               seed=int(rng.integers(2 ** 62)))
-        else:
-            c = cascade
-        g = sample_tree_field(c, theta_nodes, 1, rng)[0]
-        vals[rep] = float(logsumexp(np.log(c.weights) + g))
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_reps))
+    mean, se = _replicates(cascade, theta_nodes, 1, lambda g: g[0], n_reps,
+                           seed)
     return {"mean": mean, "se": se, "n_reps": n_reps}

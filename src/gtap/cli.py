@@ -41,6 +41,13 @@ def _load_measure(path: str) -> DiscreteMeasure:
         raise ConfigError(f"bad measure spec {path}: {e}") from e
 
 
+def _sample(N: int, model: MixedModel, seed: int) -> disorder.DisorderSample:
+    try:
+        return disorder.sample(N, model, seed=seed)
+    except ValueError as e:   # size or tensor-budget limits of --N
+        raise ConfigError(f"bad --N {N}: {e}") from e
+
+
 def _solver_config(args) -> SolverConfig:
     kw = {}
     if getattr(args, "grid_step", None):
@@ -104,7 +111,9 @@ def cmd_correction(args) -> int:
 
 def cmd_rs_scan(args) -> int:
     out_dir = Path(args.out)
-    if args.model and args.mu:
+    if bool(args.model) != bool(args.mu):
+        raise ConfigError("the Gamma curve needs both --model and --mu")
+    if args.model:
         model = _load_model(args.model)
         mu = _load_measure(args.mu)
         mu = mu.fold_abs() if mu.interval[0] < 0 else mu
@@ -187,7 +196,7 @@ def cmd_mc_verify(args) -> int:
     # small-N chain inequality and concentration
     rng = np.random.default_rng(seed)
     N = args.N
-    smpl = disorder.sample(N, model, seed=seed)
+    smpl = _sample(N, model, seed)
     ok_chain = True
     worst = 0.0
     for _ in range(5):
@@ -217,7 +226,7 @@ def cmd_tap_solve(args) -> int:
     model = _load_model(args.model)
     cfg = _solver_config(args)
     N = args.N
-    smpl = disorder.sample(N, model, seed=args.seed)
+    smpl = _sample(N, model, args.seed)
     rng = np.random.default_rng(args.seed + 1)
     m0 = rng.uniform(-0.5, 0.5, size=N)
     if args.q is None:
@@ -258,6 +267,8 @@ def cmd_tap_solve(args) -> int:
 
 def cmd_parisi(args) -> int:
     model = _load_model(args.model)
+    if model.external_field_h != 0.0:
+        raise ConfigError("parisi needs a model without external field h")
     cfg = _solver_config(args)
     zeta, info = parisi_measure(model, r_atoms=args.r_atoms, config=cfg,
                                 seed=args.seed)

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import OrderParameter, empirical
+from .measures import OrderParameter, empirical, restrict_zeta
 from .model import MixedModel
 from .numerics import logsumexp
 from .pde import DEFAULT_CONFIG, SolverConfig
-from .tap import TapResult, _orig_solution, restrict_zeta, tap_correction
+from .tap import TapResult, _orig_solution, tap_correction
 
 __all__ = [
     "DisorderSample", "BandSpec", "sample", "all_configs", "free_energy",

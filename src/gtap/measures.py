@@ -13,10 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DiscreteMeasure", "OrderParameter", "d1", "empirical", "shift_theta"]
+__all__ = ["DiscreteMeasure", "OrderParameter", "d1", "empirical",
+           "shift_theta", "restrict_zeta", "band_coords"]
 
 MERGE_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
+# Atoms of a magnetization law this close to 1 sit on the boundary: their
+# slope saturates, and they are handled in closed form.
+BOUNDARY_ATOM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,9 +83,6 @@ class DiscreteMeasure:
         if k < 1:
             raise ValueError("moment order must be >= 1")
         return float(np.sum(self.weights * self.locations ** k))
-
-    def mean_of(self, f) -> float:
-        return float(np.sum(self.weights * f(self.locations)))
 
     def fold_abs(self) -> "DiscreteMeasure":
         """Push-forward under x -> |x| (symmetrization of magnetizations)."""
@@ -185,6 +186,18 @@ class OrderParameter:
         return self.integral_against(lambda s: np.asarray(s, dtype=float))
 
 
+def _pool(zeta: OrderParameter, cut: float, shift: float,
+          interval) -> OrderParameter:
+    """Relabel zeta onto `interval`: the mass at or below `cut` pools into an
+    atom at the left endpoint, and the atoms above `cut` move down by `shift`."""
+    head = float(zeta.cdf(cut + MERGE_TOL))
+    atoms = [(interval[0], head)] if head > 0 else []
+    for x, w in zeta.measure.atoms:
+        if x > cut + MERGE_TOL:
+            atoms.append((min(x - shift, interval[1]), w))
+    return OrderParameter.from_atoms(interval, atoms)
+
+
 def shift_theta(zeta: OrderParameter, q: float) -> OrderParameter:
     """Shift operator: (theta_q zeta)(t) = zeta(t + q) on [t0, t1 - q].
 
@@ -193,22 +206,16 @@ def shift_theta(zeta: OrderParameter, q: float) -> OrderParameter:
     a, b = zeta.interval
     if not 0.0 <= q <= b - a + 1e-15:
         raise ValueError(f"shift q={q} outside [0, {b - a}]")
-    new_hi = b - q
-    head = float(zeta.cdf(a + q))
-    atoms = []
-    if head > 0:
-        atoms.append((a, head))
-    for x, w in zeta.measure.atoms:
-        if x > a + q + MERGE_TOL:
-            atoms.append((min(x - q, new_hi), w))
-    return OrderParameter.from_atoms((a, new_hi), atoms)
+    return _pool(zeta, a + q, q, (a, b - q))
 
 
-def unshift_theta(zeta_band: OrderParameter, q: float,
-                  interval=(0.0, 1.0)) -> OrderParameter:
-    """Relocate a band order parameter on [0, 1-q] to [q, 1] inside interval.
+def restrict_zeta(zeta: OrderParameter, q: float) -> OrderParameter:
+    """Order parameter on [q, 1]: mass at or below q pools at q; a zeta
+    living on [q', 1] with q' > q is extended by zero on [q, q')."""
+    return _pool(zeta, q, 0.0, (q, zeta.interval[1]))
 
-    Inverse of shift_theta restricted to CDFs vanishing on [0, q).
-    """
-    atoms = [(x + q, w) for x, w in zeta_band.measure.atoms]
-    return OrderParameter.from_atoms(interval, atoms)
+
+def band_coords(zeta_q1: OrderParameter) -> OrderParameter:
+    """Relabel an order parameter on [q, 1] to band coordinates [0, 1-q]."""
+    q, one = zeta_q1.interval
+    return _pool(zeta_q1, q, q, (0.0, one - q))

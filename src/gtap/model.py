@@ -44,10 +44,6 @@ class MixedModel:
     def p_max(self) -> int:
         return len(self.coeffs_sq)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(b == 0.0 for b in self.coeffs_sq)
-
     def xi(self, s):
         _check_domain(s)
         s = np.asarray(s, dtype=float)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -105,58 +106,78 @@ def _boundary_frame(kind: str, a: float, t: float, x: np.ndarray) -> Frame:
                  phi, phi_x, sech2, -2.0 * th * sech2)
 
 
-def _gibbs_step(upper: Frame, t_lo: float, sigma: float, level: float,
-                x: np.ndarray, gh_order: int) -> Frame:
-    """One Cole-Hopf layer backwards: from the upper frame down to t_lo with
-    sigma^2 = xi'(t_upper) - xi'(t_lo) and constant CDF value `level`."""
-    dx = float(x[1] - x[0])
-    if sigma <= 1e-14:
-        return Frame(t_lo, float(x[0]), dx, upper.phi.copy(),
+class _Layer:
+    """Transition kernel of one layer below an upper frame.
+
+    Holds the quadrature points X = x + sigma g and the normalized Doob
+    weights exp(level Phi_upper(X)) (plain Gauss-Hermite weights at level 0),
+    so that `mean` averages values at X over the layer and `pull` averages a
+    grid function.
+    """
+
+    def __init__(self, upper: Frame, sigma: float, level: float,
+                 x: np.ndarray, config: SolverConfig):
+        g, self.w = gauss_hermite(config.gh_order)
+        self.upper = upper
+        self.level = level
+        self.x0, self.dx = float(x[0]), config.dx
+        self.X = x[:, None] + sigma * g[None, :]
+        if level > 0.0:
+            logits = level * self.P
+            m = logits.max(axis=1, keepdims=True)
+            Wg = self.w[None, :] * np.exp(logits - m)
+            Z = Wg.sum(axis=1, keepdims=True)
+            self.om = Wg / Z
+            self._log_z = m[:, 0] + np.log(Z[:, 0])
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """Phi of the upper frame at the quadrature points."""
+        return self.upper.eval_phi(self.X)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """Phi at the lower time: (1/z) log E exp(z Phi_upper) (Cole-Hopf),
+        the plain average E Phi_upper at level z = 0."""
+        if self.level <= 0.0:
+            return self.mean(self.P)
+        return self._log_z / self.level
+
+    def mean(self, vals: np.ndarray) -> np.ndarray:
+        if self.level <= 0.0:
+            return vals @ self.w
+        return np.sum(self.om * vals, axis=1)
+
+    def pull(self, f: np.ndarray) -> np.ndarray:
+        return self.mean(_interp_grid(self.x0, self.dx, f, self.X))
+
+
+def _interp_grid(x0: float, dx: float, f: np.ndarray, xq) -> np.ndarray:
+    """Cubic Hermite interpolation of grid values with grid_derivative slopes."""
+    return hermite_eval(x0, dx, f, grid_derivative(f, dx), xq)
+
+
+def _gibbs_step(upper: Frame, layer: _Layer | None, t_lo: float) -> Frame:
+    """One Cole-Hopf layer backwards: from the upper frame down to t_lo.
+    A layer of zero width (`layer` None) copies the upper frame."""
+    if layer is None:
+        return Frame(t_lo, upper.x0, upper.dx, upper.phi.copy(),
                      upper.phi_x.copy(), upper.phi_xx.copy(),
                      upper.phi_xxx.copy())
-    g, w = gauss_hermite(gh_order)
-    X = x[:, None] + sigma * g[None, :]
-    P = upper.eval_phi(X)
+    X, level = layer.X, layer.level
     Px = upper.eval_phi_x(X)
     Pxx = upper.eval_phi_xx(X)
     Pxxx = upper.eval_phi_xxx(X)
-    if level <= 0.0:
-        phi = P @ w
-        phi_x = Px @ w
-        phi_xx = Pxx @ w
-        phi_xxx = Pxxx @ w
-    else:
-        logits = level * P
-        m = logits.max(axis=1, keepdims=True)
-        Wg = w[None, :] * np.exp(logits - m)
-        Z = Wg.sum(axis=1, keepdims=True)
-        om = Wg / Z
-        phi = (m[:, 0] + np.log(Z[:, 0])) / level
-        ex = np.sum(om * Px, axis=1)
-        exx = np.sum(om * Pxx, axis=1)
-        var = np.sum(om * Px * Px, axis=1) - ex * ex
-        cov = np.sum(om * Pxx * Px, axis=1) - exx * ex
-        dev = Px - ex[:, None]
-        m3 = np.sum(om * dev ** 3, axis=1)
-        phi_x = ex
-        phi_xx = exx + level * var
-        phi_xxx = np.sum(om * Pxxx, axis=1) + 3.0 * level * cov + level ** 2 * m3
-    return Frame(t_lo, float(x[0]), dx, phi, phi_x, phi_xx, phi_xxx)
-
-
-def _gibbs_weights(upper: Frame, sigma: float, level: float, x: np.ndarray,
-                   gh_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Transition points X and normalized Doob weights for one layer."""
-    g, w = gauss_hermite(gh_order)
-    X = x[:, None] + sigma * g[None, :]
-    if level <= 0.0:
-        om = np.broadcast_to(w[None, :], X.shape)
-        return X, om
-    logits = level * upper.eval_phi(X)
-    m = logits.max(axis=1, keepdims=True)
-    Wg = w[None, :] * np.exp(logits - m)
-    om = Wg / Wg.sum(axis=1, keepdims=True)
-    return X, om
+    phi_x, phi_xx, phi_xxx = layer.mean(Px), layer.mean(Pxx), layer.mean(Pxxx)
+    if level > 0.0:
+        # derivatives of (1/z) log E exp(z Phi): Gibbs moments of Phi_x
+        om = layer.om
+        var = np.sum(om * Px * Px, axis=1) - phi_x * phi_x
+        cov = np.sum(om * Pxx * Px, axis=1) - phi_xx * phi_x
+        m3 = np.sum(om * (Px - phi_x[:, None]) ** 3, axis=1)
+        phi_xx = phi_xx + level * var
+        phi_xxx = phi_xxx + 3.0 * level * cov + level ** 2 * m3
+    return Frame(t_lo, upper.x0, upper.dx, layer.phi, phi_x, phi_xx, phi_xxx)
 
 
 class PDESolution:
@@ -212,17 +233,30 @@ class PDESolution:
         idx = min(max(idx, 0), len(self.levels) - 1)
         return float(self.levels[idx])
 
+    def _layer(self, t_hi: float, t_lo: float,
+               level: float) -> tuple[Frame, _Layer | None]:
+        """Solved frame at t_hi and the kernel of the layer down to t_lo
+        (None when the layer has no width)."""
+        upper = self._frames[self._key(t_hi)]
+        sigma = math.sqrt(max(self.sp(t_hi) - self.sp(t_lo), 0.0))
+        if sigma <= 1e-14:
+            return upper, None
+        return upper, _Layer(upper, sigma, level, self.x_grid, self.config)
+
+    def _off_node_layer(self, t: float) -> tuple[Frame, _Layer | None]:
+        """Frame at the first node at or above t and the kernel down to t."""
+        idx = int(np.searchsorted(self.nodes, t + 1e-13, side="left"))
+        t_up = float(self.nodes[min(idx, len(self.nodes) - 1)])
+        return self._layer(t_up, float(t), self._level_at(t))
+
     def _solve(self) -> None:
-        x = self.x_grid
         self._frames[self._key(self.t1)] = _boundary_frame(
-            self.boundary, self.a, self.t1, x)
+            self.boundary, self.a, self.t1, self.x_grid)
         for p in range(len(self.levels) - 1, -1, -1):
-            t_hi, t_lo = float(self.nodes[p + 1]), float(self.nodes[p])
-            sigma = math.sqrt(max(self.sp(t_hi) - self.sp(t_lo), 0.0))
-            upper = self._frames[self._key(t_hi)]
-            fr = _gibbs_step(upper, t_lo, sigma, float(self.levels[p]), x,
-                             self.config.gh_order)
-            self._frames[self._key(t_lo)] = fr
+            t_lo = float(self.nodes[p])
+            upper, layer = self._layer(float(self.nodes[p + 1]), t_lo,
+                                       float(self.levels[p]))
+            self._frames[self._key(t_lo)] = _gibbs_step(upper, layer, t_lo)
         top = self._frames[self._key(self.t0)]
         edge = max(abs(top.phi_xx[0]), abs(top.phi_xx[-1]))
         if edge > self.config.edge_curvature_tol:
@@ -236,13 +270,8 @@ class PDESolution:
             return self._frames[key]
         if not self.t0 - 1e-12 <= t <= self.t1 + 1e-12:
             raise ValueError(f"time {t} outside [{self.t0}, {self.t1}]")
-        idx = int(np.searchsorted(self.nodes, t + 1e-13, side="left"))
-        idx = min(idx, len(self.nodes) - 1)
-        t_up = float(self.nodes[idx])
-        upper = self._frames[self._key(t_up)]
-        sigma = math.sqrt(max(self.sp(t_up) - self.sp(t), 0.0))
-        fr = _gibbs_step(upper, float(t), sigma, self._level_at(t),
-                         self.x_grid, self.config.gh_order)
+        upper, layer = self._off_node_layer(t)
+        fr = _gibbs_step(upper, layer, float(t))
         if cache:
             self._frames[key] = fr
         return fr
@@ -322,10 +351,6 @@ class PDESolution:
             total += self.levels[p] * (theta(hi) - theta(lo))
         return float(total)
 
-    def int_zeta(self) -> float:
-        """Integral of zeta(s) ds over [t0, t1]."""
-        return float(np.sum(self.levels * np.diff(self.nodes)))
-
     # -- level sensitivities --------------------------------------------------
 
     def level_gradients(self) -> np.ndarray:
@@ -342,34 +367,18 @@ class PDESolution:
         return np.stack([self._level_grads[p] for p in range(r)])
 
     def _compute_level_gradients(self) -> None:
-        x = self.x_grid
-        gh = self.config.gh_order
-        dx = self.config.dx
         sens: dict[int, np.ndarray] = {}
         for p in range(len(self.levels) - 1, -1, -1):
-            t_hi, t_lo = float(self.nodes[p + 1]), float(self.nodes[p])
-            sigma = math.sqrt(max(self.sp(t_hi) - self.sp(t_lo), 0.0))
-            upper = self._frames[self._key(t_hi)]
-            lower = self._frames[self._key(t_lo)]
-            level = float(self.levels[p])
-            if sigma <= 1e-14:
-                new_sens = dict(sens)
-                new_sens[p] = np.zeros_like(x)
-                sens = new_sens
+            _, layer = self._layer(float(self.nodes[p + 1]),
+                                   float(self.nodes[p]), float(self.levels[p]))
+            if layer is None:
+                sens = {**sens, p: np.zeros_like(self.x_grid)}
                 continue
-            X, om = _gibbs_weights(upper, sigma, level, x, gh)
-            P = upper.eval_phi(X)
-            mean_p = np.sum(om * P, axis=1)
-            if level > 0.0:
-                own = (mean_p - lower.phi) / level
+            if layer.level > 0.0:
+                own = (layer.mean(layer.P) - layer.phi) / layer.level
             else:
-                own = 0.5 * (np.sum(om * P * P, axis=1) - mean_p ** 2)
-            new_sens = {p: own}
-            for j, S in sens.items():
-                Sd = grid_derivative(S, dx)
-                SX = hermite_eval(float(x[0]), dx, S, Sd, X)
-                new_sens[j] = np.sum(om * SX, axis=1)
-            sens = new_sens
+                own = 0.5 * (layer.mean(layer.P * layer.P) - layer.phi ** 2)
+            sens = {p: own, **{j: layer.pull(S) for j, S in sens.items()}}
         self._level_grads = sens
 
     # -- pathwise expectations -------------------------------------------------
@@ -383,26 +392,17 @@ class PDESolution:
         """
         if not self.t0 - 1e-12 <= s <= self.t1 + 1e-12:
             raise ValueError("measurement time outside the solved interval")
-        x = self.x_grid
-        gh = self.config.gh_order
-        dx = self.config.dx
         f_cur = np.asarray(f_values, dtype=float)
         t_cur = float(s)
         while t_cur > self.t0 + 1e-13:
             idx = int(np.searchsorted(self.nodes, t_cur - 1e-13, side="left")) - 1
-            idx = max(idx, 0)
-            t_lo = float(self.nodes[idx])
-            upper = self.frame_at(t_cur)
-            level = self._level_at(t_lo)
-            sigma = math.sqrt(max(self.sp(t_cur) - self.sp(t_lo), 0.0))
-            if sigma > 1e-14:
-                X, om = _gibbs_weights(upper, sigma, level, x, gh)
-                fd = grid_derivative(f_cur, dx)
-                fX = hermite_eval(float(x[0]), dx, f_cur, fd, X)
-                f_cur = np.sum(om * fX, axis=1)
+            t_lo = float(self.nodes[max(idx, 0)])
+            self.frame_at(t_cur)     # solves and caches an off-node start
+            _, layer = self._layer(t_cur, t_lo, self._level_at(t_lo))
+            if layer is not None:
+                f_cur = layer.pull(f_cur)
             t_cur = t_lo
-        fd = grid_derivative(f_cur, dx)
-        return hermite_eval(float(x[0]), dx, f_cur, fd,
+        return _interp_grid(float(self.x_grid[0]), self.config.dx, f_cur,
                             np.asarray(x_start, dtype=float))
 
     def phi_x_table(self, t: float) -> np.ndarray:
@@ -414,26 +414,16 @@ class PDESolution:
         key = self._key(t)
         if key in self._frames:
             return self._frames[key].phi_x
-        idx = int(np.searchsorted(self.nodes, t + 1e-13, side="left"))
-        idx = min(idx, len(self.nodes) - 1)
-        t_up = float(self.nodes[idx])
-        upper = self._frames[self._key(t_up)]
-        sigma = math.sqrt(max(self.sp(t_up) - self.sp(t), 0.0))
-        if sigma <= 1e-14:
+        upper, layer = self._off_node_layer(t)
+        if layer is None:
             return upper.phi_x
-        X, om = _gibbs_weights(upper, sigma, self._level_at(t), self.x_grid,
-                               self.config.gh_order)
-        return np.sum(om * upper.eval_phi_x(X), axis=1)
+        return layer.mean(upper.eval_phi_x(layer.X))
 
     def expected_u_squared(self, s: float, x_start):
         """E[(Phi_x(s, X_s))^2] started from (t0, x_start)."""
         fr = self.frame_at(s)
         return self.path_expectation(s, fr.phi_x ** 2, x_start)
 
-    def expected_uxx_squared(self, s: float, x_start):
-        """E[(Phi_xx(s, X_s))^2] started from (t0, x_start)."""
-        fr = self.frame_at(s)
-        return self.path_expectation(s, fr.phi_xx ** 2, x_start)
 
 
 def solve(model: MixedModel, zeta: OrderParameter,
@@ -597,12 +587,14 @@ def second_derivative_identity(sol: PDESolution, x0: float,
 
 def parisi_functional(model: MixedModel, zeta: OrderParameter,
                       config: SolverConfig = DEFAULT_CONFIG) -> float:
-    """P(zeta) = Phi_zeta(0, 0) - (1/2) int_0^1 s xi''(s) zeta(s) ds."""
+    """P(zeta) = Phi_zeta(0, h) - (1/2) int_0^1 s xi''(s) zeta(s) ds, with h
+    the model's external field."""
     t0, t1 = zeta.interval
     if abs(t0) > 1e-12 or abs(t1 - 1.0) > 1e-12:
         raise ValueError("the Parisi functional needs zeta on [0, 1]")
-    sol = solve(model, zeta, config)
-    return float(sol.phi(0.0, 0.0)) - 0.5 * sol.int_s_xi_pp_zeta()
+    h = model.external_field_h
+    sol = solve(model, zeta, config.with_pad(abs(h)))
+    return float(sol.phi(0.0, h)) - 0.5 * sol.int_s_xi_pp_zeta()
 
 
 def parisi_measure(model: MixedModel, r_atoms: int = 3,
@@ -611,11 +603,15 @@ def parisi_measure(model: MixedModel, r_atoms: int = 3,
     """Minimize the Parisi functional over r-atom order parameters on [0, 1].
 
     Delegates to the TAP variational machinery at mu = delta_0, for which
-    the two functionals coincide. Returns (zeta_star, info).
+    the two functionals coincide when the external field h is 0; a model
+    with h != 0 is rejected. Returns (zeta_star, info).
     """
     from .measures import DiscreteMeasure
     from .tap import tap_correction
 
+    if model.external_field_h != 0.0:
+        raise ValueError("parisi_measure needs external field h = 0: "
+                         "its mu = delta_0 TAP form holds only there")
     mu0 = DiscreteMeasure.delta(0.0, interval=(0.0, 1.0))
     res = tap_correction(model, mu0, r_atoms=r_atoms, config=config, seed=seed)
     info = {"value": res.value, "diagnostics": res.diagnostics}

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure
+from .measures import BOUNDARY_ATOM_TOL, DiscreteMeasure
 from .model import MixedModel, ShiftedModel
 from .numerics import adaptive_simpson, gauss_hermite, log2cosh
 
@@ -37,7 +37,6 @@ __all__ = [
     "at_line_scan",
 ]
 
-BOUNDARY_ATOM_TOL = 1e-9
 GH_ORDER_RS = 60
 
 
@@ -97,11 +96,7 @@ def gamma_mu(shifted: ShiftedModel, mu: DiscreteMeasure, s: float,
 def big_gamma(shifted: ShiftedModel, mu: DiscreteMeasure, s: float,
               tol: float = 1e-11) -> float:
     """Gamma_mu(s) = int_0^s xi_q''(r) (gamma_mu(r) - r) dr."""
-
-    def integrand(r):
-        return shifted.xi_q_double_prime(r) * (gamma_mu(shifted, mu, r) - r)
-
-    return adaptive_simpson(integrand, 0.0, float(s), tol=tol)
+    return float(big_gamma_curve(shifted, mu, [s], tol=tol)[0])
 
 
 def big_gamma_curve(shifted: ShiftedModel, mu: DiscreteMeasure,
@@ -222,7 +217,7 @@ def at_line_scan(beta: float, h: float, gh_order: int = 80,
     """RS fixed point and stability quantities for the SK model with field.
 
     Solves q = E tanh^2(beta z sqrt(q) + h) by damped iteration, then reports
-    the AT stability quantity beta^2 E[2 / cosh^4], Plefka's left-hand side
+    the AT stability quantity beta^2 E[1 / cosh^4], Plefka's left-hand side
     beta^2 (1-q) for the {0,1}-block magnetization (equal to
     beta^2 E[1/cosh^2] at the fixed point), and whether the instance sits
     below the AT line while violating Plefka's condition.
@@ -246,7 +241,7 @@ def at_line_scan(beta: float, h: float, gh_order: int = 80,
         raise RuntimeError("RS fixed point did not converge")
     z = beta * math.sqrt(max(q, 0.0)) * g + h
     sech2 = 1.0 / np.cosh(z) ** 2
-    at_value = beta * beta * float(np.sum(w * 2.0 * sech2 * sech2))
+    at_value = beta * beta * float(np.sum(w * sech2 * sech2))
     sech2_mean = float(np.sum(w * sech2))
     plefka_lhs = beta * beta * (1.0 - q)
     return {

@@ -23,54 +23,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure, OrderParameter
+from .measures import (BOUNDARY_ATOM_TOL, DiscreteMeasure, OrderParameter,
+                       band_coords, restrict_zeta)
 from .model import MixedModel, ShiftedModel
-from .numerics import (gauss_legendre, golden_section, grid_derivative,
-                       hermite_eval, project_monotone)
-from .pde import (DEFAULT_CONFIG, PDESolution, SolverConfig,
+from .numerics import gauss_legendre, golden_section, project_monotone
+from .pde import (DEFAULT_CONFIG, PDESolution, SolverConfig, _interp_grid,
                   simulate_control, solve_band, solve_steps)
 
 __all__ = [
     "TapResult", "EffectiveField", "lambda_conj", "psi_bar", "psi",
     "effective_field", "tap_with_zeta", "tap_correction", "band_functional",
-    "directional_derivative", "optimality_check", "restrict_zeta",
-    "band_coords", "unband_coords",
+    "directional_derivative", "optimality_check",
 ]
-
-BOUNDARY_ATOM_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# order-parameter coordinate helpers
-
-
-def restrict_zeta(zeta: OrderParameter, q: float) -> OrderParameter:
-    """Order parameter on [q, 1]: mass at or below q pools at q; a zeta
-    living on [q', 1] with q' > q is extended by zero on [q, q')."""
-    lo, hi = zeta.interval
-    if abs(lo - q) <= 1e-12:
-        return zeta
-    if lo > q:
-        return OrderParameter.from_atoms((q, hi), zeta.measure.atoms)
-    head = float(zeta.cdf(q))
-    atoms = [(q, head)] if head > 0 else []
-    for x, w in zeta.measure.atoms:
-        if x > q + 1e-12:
-            atoms.append((x, w))
-    return OrderParameter.from_atoms((q, hi), atoms)
-
-
-def band_coords(zeta_q1: OrderParameter) -> OrderParameter:
-    """Relabel an order parameter on [q, 1] to band coordinates [0, 1-q]."""
-    q, one = zeta_q1.interval
-    atoms = [(x - q, w) for x, w in zeta_q1.measure.atoms]
-    return OrderParameter.from_atoms((0.0, one - q), atoms)
-
-
-def unband_coords(zeta_band: OrderParameter, q: float) -> OrderParameter:
-    """Relabel a band order parameter on [0, 1-q] back to [q, 1]."""
-    atoms = [(x + q, w) for x, w in zeta_band.measure.atoms]
-    return OrderParameter.from_atoms((q, q + zeta_band.interval[1]), atoms)
+# concave conjugate and effective fields
 
 
 def _grid_pad_for(a_max: float, extra: float = 0.0) -> float:
@@ -80,10 +48,6 @@ def _grid_pad_for(a_max: float, extra: float = 0.0) -> float:
     if a_max > 0.9:
         pad += math.atanh(a_max) + 2.0
     return pad
-
-
-# ---------------------------------------------------------------------------
-# concave conjugate and effective fields
 
 
 def _orig_solution(model: MixedModel, q: float, zeta: OrderParameter,
@@ -230,13 +194,8 @@ def band_functional(shifted: ShiftedModel, mu: DiscreteMeasure, v, lam: float,
         x = lam * a + float(v(a))
         sol = ev.solution_for(a, x_reach=abs(x))
         total += w * float(sol.phi(0.0, x))
-    return total - 0.5 * _int_s_xipp_zeta_band(shifted, zeta_band)
-
-
-def _int_s_xipp_zeta_band(shifted: ShiftedModel,
-                          zeta_band: OrderParameter) -> float:
-    """Exact int_0^{1-q} s xi_q''(s) zeta(s) ds via theta_q differences."""
-    return zeta_band.integral_against(shifted.theta_q)
+    # theta_q is the antiderivative of s xi_q''(s)
+    return total - 0.5 * zeta_band.integral_against(shifted.theta_q)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +257,7 @@ def _steps_value(model: MixedModel, mu: DiscreteMeasure, st: _Steps,
         xb = np.asarray(xbars)
         wv = np.asarray(wts)
         for p in range(st.levels.size):
-            Sd = grid_derivative(S[p], config.dx)
-            vals = hermite_eval(float(sol.x_grid[0]), config.dx, S[p], Sd, xb)
+            vals = _interp_grid(float(sol.x_grid[0]), config.dx, S[p], xb)
             grad[p] += float(np.sum(wv * vals))
     for p in range(st.levels.size):
         dsp = sp(nodes[p + 1]) - sp(nodes[p])
@@ -338,26 +296,12 @@ def _optimize_levels(model, mu, st: _Steps, config, tol=1e-10,
 
 
 def _mean_u_squared_factory(model, mu: DiscreteMeasure, st: _Steps, config):
-    """gbar(s) = int E[u(s)^2] dmu at the conjugate starting points.
-
-    Boundary atoms of mu contribute u = 1 identically (slope saturates)."""
+    """gbar(s) = int E[u(s)^2] dmu at the conjugate starting points."""
     sol = solve_steps(model, (st.q, 1.0), st.full_nodes, st.levels, config)
-    starts, wts, w_edge = [], [], 0.0
-    for a, w in mu.atoms:
-        if a >= 1.0 - BOUNDARY_ATOM_TOL:
-            w_edge += w
-        else:
-            starts.append(sol.inverse_phi_x(st.q, a))
-            wts.append(w)
-    starts = np.asarray(starts)
-    wts = np.asarray(wts)
+    runs, w_edge = _conjugate_runs(sol, mu)
 
     def gbar(s: float) -> float:
-        if s <= st.q + 1e-13:
-            u2 = np.asarray(sol.phi_x(st.q, starts)) ** 2
-        else:
-            u2 = sol.expected_u_squared(s, starts)
-        return float(np.sum(wts * u2)) + w_edge
+        return _mean_sq_derivative(runs, s, 1) + w_edge
 
     return gbar
 
@@ -436,38 +380,60 @@ class TapResult:
     diagnostics: dict
 
 
-def _certificate(model: MixedModel, mu: DiscreteMeasure,
-                 zeta: OrderParameter, config: SolverConfig) -> dict:
-    """Stationarity residuals at the support of zeta (original coordinates).
-
-    On the support, int E[u(s)^2] dmu should equal s and
-    xi''(s) int E[(Phi_xx(s, X_s))^2] dmu should stay <= 1; atoms of mu at
-    the boundary contribute u = 1 and curvature 0 exactly.
-    """
-    q = mu.moment(2)
-    a_max = float(np.max(mu.locations[mu.locations < 1.0 - BOUNDARY_ATOM_TOL],
-                         initial=0.0))
-    sol = _orig_solution(model, q, zeta, config, a_max=a_max)
+def _conjugate_runs(sol: PDESolution, mu: DiscreteMeasure):
+    """Runs [(sol, psi_bar(t0, a), weights)] over the atoms of mu below the
+    boundary, and the mass of the boundary atoms, whose slope u is 1."""
     starts, wts, w_edge = [], [], 0.0
     for a, w in mu.atoms:
         if a >= 1.0 - BOUNDARY_ATOM_TOL:
             w_edge += w
         else:
-            starts.append(sol.inverse_phi_x(q, a))
+            starts.append(sol.inverse_phi_x(sol.t0, a))
             wts.append(w)
-    starts = np.asarray(starts)
-    wts = np.asarray(wts)
+    return [(sol, np.asarray(starts), np.asarray(wts))], w_edge
+
+
+def _band_runs(field: EffectiveField, v, atoms):
+    """Runs [(band solution, [v(a)], [w])], one per atom (a, w) of mu."""
+    runs = []
+    for a, w in atoms:
+        x0 = float(v(a))
+        runs.append((field.solution_for(a, x_reach=abs(x0)), np.array([x0]),
+                     np.array([w])))
+    return runs
+
+
+def _mean_sq_derivative(runs, s: float, k: int) -> float:
+    """int E[(d^k/dx^k Phi(s, X_s))^2] dmu for k = 1, 2.
+
+    `runs` holds (solution, start points X_{t0}, weights) triples; the
+    expectations are the solutions' deterministic path propagations.
+    """
+    total = 0.0
+    for sol, starts, wts in runs:
+        if s <= sol.t0 + 1e-13:
+            vals = (sol.phi_x if k == 1 else sol.phi_xx)(sol.t0, starts) ** 2
+        else:
+            fr = sol.frame_at(s)
+            vals = sol.path_expectation(
+                s, (fr.phi_x if k == 1 else fr.phi_xx) ** 2, starts)
+        total += float(np.sum(wts * vals))
+    return total
+
+
+def _stationarity(runs, zeta: OrderParameter, xi_pp,
+                  w_edge: float = 0.0) -> dict:
+    """Stationarity residuals on the support of zeta.
+
+    On the support, int E[u(s)^2] dmu should equal s and
+    xi''(s) int E[(Phi_xx(s, X_s))^2] dmu should stay <= 1; atoms of mu at
+    the boundary add `w_edge` to the first (u = 1) and nothing to the second.
+    """
     support = [float(u) for u, _ in zeta.measure.atoms]
     first, second = [], []
     for s in support:
-        if s <= sol.t0 + 1e-13:
-            u2 = float(np.sum(wts * sol.phi_x(sol.t0, starts) ** 2)) + w_edge
-            c2 = float(np.sum(wts * sol.phi_xx(sol.t0, starts) ** 2))
-        else:
-            u2 = float(np.sum(wts * sol.expected_u_squared(s, starts))) + w_edge
-            c2 = float(np.sum(wts * sol.expected_uxx_squared(s, starts)))
-        first.append(u2 - s)
-        second.append(model.xi_double_prime(s) * c2 - 1.0)
+        first.append(_mean_sq_derivative(runs, s, 1) + w_edge - s)
+        second.append(xi_pp(s) * _mean_sq_derivative(runs, s, 2) - 1.0)
     return {
         "support": support,
         "first_residuals": first,
@@ -475,6 +441,18 @@ def _certificate(model: MixedModel, mu: DiscreteMeasure,
         "first_residual": float(np.max(np.abs(first))) if first else 0.0,
         "second_max": float(np.max(second)) if second else -1.0,
     }
+
+
+def _certificate(model: MixedModel, mu: DiscreteMeasure,
+                 zeta: OrderParameter, config: SolverConfig) -> dict:
+    """Stationarity residuals of zeta in original coordinates, with the
+    control diffusion started at psi_bar(q, a)."""
+    q = mu.moment(2)
+    a_max = float(np.max(mu.locations[mu.locations < 1.0 - BOUNDARY_ATOM_TOL],
+                         initial=0.0))
+    sol = _orig_solution(model, q, zeta, config, a_max=a_max)
+    runs, w_edge = _conjugate_runs(sol, mu)
+    return _stationarity(runs, zeta, model.xi_double_prime, w_edge)
 
 
 def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
@@ -488,6 +466,9 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
     CDF values at fixed nodes), nodes by coordinate search. Also
     cross-evaluates the band representation inf P_bar_mu^{v_zeta}(0, zeta) at
     the found minimizer and reports the gap.
+
+    The correction does not depend on the model's external field h: the
+    field enters the TAP free energy only through the energy H(m).
     """
     mu = _fold(mu)
     q = mu.moment(2)
@@ -575,20 +556,15 @@ def directional_derivative(shifted: ShiftedModel, mu: DiscreteMeasure,
     Euler-Maruyama Monte Carlo (method="mc").
     """
     mu = _fold(mu)
-    ev0 = EffectiveField(shifted, zeta0, config)
     atoms = [(a, w) for a, w in mu.atoms if a < 1.0 - BOUNDARY_ATOM_TOL]
+    runs = _band_runs(EffectiveField(shifted, zeta0, config), v0, atoms)
 
     def mean_u2(s: float) -> float:
-        total = 0.0
-        for a, w in atoms:
-            x0 = float(v0(a))
-            sol = ev0.solution_for(a, x_reach=abs(x0))
-            if method == "mc":
-                out = simulate_control(sol, x0, mc_paths, seed=seed, times=[s])
-                total += w * out["u2_mean"][0]
-            else:
-                total += w * float(sol.expected_u_squared(s, np.array([x0]))[0])
-        return total
+        if method != "mc":
+            return _mean_sq_derivative(runs, s, 1)
+        return sum(w[0] * simulate_control(sol, float(x0[0]), mc_paths,
+                                           seed=seed, times=[s])["u2_mean"][0]
+                   for sol, x0, w in runs)
 
     # s-integral: (zeta1 - zeta0) is piecewise constant between the union of
     # node sets; integrate the smooth factor with Gauss-Legendre per piece.
@@ -606,13 +582,11 @@ def directional_derivative(shifted: ShiftedModel, mu: DiscreteMeasure,
         term1 += 0.5 * dz * acc * (hi - lo)
 
     term2 = 0.0
-    for a, w in atoms:
-        x0 = float(v0(a))
-        dv = float(v1(a)) - x0
+    for (a, w), (sol, x0, _) in zip(atoms, runs):
+        dv = float(v1(a)) - float(x0[0])
         if abs(dv) < 1e-15:
             continue
-        sol = ev0.solution_for(a, x_reach=abs(x0))
-        term2 += w * dv * float(sol.phi_x(0.0, x0))
+        term2 += w * dv * float(sol.phi_x(0.0, float(x0[0])))
     return term1 + term2
 
 
@@ -630,26 +604,5 @@ def optimality_check(shifted: ShiftedModel, mu: DiscreteMeasure,
     mu = _fold(mu)
     ev = field if field is not None else EffectiveField(shifted, zeta_band, config)
     atoms = [(a, w) for a, w in mu.atoms if a < 1.0 - BOUNDARY_ATOM_TOL]
-    support = [float(u) for u, _ in zeta_band.measure.atoms]
-    first, second = [], []
-    for s in support:
-        u2 = 0.0
-        c2 = 0.0
-        for a, w in atoms:
-            x0 = float(ev(a))
-            sol = ev.solution_for(a, x_reach=abs(x0))
-            if s <= 1e-13:
-                u2 += w * float(sol.phi_x(0.0, x0)) ** 2
-                c2 += w * float(sol.phi_xx(0.0, x0)) ** 2
-            else:
-                u2 += w * float(sol.expected_u_squared(s, np.array([x0]))[0])
-                c2 += w * float(sol.expected_uxx_squared(s, np.array([x0]))[0])
-        first.append(u2 - s)
-        second.append(shifted.xi_q_double_prime(s) * c2 - 1.0)
-    return {
-        "support": support,
-        "first_residuals": first,
-        "second_slacks": second,
-        "first_residual": float(np.max(np.abs(first))) if first else 0.0,
-        "second_max": float(np.max(second)) if second else -1.0,
-    }
+    return _stationarity(_band_runs(ev, ev, atoms), zeta_band,
+                         shifted.xi_q_double_prime)

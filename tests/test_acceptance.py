@@ -11,11 +11,11 @@ import time
 
 import numpy as np
 from gtap import cascades, disorder, rs
-from gtap.measures import DiscreteMeasure, OrderParameter, d1
+from gtap.measures import DiscreteMeasure, OrderParameter, band_coords, d1
 from gtap.model import MixedModel, sk_model
 from gtap.pde import (second_derivative_identity, solve, solve_band, unify)
-from gtap.tap import (band_coords, band_functional, effective_field,
-                      lambda_conj, tap_correction)
+from gtap.tap import (band_functional, effective_field, lambda_conj,
+                      tap_correction)
 
 from conftest import random_model, random_mu, random_zeta
 

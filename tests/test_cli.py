@@ -77,6 +77,25 @@ def test_rs_scan_outputs(tmp_path, model_spec):
     assert len(at) == 5
 
 
+def test_rs_scan_model_without_mu_exits_2(tmp_path, model_spec):
+    rc = main(["rs-scan", "--model", model_spec, "--out",
+               str(tmp_path / "scan"), "--beta-grid", "0.5:1.0:2"])
+    assert rc == 2
+    assert not (tmp_path / "scan" / "at_scan.csv").exists()
+
+
+def test_tap_solve_oversized_n_exits_2(tmp_path, model_spec):
+    rc = main(["tap-solve", "--model", model_spec, "--N", "30",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+
+
+def test_parisi_with_field_exits_2(tmp_path):
+    spec = write(tmp_path, "field.json", {"coeffs_sq": [0.0, 0.5], "h": 0.3})
+    rc = main(["parisi", "--model", spec, "--out", str(tmp_path / "o")])
+    assert rc == 2
+
+
 def test_parisi_command(tmp_path, model_spec):
     out = tmp_path / "parisi"
     rc = main(["parisi", "--model", model_spec, "--out", str(out),

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from gtap.measures import OrderParameter, d1
+from gtap.measures import OrderParameter, band_coords, d1
 from gtap.model import MixedModel, sk_model
 from gtap.numerics import gauss_hermite
 from gtap.pde import (SolverConfig, parisi_functional, parisi_measure,
                       second_derivative_identity, simulate_control, solve,
-                      solve_band, unify)
-from gtap.tap import band_coords
+                      solve_band, solve_steps, unify)
 
 from conftest import random_model, random_zeta
 
@@ -238,6 +237,50 @@ def test_parisi_functional_zero_model():
         zeta = OrderParameter.from_atoms((0.0, 1.0), atoms)
         assert parisi_functional(zero, zeta) == pytest.approx(math.log(2),
                                                               abs=1e-12)
+
+
+def test_parisi_functional_with_field_rs_closed_form():
+    # zeta = delta_q, xi = beta^2 s^2 / 2: P = log 2 + E log cosh(beta sqrt(q)
+    # z + h) + beta^2 (1 - q)^2 / 4
+    g, w = gauss_hermite(200)
+    for beta, h, q in ((1.0, 0.3, 0.25), (1.4, 0.8, 0.6)):
+        model = sk_model(beta, h=h, convention="half")
+        zeta = OrderParameter.from_atoms((0.0, 1.0), [(q, 1.0)])
+        closed = math.log(2.0) \
+            + float(np.sum(w * np.log(np.cosh(beta * math.sqrt(q) * g + h)))) \
+            + beta ** 2 * (1.0 - q) ** 2 / 4.0
+        assert parisi_functional(model, zeta) == pytest.approx(closed, abs=5e-8)
+
+
+def test_parisi_measure_rejects_field():
+    with pytest.raises(ValueError):
+        parisi_measure(sk_model(1.0, h=0.3, convention="half"), r_atoms=1)
+
+
+def test_level_gradients_match_finite_differences(mixed_23):
+    # pieces: a level-0 slot, a zero-width piece, then two positive levels
+    nodes = [0.2, 0.3, 0.3, 0.6, 1.0]
+    levels = np.array([0.0, 0.3, 0.5, 0.8])
+    sol = solve_steps(mixed_23, (0.2, 1.0), nodes, levels)
+    grads = sol.level_gradients()
+    idx = np.flatnonzero(np.abs(sol.x_grid) <= 2.0)[::8]
+
+    def phi0(lv):
+        return solve_steps(mixed_23, (0.2, 1.0), nodes, lv).phi(0.2, sol.x_grid[idx])
+
+    h = 1e-4
+    for p in (2, 3):
+        up, dn = levels.copy(), levels.copy()
+        up[p] += h
+        dn[p] -= h
+        fd = (phi0(up) - phi0(dn)) / (2.0 * h)
+        np.testing.assert_allclose(grads[p][idx], fd, atol=1e-9)
+    # the level-0 slot admits only a one-sided difference
+    up = levels.copy()
+    up[0] += h
+    fd0 = (phi0(up) - phi0(levels)) / h
+    np.testing.assert_allclose(grads[0][idx], fd0, atol=2e-6)
+    assert np.all(grads[1] == 0.0)
 
 
 def test_parisi_minimizer_small_beta_vs_grid_oracle():

@@ -128,8 +128,8 @@ def test_at_line_scan():
     r = at_line_scan(0.8, 1e-8)
     assert r["q"] == pytest.approx(0.0, abs=1e-6)
     r = at_line_scan(1.2, 0.3)
-    # AT quantity bounded by 2 beta^2 since 2 / cosh^4 <= 2
-    assert r["at_value"] <= 2 * 1.2 ** 2
+    # AT quantity bounded by beta^2 since 1 / cosh^4 <= 1
+    assert r["at_value"] <= 1.2 ** 2
     # Plefka lhs equals beta^2 E[1/cosh^2] at the fixed point
     assert r["plefka_lhs"] == pytest.approx(r["plefka_lhs_identity"],
                                             abs=1e-10)
@@ -141,13 +141,31 @@ def test_at_but_not_plefka_region_exists():
     # deep in the strong-field region there are points below the AT line
     # whose {0,1}-block magnetization violates Plefka's condition
     found = False
-    for beta, h in [(9.5, 6.5), (10.0, 3.5), (11.0, 4.0)]:
+    for beta, h in [(1.5, 0.5), (9.5, 6.5), (10.0, 3.5), (11.0, 4.0)]:
         r = at_line_scan(beta, h)
         if r["rs_but_not_plefka"]:
             found = True
             assert r["at_value"] <= 1.0
             assert r["plefka_lhs"] > 1.0
     assert found
+
+
+def test_at_line_zero_field_is_beta_one():
+    # at h = 0 and beta < 1 the RS fixed point is q = 0, where sech^4 = 1
+    for beta in (0.3, 0.6, 0.9):
+        r = at_line_scan(beta, 0.0)
+        assert r["at_value"] == pytest.approx(beta ** 2, abs=1e-9)
+    assert at_line_scan(0.99, 0.0)["at_ok"]
+    r = at_line_scan(1.05, 0.0)
+    assert not r["at_ok"] and r["at_value"] == pytest.approx(1.0029, abs=1e-4)
+
+
+def test_plefka_implies_at():
+    # sech^4 <= sech^2, so the AT condition holds wherever Plefka's does
+    for beta in np.linspace(0.3, 3.0, 19):
+        for h in np.linspace(0.0, 2.0, 11):
+            r = at_line_scan(float(beta), float(h))
+            assert r["at_ok"] or not r["plefka_ok"], (beta, h)
 
 
 def test_gamma_curve_monotone_grid(mixed_23):

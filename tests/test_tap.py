@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from gtap.measures import DiscreteMeasure, OrderParameter, d1
-from gtap.model import sk_model
+from gtap.measures import (DiscreteMeasure, OrderParameter, band_coords, d1,
+                           restrict_zeta)
+from gtap.model import MixedModel, sk_model
 from gtap.pde import parisi_functional, solve
 from gtap.rs import big_gamma, classical_tap, v_rs
-from gtap.tap import (EffectiveField, band_coords, band_functional,
+from gtap.tap import (EffectiveField, band_functional,
                       directional_derivative, effective_field, lambda_conj,
-                      optimality_check, psi, psi_bar, restrict_zeta,
-                      tap_correction, tap_with_zeta)
+                      optimality_check, psi, psi_bar, tap_correction,
+                      tap_with_zeta)
 
 from conftest import random_mu, random_zeta
 
@@ -291,6 +292,23 @@ def test_optimality_check_at_minimizer():
     assert cert["second_max"] <= 1e-7
     # the s = 0 residual vanishes by the definition of the effective field
     assert abs(cert["first_residuals"][0]) < 1e-9
+
+
+def test_certificate_matches_band_optimality_check():
+    # psi(q, a, zeta) = v_{theta_q zeta}(a): the original-coordinate
+    # certificate and the band check follow the same diffusion
+    model = MixedModel(coeffs_sq=(0.0, 1.5))
+    mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.1, 0.6), (0.3, 0.4)))
+    res = tap_correction(model, mu, r_atoms=2, node_rounds=0,
+                         with_representation=False)
+    assert len(res.minimizer_zeta.measure.atoms) == 2
+    cert = res.diagnostics["certificate"]
+    band = optimality_check(model.shift(res.q), mu,
+                            band_coords(res.minimizer_zeta))
+    np.testing.assert_allclose(cert["first_residuals"],
+                               band["first_residuals"], rtol=0, atol=1e-6)
+    np.testing.assert_allclose(cert["second_slacks"], band["second_slacks"],
+                               rtol=0, atol=1e-4)
 
 
 def test_optimality_check_flags_non_minimizer(mixed_23):
