@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cascades, disorder, rs, tap
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, empirical
 from .model import MixedModel
 from .pde import SolverConfig, parisi_functional, parisi_measure, \
     second_derivative_identity, solve
@@ -89,7 +89,8 @@ def cmd_correction(args) -> int:
     model = _load_model(args.model)
     mu = _load_measure(args.mu)
     cfg = _solver_config(args)
-    res = tap.tap_correction(model, mu, r_atoms=args.r_atoms, config=cfg)
+    res = tap.tap_correction(model, mu, r_atoms=args.r_atoms, config=cfg,
+                             seed=args.seed)
     out = {
         "value": res.value,
         "q": res.q,
@@ -310,6 +311,19 @@ def cmd_check(args) -> int:
     band = disorder.BandSpec((0.0,) * 8, eps=0.3, delta=0.3, n=2)
     ch = disorder.chain_values(smpl, band)
     record("band_chain", ch["chain_1"] >= 0 and ch["chain_2"] >= 0)
+    # Plefka's condition is necessary for RS: a law violating it has
+    # sup Gamma > 0 and a correction strictly below the classical value
+    mixed = MixedModel(coeffs_sq=(0.0, 0.6, 0.2))
+    law = empirical(np.random.default_rng(15).uniform(-0.6, 0.6, 6),
+                    fold=True)
+    diag = rs.is_replica_symmetric(mixed.shift(law.moment(2)), law)
+    res = tap.tap_correction(mixed, law, r_atoms=2, with_representation=False,
+                             with_certificate=False)
+    gap = res.value - rs.classical_tap(mixed, law)
+    record("plefka_violation_breaks_rs",
+           diag.plefka_lhs > 1.0 and not diag.is_rs and gap < -5e-6,
+           plefka_lhs=diag.plefka_lhs, sup_gamma=diag.sup_gamma,
+           tap_minus_classical=gap)
     print(json.dumps({"checks": verdicts,
                       "pass": all(v["pass"] for v in verdicts)},
                      sort_keys=True, default=_jsonify))
@@ -321,16 +335,16 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="generalized TAP free energy toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, model=True):
+    def common(sp, model=True, seed=0):
         if model:
             sp.add_argument("--model", required=True, help="model spec JSON")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int, default=seed)
         sp.add_argument("--grid-step", type=float, default=None,
                         dest="grid_step")
 
     sp = sub.add_parser("correction", help="TAP correction for a measure")
-    common(sp)
+    common(sp, seed=None)   # no --seed: the optimizer's evenly spread start
     sp.add_argument("--mu", required=True, help="measure spec JSON")
     sp.add_argument("--r-atoms", type=int, default=3, dest="r_atoms")
     sp.set_defaults(func=cmd_correction)

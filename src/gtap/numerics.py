@@ -1,5 +1,5 @@
 """Shared numerical kernels: quadrature rules, stable elementary functions,
-cubic Hermite grid interpolation, and small optimization primitives.
+cubic Hermite grid interpolation, and the monotone projection.
 
 Everything here is plain numpy and deterministic.
 """
@@ -152,26 +152,3 @@ def project_monotone(z: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndar
         out[k:k + w] = v
         k += w
     return np.clip(out, lo, hi)
-
-
-def golden_section(f, a: float, b: float, tol: float = 1e-6,
-                   max_iter: int = 200) -> tuple[float, float]:
-    """Minimize a unimodal scalar function on [a, b]; returns (x, f(x))."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a < tol:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    if f1 <= f2:
-        return x1, f1
-    return x2, f2

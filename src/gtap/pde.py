@@ -106,6 +106,13 @@ def _boundary_frame(kind: str, a: float, t: float, x: np.ndarray) -> Frame:
                  phi, phi_x, sech2, -2.0 * th * sech2)
 
 
+def _exp_tail(y: np.ndarray) -> np.ndarray:
+    """exp(y) - 1 - y by its Taylor series to y^10: relative error below
+    1e-16 for |y| < 0.1, where expm1(y) - y would cancel."""
+    coefs = [1.0 / math.factorial(k) for k in range(10, 1, -1)]
+    return y * y * np.polyval(coefs, y)
+
+
 class _Layer:
     """Transition kernel of one layer below an upper frame.
 
@@ -113,6 +120,11 @@ class _Layer:
     weights exp(level Phi_upper(X)) (plain Gauss-Hermite weights at level 0),
     so that `mean` averages values at X over the layer and `pull` averages a
     grid function.
+
+    A positive level z uses y = z (Phi_upper - c): phi = c + log E exp(y)/z,
+    with c the row maximum (no overflow) or, where z (max - min) Phi_upper
+    < 0.1, the plain average with E exp(y) - 1 summed as E y plus a Taylor
+    tail, so small levels lose no digits (the max form loses log10(1/z)).
     """
 
     def __init__(self, upper: Frame, sigma: float, level: float,
@@ -123,12 +135,24 @@ class _Layer:
         self.x0, self.dx = float(x[0]), config.dx
         self.X = x[:, None] + sigma * g[None, :]
         if level > 0.0:
-            logits = level * self.P
-            m = logits.max(axis=1, keepdims=True)
-            Wg = self.w[None, :] * np.exp(logits - m)
-            Z = Wg.sum(axis=1, keepdims=True)
-            self.om = Wg / Z
-            self._log_z = m[:, 0] + np.log(Z[:, 0])
+            self._small = level * (self.P.max() - self.P.min()) < 0.1
+            if self._small:
+                # E exp(y) - 1 sums O(z) terms to an O(z^2) result: centre at
+                # the plain mean, keep the mean of y apart and sum
+                # exp(y) - 1 - y by its Taylor series
+                self._c = self.P @ self.w
+                y = level * (self.P - self._c[:, None])
+                tail = _exp_tail(y)
+                S = y @ self.w + tail @ self.w
+                self._log_z, Z = np.log1p(S), 1.0 + S
+                self.om = 1.0 + y + tail
+            else:
+                self._c = self.P.max(axis=1)
+                self.om = np.exp(level * (self.P - self._c[:, None]))
+                Z = self.om @ self.w
+                self._log_z = np.log(Z)
+            self.om *= self.w
+            self.om /= Z[:, None]
 
     @cached_property
     def P(self) -> np.ndarray:
@@ -141,7 +165,21 @@ class _Layer:
         the plain average E Phi_upper at level z = 0."""
         if self.level <= 0.0:
             return self.mean(self.P)
-        return self._log_z / self.level
+        return self._c + self._log_z / self.level
+
+    def level_sensitivity(self) -> np.ndarray:
+        """d phi / d level: (<Phi_upper>_Doob - phi)/z, variance/2 at z = 0;
+        that is (<y>_Doob - log E exp(y)) / z^2, split for small levels."""
+        z = self.level
+        if z <= 0.0:
+            return 0.5 * (self.mean(self.P * self.P) - self.phi ** 2)
+        y = z * (self.P - self._c[:, None])
+        if self._small:
+            mean_y = (y @ self.w + ((y + _exp_tail(y)) * y) @ self.w) \
+                / np.exp(self._log_z)
+        else:
+            mean_y = np.sum(self.om * y, axis=1)
+        return (mean_y - self._log_z) / (z * z)
 
     def mean(self, vals: np.ndarray) -> np.ndarray:
         if self.level <= 0.0:
@@ -216,7 +254,6 @@ class PDESolution:
         n = int(math.ceil(x_max / config.dx))
         self.x_grid = config.dx * np.arange(-n, n + 1)
         self._frames: dict[float, Frame] = {}
-        self._level_grads: dict[int, np.ndarray] | None = None
         self._solve()
 
     # -- construction -----------------------------------------------------
@@ -351,35 +388,33 @@ class PDESolution:
             total += self.levels[p] * (theta(hi) - theta(lo))
         return float(total)
 
-    # -- level sensitivities --------------------------------------------------
+    # -- sensitivities in the levels and nodes --------------------------------
 
     def level_gradients(self) -> np.ndarray:
-        """d Phi(t0, x) / d level_p as grid functions, shape (r, n_grid).
+        """d Phi(t0, x) as grid functions, shape (2r - 1, n_grid): rows
+        0..r-1 in the levels, rows r..2r-2 in the interior nodes s_1..s_{r-1}.
 
-        Forward-mode differentiation of the layered recursion: the explicit
-        derivative in a layer's own level is (<Phi> - Phi)/z (variance/2 in
-        the z -> 0 limit), and sensitivities from layers closer to the
-        boundary propagate down by Gibbs averaging.
+        One backward sweep: a layer's own level enters by its
+        `level_sensitivity`; moving s_j right replaces z_j by z_{j-1} just
+        above it, which injects -(1/2) xi''(s_j) (z_j - z_{j-1})
+        Phi_x(s_j, .)^2 at s_j. Both propagate to t0 by Gibbs averaging.
         """
-        if self._level_grads is None:
-            self._compute_level_gradients()
         r = len(self.levels)
-        return np.stack([self._level_grads[p] for p in range(r)])
-
-    def _compute_level_gradients(self) -> None:
         sens: dict[int, np.ndarray] = {}
-        for p in range(len(self.levels) - 1, -1, -1):
+        for p in range(r - 1, -1, -1):
             _, layer = self._layer(float(self.nodes[p + 1]),
                                    float(self.nodes[p]), float(self.levels[p]))
             if layer is None:
-                sens = {**sens, p: np.zeros_like(self.x_grid)}
-                continue
-            if layer.level > 0.0:
-                own = (layer.mean(layer.P) - layer.phi) / layer.level
+                sens[p] = np.zeros_like(self.x_grid)
             else:
-                own = 0.5 * (layer.mean(layer.P * layer.P) - layer.phi ** 2)
-            sens = {p: own, **{j: layer.pull(S) for j, S in sens.items()}}
-        self._level_grads = sens
+                sens = {j: layer.pull(S) for j, S in sens.items()}
+                sens[p] = layer.level_sensitivity()
+            if p > 0:
+                s_p = float(self.nodes[p])
+                jump = float(self.levels[p] - self.levels[p - 1])
+                ux = self._frames[self._key(s_p)].phi_x
+                sens[r - 1 + p] = -0.5 * self.spp(s_p) * jump * ux * ux
+        return np.stack([sens[k] for k in range(2 * r - 1)])
 
     # -- pathwise expectations -------------------------------------------------
 
@@ -532,7 +567,10 @@ def simulate_control(sol: PDESolution, x0: float, n_paths: int,
     def pair_stats(vals):
         v = 0.5 * (vals[:half] + vals[half:]) if antithetic else vals
         mean = float(np.mean(v))
-        se = float(np.std(v, ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0
+        # spread about a sample, so equal samples give exactly 0 (the
+        # rounded mean of equal values can differ from them by an ulp)
+        se = float(np.std(v - v[0], ddof=1) / math.sqrt(v.size)) \
+            if v.size > 1 else 0.0
         return mean, se
 
     out = {"times": [], "u2_mean": [], "u2_se": [], "cxx2_mean": [],

@@ -42,6 +42,25 @@ def test_correction_rs_instance_and_rerun_identical(tmp_path, model_spec):
     assert data["rs"]["is_rs"] is True
 
 
+def test_correction_seed_moves_start_not_value(tmp_path):
+    # RSB instance: different starts end at different points of the same
+    # minimum, so the outputs differ in bytes but the values agree
+    model = write(tmp_path, "m.json", {"coeffs_sq": [0.0, 0.6, 0.2], "h": 0.0})
+    mu = write(tmp_path, "mu.json", {"interval": [0, 1], "atoms": [
+        [0.08591670844047716, 0.5], [0.378980533603269, 0.25],
+        [0.5461941891714974, 0.25]]})
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}"
+        assert main(["correction", "--model", model, "--mu", mu, "--out",
+                     str(out), "--r-atoms", "2", "--seed", seed]) == 0
+        outputs.append((out / "correction.json").read_bytes())
+    assert outputs[0] != outputs[1]
+    a, b = (json.loads(o) for o in outputs)
+    assert abs(a["value"] - b["value"]) < 1e-7
+    assert a["value"] < a["classical_tap"] - 1e-6
+
+
 def test_malformed_model_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -281,6 +281,40 @@ def test_level_gradients_match_finite_differences(mixed_23):
     fd0 = (phi0(up) - phi0(levels)) / h
     np.testing.assert_allclose(grads[0][idx], fd0, atol=2e-6)
     assert np.all(grads[1] == 0.0)
+    # node rows 4..6 are s_1..s_3: central at s_3; the merged s_1 = s_2 may
+    # only move apart, so second-order one-sided there
+
+    def phi_nodes(j, dt):
+        nd = list(nodes)
+        nd[j] += dt
+        return solve_steps(mixed_23, (0.2, 1.0), nd, levels).phi(
+            0.2, sol.x_grid[idx])
+
+    fd = (phi_nodes(3, h) - phi_nodes(3, -h)) / (2.0 * h)
+    np.testing.assert_allclose(grads[6][idx], fd, atol=1e-8)
+    for j, dt in ((1, -1e-3), (2, 1e-3)):
+        fd = (4.0 * phi_nodes(j, dt) - phi_nodes(j, 2.0 * dt)
+              - 3.0 * phi_nodes(j, 0.0)) / (2.0 * dt)
+        np.testing.assert_allclose(grads[3 + j][idx], fd, atol=5e-7)
+
+
+def test_small_level_keeps_precision(mixed_23):
+    # Phi(t0) is smooth in a level at 0, so at tiny z it matches the z = 0
+    # expansion; (1/z) log E exp(z Phi) loses about 1e-16/z there
+    def solved(z):
+        return solve_steps(mixed_23, (0.2, 1.0), [0.2, 0.6, 1.0],
+                           np.array([z, 0.8]))
+
+    sol0 = solved(0.0)
+    idx = np.flatnonzero(np.abs(sol0.x_grid) <= 3.0)
+    x = sol0.x_grid[idx]
+    phi0, grad0 = sol0.phi(0.2, x), sol0.level_gradients()[0][idx]
+    for z in (1e-8, 1e-10, 1e-12):
+        sol = solved(z)
+        np.testing.assert_allclose(sol.phi(0.2, x), phi0 + z * grad0,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sol.level_gradients()[0][idx], grad0,
+                                   rtol=0, atol=1e-6)
 
 
 def test_parisi_minimizer_small_beta_vs_grid_oracle():
@@ -308,3 +342,18 @@ def test_parisi_value_decreases_with_atoms():
     v3 = parisi_measure(model, r_atoms=3)[1]["value"]
     assert v2 <= v1 + 1e-9
     assert v3 <= v2 + 1e-9
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 0.98), (0.0, 0.8, 0.4)])
+def test_parisi_minimizer_independent_of_init(coeffs):
+    # SK at beta = 1.4 and xi = 0.8 s^2 + 0.4 s^3 are RSB: from four random
+    # starts the r = 2 minimum agrees, and each minimizer meets the
+    # first-order condition int E u(s)^2 dmu = s on its support
+    model = MixedModel(coeffs_sq=coeffs)
+    cfg = SolverConfig(dx=1.0 / 16.0)
+    infos = [parisi_measure(model, r_atoms=2, config=cfg, seed=k)[1]
+             for k in range(4)]
+    values = [info["value"] for info in infos]
+    assert max(values) - min(values) < 1e-7
+    for info in infos:
+        assert info["diagnostics"]["certificate"]["first_residual"] < 1e-4

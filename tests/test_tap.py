@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from gtap.measures import (DiscreteMeasure, OrderParameter, band_coords, d1,
-                           restrict_zeta)
+                           empirical, restrict_zeta)
 from gtap.model import MixedModel, sk_model
-from gtap.pde import parisi_functional, solve
-from gtap.rs import big_gamma, classical_tap, v_rs
+from gtap.pde import SolverConfig, parisi_functional, solve
+from gtap.rs import big_gamma, classical_tap, is_replica_symmetric, v_rs
 from gtap.tap import (EffectiveField, band_functional,
                       directional_derivative, effective_field, lambda_conj,
                       optimality_check, psi, psi_bar, tap_correction,
@@ -199,6 +199,25 @@ def test_tap_correction_rs_equals_classical():
     assert cert["second_max"] <= 1e-7
 
 
+def test_plefka_violation_gives_rsb_minimizer(mixed_23):
+    # a |m|-law violating Plefka's condition: Gamma reports RSB, and the
+    # r = 2 minimum lies below the classical (RS) value. Oracle: TAP at the
+    # 2-atom zeta {(q, 0.6007), (0.17623, 0.3993)} on a 4x finer grid.
+    mu = empirical(np.random.default_rng(15).uniform(-0.6, 0.6, 6), fold=True)
+    q = mu.moment(2)
+    diag = is_replica_symmetric(mixed_23.shift(q), mu)
+    assert diag.plefka_lhs > 1.0
+    assert not diag.is_rs
+    res = tap_correction(mixed_23, mu, r_atoms=2, with_representation=False)
+    assert res.value < classical_tap(mixed_23, mu) - 5e-6
+    zeta = OrderParameter.from_atoms((q, 1.0), [(q, 0.6007), (0.17623, 0.3993)])
+    oracle = tap_with_zeta(mixed_23, mu, zeta,
+                           SolverConfig(dx=1.0 / 256.0, gh_order=60))
+    assert oracle == pytest.approx(0.9596046859, abs=1e-10)
+    assert res.value == pytest.approx(oracle, abs=1e-8)
+    assert len(res.minimizer_zeta.measure.atoms) == 2
+
+
 def test_tap_correction_zero_in_support(mixed_23, rng):
     for _ in range(2):
         mu = random_mu(rng, 3)
@@ -299,7 +318,7 @@ def test_certificate_matches_band_optimality_check():
     # certificate and the band check follow the same diffusion
     model = MixedModel(coeffs_sq=(0.0, 1.5))
     mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.1, 0.6), (0.3, 0.4)))
-    res = tap_correction(model, mu, r_atoms=2, node_rounds=0,
+    res = tap_correction(model, mu, r_atoms=2,
                          with_representation=False)
     assert len(res.minimizer_zeta.measure.atoms) == 2
     cert = res.diagnostics["certificate"]
