@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import cascades, disorder, rs, tap
-from .measures import DiscreteMeasure, empirical
-from .model import MixedModel
+from .measures import DiscreteMeasure, OrderParameter, empirical
+from .model import MixedModel, sk_model
 from .pde import SolverConfig, parisi_functional, parisi_measure, \
     second_derivative_identity, solve
 
@@ -49,10 +49,9 @@ def _sample(N: int, model: MixedModel, seed: int) -> disorder.DisorderSample:
 
 
 def _solver_config(args) -> SolverConfig:
-    kw = {}
-    if getattr(args, "grid_step", None):
-        kw["dx"] = args.grid_step
-    return SolverConfig(**kw)
+    if args.grid_step:
+        return SolverConfig(dx=args.grid_step)
+    return SolverConfig()
 
 
 def _write_json(path: Path, obj) -> None:
@@ -66,8 +65,6 @@ def _jsonify(x):
         return x.item()
     if isinstance(x, np.ndarray):
         return x.tolist()
-    if isinstance(x, bool):
-        return x
     raise TypeError(f"not serializable: {type(x)}")
 
 
@@ -88,21 +85,21 @@ def _zeta_json(zeta) -> dict:
 def cmd_correction(args) -> int:
     model = _load_model(args.model)
     mu = _load_measure(args.mu)
+    folded = mu if mu.interval[0] >= 0 else mu.fold_abs()
     cfg = _solver_config(args)
     res = tap.tap_correction(model, mu, r_atoms=args.r_atoms, config=cfg,
                              seed=args.seed)
     out = {
         "value": res.value,
+        "converged": res.diagnostics["converged"],
         "q": res.q,
         "minimizer": _zeta_json(res.minimizer_zeta),
         "certificate": res.diagnostics.get("certificate"),
         "representation_gap": res.diagnostics.get("representation_gap"),
-        "classical_tap": rs.classical_tap(model, mu if mu.interval[0] >= 0
-                                          else mu.fold_abs()),
+        "classical_tap": rs.classical_tap(model, folded),
     }
     if res.q < 1.0 - 1e-9:
-        diag = rs.is_replica_symmetric(model.shift(res.q),
-                                       mu if mu.interval[0] >= 0 else mu.fold_abs())
+        diag = rs.is_replica_symmetric(model.shift(res.q), folded)
         out["rs"] = {"is_rs": diag.is_rs, "sup_gamma": diag.sup_gamma,
                      "gamma_second_deriv_at_0": diag.gamma_second_deriv_at_0,
                      "plefka_lhs": diag.plefka_lhs}
@@ -159,7 +156,6 @@ def cmd_mc_verify(args) -> int:
     checks = []
 
     # SDE second-derivative identity on a 2-atom order parameter
-    from .measures import OrderParameter
     q = 0.2
     zeta = OrderParameter.from_atoms((q, 1.0), [(q, 0.5), (0.7, 0.5)])
     sol = solve(model, zeta, cfg)
@@ -236,7 +232,6 @@ def cmd_tap_solve(args) -> int:
                                                        damping=args.damping)
     else:
         q = args.q
-    from .measures import OrderParameter
     zeta = OrderParameter.delta_at(q, (q, 1.0))   # RS start: CDF = 1 on [q,1]
     m, res, info = disorder.solve_tap_equations(smpl, q, zeta, m0,
                                                 damping=args.damping,
@@ -281,8 +276,6 @@ def cmd_parisi(args) -> int:
 
 def cmd_check(args) -> int:
     """Fast property smoke test; machine-readable verdict per check."""
-    from .measures import OrderParameter
-    from .model import sk_model
     verdicts = []
 
     def record(name, ok, **kv):
@@ -335,9 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="generalized TAP free energy toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, model=True, seed=0):
-        if model:
-            sp.add_argument("--model", required=True, help="model spec JSON")
+    def common(sp, seed=0):
+        sp.add_argument("--model", required=True, help="model spec JSON")
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=seed)
         sp.add_argument("--grid-step", type=float, default=None,
@@ -353,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", default=None)
     sp.add_argument("--mu", default=None)
     sp.add_argument("--out", default="out")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--grid-step", type=float, default=None, dest="grid_step")
     sp.add_argument("--n", type=int, default=24, help="Gamma grid points")
     sp.add_argument("--beta-grid", default="0.5:1.5:5", dest="beta_grid")
     sp.add_argument("--h-grid", default="0.1:0.5:3", dest="h_grid")

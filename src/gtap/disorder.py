@@ -28,9 +28,15 @@ __all__ = [
     "solve_tap_equations", "grad_tap", "tap_ascent",
 ]
 
-N_MAX_DEFAULT = 20
+N_MAX = 20                   # largest N that `sample` accepts
 TENSOR_BUDGET = 1 << 26      # total coefficient entries
+ENERGY_CHUNK = 4096          # configurations per block of all_energies
 PAIR_BLOCK = 1024            # row block for pair enumeration
+CLASSICAL_MAX_ITER = 5000    # iteration cap of classical_tap_iteration
+CLASSICAL_TOL = 1e-12        # its sup-norm residual tolerance
+GENERALIZED_MAX_ITER = 2000  # iteration cap of solve_tap_equations
+GENERALIZED_TOL = 1e-9       # its sup-norm residual tolerance
+ASCENT_STEP = 0.5            # first step length of tap_ascent
 
 
 @dataclass(frozen=True)
@@ -74,11 +80,10 @@ class DisorderSample:
         return out
 
 
-def sample(N: int, model: MixedModel, seed: int,
-           n_max: int = N_MAX_DEFAULT) -> DisorderSample:
+def sample(N: int, model: MixedModel, seed: int) -> DisorderSample:
     """Draw the coefficient tensors; deterministic given the seed."""
-    if N > n_max:
-        raise ValueError(f"N={N} exceeds the enumeration-friendly cap {n_max}")
+    if N > N_MAX:
+        raise ValueError(f"N={N} exceeds the enumeration-friendly cap {N_MAX}")
     active = [p for p in range(1, model.p_max + 1) if model.coeffs_sq[p - 1] > 0]
     budget = sum(N ** p for p in active)
     if budget > TENSOR_BUDGET:
@@ -95,10 +100,9 @@ def all_configs(N: int) -> np.ndarray:
     return bits.astype(np.float64) * 2.0 - 1.0
 
 
-def all_energies(smpl: DisorderSample, configs: np.ndarray | None = None,
-                 chunk: int = 4096) -> np.ndarray:
+def all_energies(smpl: DisorderSample) -> np.ndarray:
     """H over every configuration, by chunked multilinear contraction."""
-    S = all_configs(smpl.N) if configs is None else configs
+    S = all_configs(smpl.N)
     n = S.shape[0]
     out = np.zeros(n)
     if smpl.model.external_field_h:
@@ -106,13 +110,13 @@ def all_energies(smpl: DisorderSample, configs: np.ndarray | None = None,
     for p, g in smpl.tensors.items():
         beta = math.sqrt(smpl.model.coeffs_sq[p - 1])
         scale = beta * smpl.N ** (-(p - 1) / 2.0)
-        for lo in range(0, n, chunk):
-            block = S[lo:lo + chunk]
+        for lo in range(0, n, ENERGY_CHUNK):
+            block = S[lo:lo + ENERGY_CHUNK]
             t = np.broadcast_to(g, (block.shape[0],) + g.shape)
             for _ in range(p):
                 # contract the last tensor axis with each config in the block
                 t = np.einsum("c...i,ci->c...", t, block)
-            out[lo:lo + chunk] += scale * t
+            out[lo:lo + ENERGY_CHUNK] += scale * t
     return out
 
 
@@ -232,8 +236,8 @@ def concentration_experiment(model: MixedModel, N: int, band: BandSpec,
             "tails": rows}
 
 
-def classical_tap_iteration(smpl: DisorderSample, m_init, damping: float = 0.3,
-                            max_iter: int = 5000, tol: float = 1e-12) -> tuple[np.ndarray, float, float, dict]:
+def classical_tap_iteration(smpl: DisorderSample, m_init,
+                            damping: float = 0.3) -> tuple[np.ndarray, float, float, dict]:
     """Damped classical TAP iteration with free self-overlap.
 
     m <- tanh(grad H(m)_i - m_i xi''(q_m) (1 - q_m)) with q_m = ||m||^2 / N
@@ -245,21 +249,20 @@ def classical_tap_iteration(smpl: DisorderSample, m_init, damping: float = 0.3,
     N = smpl.N
     m = np.asarray(m_init, dtype=float).copy()
     res = math.inf
-    for it in range(max_iter):
+    for it in range(CLASSICAL_MAX_ITER):
         qm = float(m @ m) / N
         tgt = np.tanh(smpl.gradient(m) - m * smpl.model.xi_double_prime(qm)
                       * (1.0 - qm))
         res = float(np.max(np.abs(tgt - m)))
-        if res < tol:
+        if res < CLASSICAL_TOL:
             break
         m = (1.0 - damping) * m + damping * tgt
     qm = float(m @ m) / N
-    return m, qm, res, {"iterations": it + 1, "converged": res < tol}
+    return m, qm, res, {"iterations": it + 1, "converged": res < CLASSICAL_TOL}
 
 
 def solve_tap_equations(smpl: DisorderSample, q: float, zeta: OrderParameter,
-                        m_init, damping: float = 0.3, max_iter: int = 2000,
-                        tol: float = 1e-9,
+                        m_init, damping: float = 0.3,
                         config: SolverConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, float, dict]:
     """Damped iteration of the generalized TAP equations at fixed q.
 
@@ -286,8 +289,8 @@ def solve_tap_equations(smpl: DisorderSample, q: float, zeta: OrderParameter,
     sol = _orig_solution(smpl.model, q, zq, config.with_pad(reach))
     res_hist = []
     res, tgt = residual_and_target(m, sol)
-    for it in range(max_iter):
-        if res < tol:
+    for it in range(GENERALIZED_MAX_ITER):
+        if res < GENERALIZED_TOL:
             break
         m_new = (1.0 - damping) * m + damping * tgt
         nrm = np.linalg.norm(m_new)
@@ -305,13 +308,12 @@ def solve_tap_equations(smpl: DisorderSample, q: float, zeta: OrderParameter,
         if len(res_hist) > 20 and res_hist[-1] > 10.0 * res_hist[-21]:
             return m, res, {"iterations": it + 1, "converged": False,
                             "diverging": True}
-    return m, res, {"iterations": len(res_hist), "converged": res < tol,
+    return m, res, {"iterations": len(res_hist), "converged": res < GENERALIZED_TOL,
                     "diverging": False}
 
 
 def grad_tap(model: MixedModel, m, r_atoms: int = 2,
-             config: SolverConfig = DEFAULT_CONFIG,
-             result: TapResult | None = None) -> tuple[np.ndarray, TapResult]:
+             config: SolverConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, TapResult]:
     """Gradient of m -> TAP(mu_m) at m in (-1, 1)^N.
 
     Equals -(1/N) (psi_bar(q, m_i, zeta_m) + m_i xi''(q) int_q^1 zeta_m(s) ds)
@@ -323,11 +325,9 @@ def grad_tap(model: MixedModel, m, r_atoms: int = 2,
         raise ValueError("grad_tap needs m in the open cube (-1, 1)^N")
     N = m.size
     q = float(m @ m) / N
-    if result is None:
-        mu = empirical(m, fold=True)
-        result = tap_correction(model, mu, r_atoms=r_atoms, config=config,
-                                with_representation=False,
-                                with_certificate=False)
+    mu = empirical(m, fold=True)
+    result = tap_correction(model, mu, r_atoms=r_atoms, config=config,
+                            with_representation=False, with_certificate=False)
     zeta_m = result.minimizer_zeta
     a_max = float(np.max(np.abs(m)))
     sol = _orig_solution(model, q, zeta_m, config, a_max=a_max)
@@ -338,19 +338,18 @@ def grad_tap(model: MixedModel, m, r_atoms: int = 2,
 
 
 def tap_ascent(smpl: DisorderSample, q: float, steps: int = 30,
-               m_init=None, r_atoms: int = 2, step_size: float = 0.5,
-               seed: int = 0,
+               r_atoms: int = 2, seed: int = 0,
                config: SolverConfig = DEFAULT_CONFIG) -> dict:
     """Projected gradient ascent of H(m)/N + TAP(mu_m) on ||m||^2 = N q.
 
-    Monotone up to line-search tolerance; reports the trajectory and the
-    final objective next to the true free energy F_N (an upper bound only in
-    the large-N limit, so the comparison is a report, not an assertion).
+    Starts from a random point of the sphere drawn from `seed`. Monotone up
+    to line-search tolerance; reports the trajectory and the final objective
+    next to the true free energy F_N (an upper bound only in the large-N
+    limit, so the comparison is a report, not an assertion).
     """
     N = smpl.N
     rng = np.random.default_rng(seed)
-    m = rng.uniform(-0.5, 0.5, size=N) if m_init is None else \
-        np.asarray(m_init, dtype=float).copy()
+    m = rng.uniform(-0.5, 0.5, size=N)
     if q > 0:
         m *= math.sqrt(N * q) / np.linalg.norm(m)
 
@@ -361,7 +360,7 @@ def tap_ascent(smpl: DisorderSample, q: float, steps: int = 30,
 
     val, g_tap = objective(m)
     traj = [{"step": 0, "value": val}]
-    eta = step_size
+    eta = ASCENT_STEP
     for k in range(1, steps + 1):
         grad = smpl.gradient(m) / N + g_tap
         if q > 0:

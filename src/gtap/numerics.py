@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-_LOG2 = float(np.log(2.0))
+SIMPSON_MAX_DEPTH = 24      # bisection depth cap of adaptive_simpson
 
 
 @lru_cache(maxsize=32)
@@ -40,18 +40,12 @@ def log2cosh(x: np.ndarray | float) -> np.ndarray | float:
     return a + np.log1p(np.exp(-2.0 * a))
 
 
-def logsumexp(a: np.ndarray, axis=None, b: np.ndarray | None = None):
-    """Stable log(sum(b * exp(a)))."""
-    m = np.max(a, axis=axis, keepdims=True)
+def logsumexp(a: np.ndarray) -> float:
+    """Stable log(sum(exp(a))) over all entries."""
+    m = np.max(a, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    t = np.exp(a - m)
-    if b is not None:
-        t = b * t
-    s = np.sum(t, axis=axis, keepdims=True)
-    out = m + np.log(s)
-    if axis is None:
-        return float(out.item())
-    return np.squeeze(out, axis=axis)
+    s = np.sum(np.exp(a - m), keepdims=True)
+    return float((m + np.log(s)).item())
 
 
 def hermite_eval(x0: float, dx: float, f: np.ndarray, d: np.ndarray,
@@ -104,8 +98,7 @@ def grid_derivative(f: np.ndarray, dx: float) -> np.ndarray:
     return d
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
-                     max_depth: int = 24) -> float:
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Adaptive Simpson quadrature of a scalar function on [a, b]."""
     if b <= a:
         return 0.0
@@ -121,7 +114,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
         fr = f(xr)
         left = simpson(x0, x1, f0, fl, f1)
         right = simpson(x1, x2, f1, fr, f2)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
+        if depth >= SIMPSON_MAX_DEPTH or abs(left + right - whole) <= 15.0 * eps:
             return left + right + (left + right - whole) / 15.0
         return (recurse(x0, x1, f0, fl, f1, left, eps / 2.0, depth + 1)
                 + recurse(x1, x2, f1, fr, f2, right, eps / 2.0, depth + 1))

@@ -23,8 +23,8 @@ E f(X_s) of the optimal-control diffusion
     dX = xi''(s) zeta(s) Phi_x(s, X) ds + sqrt(xi''(s)) dW,
 
 which is the Doob transform of the time-changed Brownian motion by
-exp(z Phi). An Euler-Maruyama simulator of the same SDE is provided for
-Monte-Carlo cross-checks.
+exp(z Phi). An antithetic Euler-Maruyama simulator of the same SDE is
+provided for Monte-Carlo cross-checks.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .measures import OrderParameter
+from .measures import DiscreteMeasure, OrderParameter
 from .model import MixedModel, ShiftedModel
 from .numerics import (gauss_hermite, grid_derivative, hermite_eval,
                        linear_eval, log2cosh)
@@ -55,24 +55,23 @@ class SolverConfig:
     gh_order: int = 40
     x_max: float | None = None     # half-width of the x grid; auto if None
     x_pad: float = 0.0             # extra half-width on top of the auto rule
-    bisect_tol: float = 1e-10
-    sde_steps: int = 4096
-    edge_curvature_tol: float = 1e-2
 
     def with_pad(self, pad: float) -> "SolverConfig":
         return replace(self, x_pad=max(self.x_pad, pad))
 
 
 DEFAULT_CONFIG = SolverConfig()
+BISECT_TOL = 1e-10          # x-tolerance of inverse_phi_x
+SDE_STEPS = 4096            # default Euler steps of simulate_control
+EDGE_CURVATURE_TOL = 1e-2   # largest |Phi_xx| allowed at the grid edges
 
 
 class Frame:
     """Values of Phi and its first three x-derivatives at a fixed time."""
 
-    __slots__ = ("t", "x0", "dx", "phi", "phi_x", "phi_xx", "phi_xxx")
+    __slots__ = ("x0", "dx", "phi", "phi_x", "phi_xx", "phi_xxx")
 
-    def __init__(self, t, x0, dx, phi, phi_x, phi_xx, phi_xxx):
-        self.t = t
+    def __init__(self, x0, dx, phi, phi_x, phi_xx, phi_xxx):
         self.x0 = x0
         self.dx = dx
         self.phi = phi
@@ -93,7 +92,7 @@ class Frame:
         return linear_eval(self.x0, self.dx, self.phi_xxx, x)
 
 
-def _boundary_frame(kind: str, a: float, t: float, x: np.ndarray) -> Frame:
+def _boundary_frame(kind: str, a: float, x: np.ndarray) -> Frame:
     th = np.tanh(x)
     sech2 = 1.0 - th * th
     phi = log2cosh(x)
@@ -102,7 +101,7 @@ def _boundary_frame(kind: str, a: float, t: float, x: np.ndarray) -> Frame:
         phi_x = th - a
     else:
         phi_x = th.copy()
-    return Frame(t, float(x[0]), float(x[1] - x[0]),
+    return Frame(float(x[0]), float(x[1] - x[0]),
                  phi, phi_x, sech2, -2.0 * th * sech2)
 
 
@@ -195,11 +194,11 @@ def _interp_grid(x0: float, dx: float, f: np.ndarray, xq) -> np.ndarray:
     return hermite_eval(x0, dx, f, grid_derivative(f, dx), xq)
 
 
-def _gibbs_step(upper: Frame, layer: _Layer | None, t_lo: float) -> Frame:
-    """One Cole-Hopf layer backwards: from the upper frame down to t_lo.
+def _gibbs_step(upper: Frame, layer: _Layer | None) -> Frame:
+    """One Cole-Hopf layer backwards: the frame below the upper frame.
     A layer of zero width (`layer` None) copies the upper frame."""
     if layer is None:
-        return Frame(t_lo, upper.x0, upper.dx, upper.phi.copy(),
+        return Frame(upper.x0, upper.dx, upper.phi.copy(),
                      upper.phi_x.copy(), upper.phi_xx.copy(),
                      upper.phi_xxx.copy())
     X, level = layer.X, layer.level
@@ -215,7 +214,7 @@ def _gibbs_step(upper: Frame, layer: _Layer | None, t_lo: float) -> Frame:
         m3 = np.sum(om * (Px - phi_x[:, None]) ** 3, axis=1)
         phi_xx = phi_xx + level * var
         phi_xxx = phi_xxx + 3.0 * level * cov + level ** 2 * m3
-    return Frame(t_lo, upper.x0, upper.dx, layer.phi, phi_x, phi_xx, phi_xxx)
+    return Frame(upper.x0, upper.dx, layer.phi, phi_x, phi_xx, phi_xxx)
 
 
 class PDESolution:
@@ -288,19 +287,19 @@ class PDESolution:
 
     def _solve(self) -> None:
         self._frames[self._key(self.t1)] = _boundary_frame(
-            self.boundary, self.a, self.t1, self.x_grid)
+            self.boundary, self.a, self.x_grid)
         for p in range(len(self.levels) - 1, -1, -1):
             t_lo = float(self.nodes[p])
             upper, layer = self._layer(float(self.nodes[p + 1]), t_lo,
                                        float(self.levels[p]))
-            self._frames[self._key(t_lo)] = _gibbs_step(upper, layer, t_lo)
+            self._frames[self._key(t_lo)] = _gibbs_step(upper, layer)
         top = self._frames[self._key(self.t0)]
         edge = max(abs(top.phi_xx[0]), abs(top.phi_xx[-1]))
-        if edge > self.config.edge_curvature_tol:
+        if edge > EDGE_CURVATURE_TOL:
             raise RuntimeError(
                 f"x grid too small: boundary influence {edge:.2e} at the edge")
 
-    def frame_at(self, t: float, cache: bool = True) -> Frame:
+    def frame_at(self, t: float) -> Frame:
         """Solved frame at time t (sub-layer recursion for off-node t)."""
         key = self._key(t)
         if key in self._frames:
@@ -308,10 +307,8 @@ class PDESolution:
         if not self.t0 - 1e-12 <= t <= self.t1 + 1e-12:
             raise ValueError(f"time {t} outside [{self.t0}, {self.t1}]")
         upper, layer = self._off_node_layer(t)
-        fr = _gibbs_step(upper, layer, float(t))
-        if cache:
-            self._frames[key] = fr
-        return fr
+        self._frames[key] = _gibbs_step(upper, layer)
+        return self._frames[key]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -346,9 +343,9 @@ class PDESolution:
                 break
             step = r / c
             x -= step
-            if abs(step) < self.config.bisect_tol:
+            if abs(step) < BISECT_TOL:
                 break
-        if abs(float(fr.eval_phi_x(x)) - a) > 10.0 * self.config.bisect_tol:
+        if abs(float(fr.eval_phi_x(x)) - a) > 10.0 * BISECT_TOL:
             lo_x, hi_x = float(self.x_grid[0]), float(self.x_grid[-1])
             for _ in range(200):
                 mid = 0.5 * (lo_x + hi_x)
@@ -356,22 +353,18 @@ class PDESolution:
                     lo_x = mid
                 else:
                     hi_x = mid
-                if hi_x - lo_x < self.config.bisect_tol:
+                if hi_x - lo_x < BISECT_TOL:
                     break
             x = 0.5 * (lo_x + hi_x)
         return x
 
     # -- exact integrals of the order parameter ------------------------------
 
-    def int_xi_pp_zeta(self, t: float | None = None) -> float:
-        """Integral of xi''(s) zeta(s) ds from t (default t0) to t1."""
-        t = self.t0 if t is None else float(t)
+    def int_xi_pp_zeta(self) -> float:
+        """Integral of xi''(s) zeta(s) ds over [t0, t1]."""
         total = 0.0
         for p in range(len(self.levels)):
             lo, hi = float(self.nodes[p]), float(self.nodes[p + 1])
-            if hi <= t:
-                continue
-            lo = max(lo, t)
             total += self.levels[p] * (self.sp(hi) - self.sp(lo))
         return float(total)
 
@@ -513,16 +506,16 @@ def unify(original_sol: PDESolution, a: float, x):
 
 def simulate_control(sol: PDESolution, x0: float, n_paths: int,
                      n_steps: int | None = None, seed: int = 0,
-                     times=None, antithetic: bool = True) -> dict:
-    """Euler-Maruyama sample of the optimal-control SDE.
+                     times=None) -> dict:
+    """Antithetic Euler-Maruyama sample of the optimal-control SDE.
 
-    Returns means and standard errors of u(s)^2 = Phi_x(s, X_s)^2 and of
-    Phi_xx(s, X_s)^2 at the requested times (default: the nodes of zeta),
-    plus the raw per-path u^2 samples. Diffusion increments use the exact
+    Paths come in pairs driven by opposite increments (n_paths rounds up to
+    an even count). At the requested times (default: the nodes of zeta)
+    returns the pair averages of u(s)^2 = Phi_x(s, X_s)^2, `pairs_u2`, and
+    their mean and standard error. Diffusion increments use the exact
     variance xi'(t + dt) - xi'(t); the drift is explicit Euler, O(dt) bias.
     """
-    cfg = sol.config
-    n_steps = n_steps or cfg.sde_steps
+    n_steps = n_steps or SDE_STEPS
     if times is None:
         times = [float(t) for t in sol.nodes]
     times_set = {PDESolution._key(t) for t in times}
@@ -530,19 +523,15 @@ def simulate_control(sol: PDESolution, x0: float, n_paths: int,
         [np.linspace(sol.t0, sol.t1, n_steps + 1),
          np.asarray(sorted(times_set), dtype=float)]))
     rng = np.random.default_rng(seed)
-    half = (n_paths + 1) // 2 if antithetic else n_paths
-    n_all = 2 * half if antithetic else half
-    X = np.full(n_all, float(x0))
+    half = (n_paths + 1) // 2
+    X = np.full(2 * half, float(x0))
 
-    measured_u2: dict[float, np.ndarray] = {}
-    measured_c2: dict[float, np.ndarray] = {}
+    pairs_u2: dict[float, np.ndarray] = {}
 
     def measure(t, Xcur):
-        fr = sol.frame_at(t)
-        u = fr.eval_phi_x(Xcur)
-        c = fr.eval_phi_xx(Xcur)
-        measured_u2[PDESolution._key(t)] = u * u
-        measured_c2[PDESolution._key(t)] = c * c
+        u = sol.frame_at(t).eval_phi_x(Xcur)
+        u2 = u * u
+        pairs_u2[PDESolution._key(t)] = 0.5 * (u2[:half] + u2[half:])
 
     if PDESolution._key(grid[0]) in times_set:
         measure(float(grid[0]), X)
@@ -550,42 +539,30 @@ def simulate_control(sol: PDESolution, x0: float, n_paths: int,
     x0g, dxg = float(sol.x_grid[0]), sol.config.dx
     for k in range(len(grid) - 1):
         t, t_next = float(grid[k]), float(grid[k + 1])
-        dt = t_next - t
-        if dt <= 0:
-            continue
+        dt = t_next - t    # > 0: the grid is strictly increasing
         slope = linear_eval(x0g, dxg, sol.phi_x_table(t), X)
         drift = sol.spp(t) * sol._level_at(t) * slope
         sig = math.sqrt(max(sol.sp(t_next) - sol.sp(t), 0.0))
         z = rng.standard_normal(half)
-        z = np.concatenate([z, -z]) if antithetic else z
+        z = np.concatenate([z, -z])
         X = X + drift * dt + sig * z
         if np.any(np.abs(X) > xlim):
             raise RuntimeError("SDE path escaped the solver grid; enlarge x_max")
         if PDESolution._key(t_next) in times_set:
             measure(t_next, X)
 
-    def pair_stats(vals):
-        v = 0.5 * (vals[:half] + vals[half:]) if antithetic else vals
-        mean = float(np.mean(v))
+    out = {"times": [], "u2_mean": [], "u2_se": [], "pairs_u2": pairs_u2,
+           "n_paths": 2 * half}
+    for key in sorted(times_set):
+        if key not in pairs_u2:
+            continue
+        v = pairs_u2[key]
+        out["times"].append(key)
+        out["u2_mean"].append(float(np.mean(v)))
         # spread about a sample, so equal samples give exactly 0 (the
         # rounded mean of equal values can differ from them by an ulp)
-        se = float(np.std(v - v[0], ddof=1) / math.sqrt(v.size)) \
-            if v.size > 1 else 0.0
-        return mean, se
-
-    out = {"times": [], "u2_mean": [], "u2_se": [], "cxx2_mean": [],
-           "cxx2_se": [], "samples_u2": measured_u2, "n_paths": n_all,
-           "half": half, "antithetic": antithetic}
-    for key in sorted(times_set):
-        if key not in measured_u2:
-            continue
-        m, s = pair_stats(measured_u2[key])
-        mc, sc = pair_stats(measured_c2[key])
-        out["times"].append(key)
-        out["u2_mean"].append(m)
-        out["u2_se"].append(s)
-        out["cxx2_mean"].append(mc)
-        out["cxx2_se"].append(sc)
+        out["u2_se"].append(float(np.std(v - v[0], ddof=1) / math.sqrt(v.size))
+                            if v.size > 1 else 0.0)
     return out
 
 
@@ -595,8 +572,8 @@ def second_derivative_identity(sol: PDESolution, x0: float,
     """Monte-Carlo check of Phi_xx(t0, x0) = 1 - int E[u(l)^2] dzeta(l).
 
     The measure integral runs over the atoms of zeta (an atom at the right
-    endpoint contributes through the boundary derivative). Returns both
-    sides, the discrepancy, and its standard error.
+    endpoint contributes through the boundary derivative), per antithetic
+    pair of paths. Returns both sides, the discrepancy, and its standard error.
     """
     if sol.zeta is None:
         raise ValueError("solution was built without a measure-form zeta")
@@ -604,12 +581,9 @@ def second_derivative_identity(sol: PDESolution, x0: float,
     times = [loc for loc, _ in atoms]
     mc = simulate_control(sol, x0, n_paths, n_steps=n_steps, seed=seed,
                           times=times)
-    half = mc["half"]
     total = None
     for loc, wt in atoms:
-        vals = mc["samples_u2"][PDESolution._key(loc)]
-        if mc["antithetic"]:
-            vals = 0.5 * (vals[:half] + vals[half:])
+        vals = mc["pairs_u2"][PDESolution._key(loc)]
         total = wt * vals if total is None else total + wt * vals
     rhs = 1.0 - float(np.mean(total))
     se = float(np.std(total, ddof=1) / math.sqrt(total.size))
@@ -644,7 +618,6 @@ def parisi_measure(model: MixedModel, r_atoms: int = 3,
     the two functionals coincide when the external field h is 0; a model
     with h != 0 is rejected. Returns (zeta_star, info).
     """
-    from .measures import DiscreteMeasure
     from .tap import tap_correction
 
     if model.external_field_h != 0.0:

@@ -37,7 +37,16 @@ __all__ = [
     "at_line_scan",
 ]
 
-GH_ORDER_RS = 60
+GH_ORDER_RS = 60            # Gauss-Hermite order of gamma_mu
+GAMMA_TOL = 1e-11           # adaptive Simpson tolerance of the Gamma curve
+GAMMA_FD_STEP = 0.02        # finite-difference step of Gamma''(0), times 1-q
+RS_TOLERANCE = 1e-6         # largest sup Gamma and Gamma''(0) still called RS
+RS_GRID = 24                # Gamma samples of is_replica_symmetric
+RS_S_MIN_FRAC = 0.02        # its first sample, times 1-q
+AT_GH_ORDER = 80            # Gauss-Hermite order of the AT line scan
+AT_DAMPING = 0.5            # damping of its RS fixed-point iteration
+AT_TOL = 1e-13
+AT_MAX_ITER = 10_000
 
 
 def v_rs(shifted: ShiftedModel, a: float) -> float:
@@ -52,7 +61,7 @@ def _t_sq(shifted: ShiftedModel, s) -> np.ndarray:
 
 
 def phi_band_rs(shifted: ShiftedModel, a: float, s, x, deriv: int = 0):
-    """Closed-form band solution at zeta = delta_0 and its x-derivatives."""
+    """Closed-form band solution at zeta = delta_0 and its x-derivative."""
     t2 = _t_sq(shifted, s)
     y = np.asarray(x, dtype=float) - a * t2
     if deriv == 0:
@@ -60,14 +69,10 @@ def phi_band_rs(shifted: ShiftedModel, a: float, s, x, deriv: int = 0):
             + log2cosh(y)
     if deriv == 1:
         return -a + np.tanh(y)
-    if deriv == 2:
-        th = np.tanh(y)
-        return 1.0 - th * th
-    raise ValueError("deriv must be 0, 1, or 2")
+    raise ValueError("deriv must be 0 or 1")
 
 
-def gamma_mu(shifted: ShiftedModel, mu: DiscreteMeasure, s: float,
-             gh_order: int = GH_ORDER_RS) -> float:
+def gamma_mu(shifted: ShiftedModel, mu: DiscreteMeasure, s: float) -> float:
     """Gibbs-weighted mean of the squared RS slope at time s.
 
     gamma_mu(s) = int E[ (Phi_x(s, X_s))^2 ] dmu(a) for the RS control
@@ -77,7 +82,7 @@ def gamma_mu(shifted: ShiftedModel, mu: DiscreteMeasure, s: float,
     """
     if not 0.0 <= s <= shifted.horizon + 1e-12:
         raise ValueError("s outside [0, 1-q]")
-    g, w = gauss_hermite(gh_order)
+    g, w = gauss_hermite(GH_ORDER_RS)
     sd = math.sqrt(max(shifted.xi_q_prime(s), 0.0))
     total = 0.0
     for a, wt in mu.atoms:
@@ -93,14 +98,13 @@ def gamma_mu(shifted: ShiftedModel, mu: DiscreteMeasure, s: float,
     return total
 
 
-def big_gamma(shifted: ShiftedModel, mu: DiscreteMeasure, s: float,
-              tol: float = 1e-11) -> float:
+def big_gamma(shifted: ShiftedModel, mu: DiscreteMeasure, s: float) -> float:
     """Gamma_mu(s) = int_0^s xi_q''(r) (gamma_mu(r) - r) dr."""
-    return float(big_gamma_curve(shifted, mu, [s], tol=tol)[0])
+    return float(big_gamma_curve(shifted, mu, [s])[0])
 
 
 def big_gamma_curve(shifted: ShiftedModel, mu: DiscreteMeasure,
-                    s_grid: np.ndarray, tol: float = 1e-11) -> np.ndarray:
+                    s_grid: np.ndarray) -> np.ndarray:
     """Gamma_mu on an increasing grid, integrating segment by segment."""
 
     def integrand(r):
@@ -109,7 +113,7 @@ def big_gamma_curve(shifted: ShiftedModel, mu: DiscreteMeasure,
     out = np.zeros(len(s_grid))
     prev_s, acc = 0.0, 0.0
     for i, s in enumerate(s_grid):
-        acc += adaptive_simpson(integrand, prev_s, float(s), tol=tol)
+        acc += adaptive_simpson(integrand, prev_s, float(s), tol=GAMMA_TOL)
         out[i] = acc
         prev_s = float(s)
     return out
@@ -127,16 +131,14 @@ def gamma_second_derivative(shifted: ShiftedModel, mu: DiscreteMeasure) -> float
     return b2 * (b2 * integral - 1.0)
 
 
-def gamma_second_derivative_fd(shifted: ShiftedModel, mu: DiscreteMeasure,
-                               h: float | None = None) -> float:
+def gamma_second_derivative_fd(shifted: ShiftedModel, mu: DiscreteMeasure) -> float:
     """Finite-difference Gamma''(0) from the curve itself.
 
     Gamma(0) = Gamma'(0) = 0, so (Gamma(2h) - 2 Gamma(h)) / h^2 is a
     one-sided second difference with an O(h) + O(h^2) error; two levels of
     Richardson extrapolation (steps h, h/2, h/4) remove both.
     """
-    if h is None:
-        h = 0.02 * shifted.horizon
+    h = GAMMA_FD_STEP * shifted.horizon
     g = big_gamma_curve(shifted, mu,
                         np.array([h / 4.0, h / 2.0, h, 2.0 * h]))
 
@@ -160,19 +162,18 @@ class RsDiagnostics:
     plefka_lhs: float
 
 
-def is_replica_symmetric(shifted: ShiftedModel, mu: DiscreteMeasure,
-                         rs_tolerance: float = 1e-6, n_grid: int = 24,
-                         s_min_frac: float = 0.02) -> RsDiagnostics:
+def is_replica_symmetric(shifted: ShiftedModel,
+                         mu: DiscreteMeasure) -> RsDiagnostics:
     """Sample Gamma_mu on [0, 1-q] and test nonpositivity.
 
     Gamma_mu(0) = 0 identically, so the sup is taken over a grid starting at
-    s_min_frac * (1-q); the curvature at 0 decides the behaviour of the left
-    edge. mu = delta_1 is rejected (no band remains).
+    RS_S_MIN_FRAC * (1-q); the curvature at 0 decides the behaviour of the
+    left edge. mu = delta_1 is rejected (no band remains).
     """
     if mu.moment(2) >= 1.0 - 1e-12:
         raise ValueError("mu = delta_1 leaves no band to diagnose")
     horizon = shifted.horizon
-    grid = horizon * np.linspace(s_min_frac, 1.0, n_grid)
+    grid = horizon * np.linspace(RS_S_MIN_FRAC, 1.0, RS_GRID)
     curve = big_gamma_curve(shifted, mu, grid)
     sup = float(np.max(curve))
     curv = gamma_second_derivative(shifted, mu)
@@ -181,7 +182,7 @@ def is_replica_symmetric(shifted: ShiftedModel, mu: DiscreteMeasure,
     return RsDiagnostics(
         gamma_curve=tuple((float(s), float(v)) for s, v in zip(grid, curve)),
         sup_gamma=sup,
-        is_rs=bool(sup <= rs_tolerance and curv <= rs_tolerance),
+        is_rs=bool(sup <= RS_TOLERANCE and curv <= RS_TOLERANCE),
         gamma_second_deriv_at_0=float(curv),
         plefka_lhs=float(plefka_lhs),
     )
@@ -211,9 +212,7 @@ def plefka(mu: DiscreteMeasure, beta: float) -> tuple[bool, float]:
     return lhs <= 1.0, lhs
 
 
-def at_line_scan(beta: float, h: float, gh_order: int = 80,
-                 damping: float = 0.5, tol: float = 1e-13,
-                 max_iter: int = 10_000) -> dict:
+def at_line_scan(beta: float, h: float) -> dict:
     """RS fixed point and stability quantities for the SK model with field.
 
     Solves q = E tanh^2(beta z sqrt(q) + h) by damped iteration, then reports
@@ -224,16 +223,16 @@ def at_line_scan(beta: float, h: float, gh_order: int = 80,
     """
     if beta <= 0 or h < 0:
         raise ValueError("need beta > 0 and h >= 0")
-    g, w = gauss_hermite(gh_order)
+    g, w = gauss_hermite(AT_GH_ORDER)
 
     def rhs(q):
         t = np.tanh(beta * math.sqrt(max(q, 0.0)) * g + h)
         return float(np.sum(w * t * t))
 
     q = rhs(1.0) if h > 0 else 0.5
-    for _ in range(max_iter):
-        q_new = (1.0 - damping) * q + damping * rhs(q)
-        if abs(q_new - q) < tol:
+    for _ in range(AT_MAX_ITER):
+        q_new = (1.0 - AT_DAMPING) * q + AT_DAMPING * rhs(q)
+        if abs(q_new - q) < AT_TOL:
             q = q_new
             break
         q = q_new

@@ -28,13 +28,19 @@ from .measures import (BOUNDARY_ATOM_TOL, DiscreteMeasure, OrderParameter,
 from .model import MixedModel, ShiftedModel
 from .numerics import gauss_legendre, project_monotone
 from .pde import (DEFAULT_CONFIG, PDESolution, SolverConfig, _interp_grid,
-                  simulate_control, solve_band, solve_steps)
+                  solve_band, solve_steps)
 
 __all__ = [
     "TapResult", "EffectiveField", "lambda_conj", "psi_bar", "psi",
     "effective_field", "tap_with_zeta", "tap_correction", "band_functional",
     "directional_derivative", "optimality_check",
 ]
+
+OPT_TOL = 1e-7             # projected-gradient tolerance of _optimize
+OPT_FTOL = 1e-12           # value change that counts as a stall
+OPT_MAX_EVALS = 400        # cap on its TAP evaluations
+CERTIFICATE_TOL = 1e-4     # largest first_residual of a converged minimizer
+DERIV_GL_ORDER = 12        # Gauss-Legendre order per piece of the s-integral
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +54,12 @@ def _grid_pad_for(a_max: float, extra: float = 0.0) -> float:
     if a_max > 0.9:
         pad += math.atanh(a_max) + 2.0
     return pad
+
+
+def _inner_a_max(mu: DiscreteMeasure) -> float:
+    """Largest atom of mu below the boundary (0 if none)."""
+    inner = mu.locations < 1.0 - BOUNDARY_ATOM_TOL
+    return float(np.max(mu.locations[inner], initial=0.0))
 
 
 def _orig_solution(model: MixedModel, q: float, zeta: OrderParameter,
@@ -111,7 +123,6 @@ class EffectiveField:
     def __init__(self, shifted: ShiftedModel, zeta_band: OrderParameter,
                  config: SolverConfig = DEFAULT_CONFIG):
         self.shifted = shifted
-        self.q = shifted.q
         self.zeta_band = zeta_band
         self.config = config
         self._solutions: dict[float, PDESolution] = {}
@@ -162,9 +173,7 @@ def tap_with_zeta(model: MixedModel, mu: DiscreteMeasure,
     q = mu.moment(2)
     if q >= 1.0 - 1e-12:
         return 0.0
-    a_max = float(np.max(mu.locations[mu.locations < 1.0 - BOUNDARY_ATOM_TOL],
-                         initial=0.0))
-    sol = _orig_solution(model, q, zeta, config, a_max=a_max)
+    sol = _orig_solution(model, q, zeta, config, a_max=_inner_a_max(mu))
     total = 0.0
     for a, w in mu.atoms:
         lam, _ = lambda_conj(model, q, a, zeta, config, sol=sol)
@@ -175,22 +184,19 @@ def tap_with_zeta(model: MixedModel, mu: DiscreteMeasure,
 def band_functional(shifted: ShiftedModel, mu: DiscreteMeasure, v, lam: float,
                     zeta_band: OrderParameter,
                     config: SolverConfig = DEFAULT_CONFIG,
-                    variant: str = "bar",
                     field: EffectiveField | None = None) -> float:
-    """P_mu^v(lambda, zeta) = int Phi_{a,zeta}(0, lambda a + v(a)) dmu
+    """P_bar_mu^v(lambda, zeta) = int_[0,1) Phi_{a,zeta}(0, lambda a + v(a)) dmu
     - (1/2) int_0^{1-q} s xi_q''(s) zeta(s) ds.
 
-    variant="bar" integrates over [0, 1) (atoms at 1 dropped); "full" keeps
-    them and requires v finite at 1. `v` is a callable on [0, 1).
+    The mu-integral runs over [0, 1): atoms at 1 are dropped, since the
+    effective field diverges there. `v` is a callable on [0, 1).
     """
     mu = _fold(mu)
     ev = field if field is not None else EffectiveField(shifted, zeta_band, config)
     total = 0.0
     for a, w in mu.atoms:
         if a >= 1.0 - BOUNDARY_ATOM_TOL:
-            if variant == "bar":
-                continue
-            raise ValueError("the full variant needs a finite field at a = 1")
+            continue
         x = lam * a + float(v(a))
         sol = ev.solution_for(a, x_reach=abs(x))
         total += w * float(sol.phi(0.0, x))
@@ -278,8 +284,8 @@ def _bfgs_update(B, dx: np.ndarray, dg: np.ndarray):
     return B + np.outer(dg, dg) / curv - np.outer(Bdx, Bdx) / (dx @ Bdx)
 
 
-def _optimize(model, mu, x: np.ndarray, q: float, config, tol=1e-7,
-              ftol=1e-12, max_evals=400) -> tuple[np.ndarray, dict]:
+def _optimize(model, mu, x: np.ndarray, q: float,
+              config) -> tuple[np.ndarray, dict]:
     """Minimize TAP(mu, .) over x (see `_unpack`): levels monotone in
     [0, 1], interior nodes monotone in [q, 1].
 
@@ -289,8 +295,8 @@ def _optimize(model, mu, x: np.ndarray, q: float, config, tol=1e-7,
     steps alone crawl in the ill-conditioned valleys near RSB minimizers.
     Only gradient steps close gaps: a BFGS step onto q could park s_1
     there, where its derivative vanishes identically. `stop`: tol (projected
-    gradient), ftol (three trials in a row moved the value by less than
-    ftol), step or max_evals.
+    gradient below OPT_TOL), ftol (three trials in a row moved the value by
+    less than OPT_FTOL), step or max_evals (OPT_MAX_EVALS evaluations).
     """
     r = (x.size + 1) // 2
 
@@ -302,7 +308,7 @@ def _optimize(model, mu, x: np.ndarray, q: float, config, tol=1e-7,
         nonlocal n_eval, stalls
         n_eval += 1
         v_t, g_t = _steps_value(model, mu, x_t, q, config)
-        stalls = stalls + 1 if abs(v_t - val) < ftol else 0
+        stalls = stalls + 1 if abs(v_t - val) < OPT_FTOL else 0
         return v_t, g_t
 
     def bfgs_step(face):
@@ -310,7 +316,7 @@ def _optimize(model, mu, x: np.ndarray, q: float, config, tol=1e-7,
         the value, or None."""
         d = -face @ np.linalg.solve(face.T @ B @ face, face.T @ grad)
         slope, t = float(grad @ d), 1.0
-        while slope < 0.0 and t > 1e-3 and stalls < 3 and n_eval < max_evals:
+        while slope < 0.0 and t > 1e-3 and stalls < 3 and n_eval < OPT_MAX_EVALS:
             x_t = x + t * d
             if not np.array_equal(_face_basis(x_t, r, q), face):
                 t *= 0.5
@@ -327,10 +333,10 @@ def _optimize(model, mu, x: np.ndarray, q: float, config, tol=1e-7,
     n_eval, stalls, B, step, fresh = 1, 0, None, 1.0, False
     while True:
         pg = float(np.max(np.abs(x - project(x - grad))))
-        if pg < tol:
+        if pg < OPT_TOL:
             stop = "tol"
             break
-        if stalls >= 3 or n_eval >= max_evals:
+        if stalls >= 3 or n_eval >= OPT_MAX_EVALS:
             stop = "ftol" if stalls >= 3 else "max_evals"
             break
         x_pg = project(x - step * grad)
@@ -421,8 +427,7 @@ def _certificate(model: MixedModel, mu: DiscreteMeasure,
     whose slope u is 1, count as their mass."""
     q = mu.moment(2)
     inner = mu.locations < 1.0 - BOUNDARY_ATOM_TOL
-    sol = _orig_solution(model, q, zeta, config,
-                         a_max=float(np.max(mu.locations[inner], initial=0.0)))
+    sol = _orig_solution(model, q, zeta, config, a_max=_inner_a_max(mu))
     starts = np.array([sol.inverse_phi_x(q, a) for a in mu.locations[inner]])
     return _stationarity([(sol, starts, mu.weights[inner])], zeta,
                          model.xi_double_prime, float(np.sum(mu.weights[~inner])))
@@ -437,9 +442,13 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
 
     Levels and nodes are optimized together (see `_optimize`); seed None
     starts from evenly spread levels and nodes, an integer from random
-    ones. `diagnostics["stop"]` names the stopping rule and `converged` is
-    true for tol and ftol. Also cross-evaluates the band representation
-    inf P_bar_mu^{v_zeta}(0, zeta) at the found minimizer and reports the gap.
+    ones. The optimizer, the value and the certificate share one x grid,
+    padded for mu's largest atom below 1. `diagnostics["stop"]` names the
+    stopping rule. `converged` needs tol or ftol and a certificate
+    `first_residual` of at most CERTIFICATE_TOL, when computed: tied levels
+    can stop at tol short of a minimizer. Also cross-evaluates the band
+    representation inf P_bar_mu^{v_zeta}(0, zeta) at the found minimizer
+    and reports the gap.
 
     The correction does not depend on the model's external field h: the
     field enters the TAP free energy only through the energy H(m).
@@ -458,13 +467,14 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
         rng = np.random.default_rng(seed)
         nodes = q + (1.0 - q) * np.sort(rng.uniform(0.05, 0.95, size=r - 1))
         levels = np.sort(rng.uniform(0.0, 1.0, size=r))
-    x, info = _optimize(model, mu, np.concatenate([levels, nodes]), q, config)
+    cfg = config.with_pad(_grid_pad_for(_inner_a_max(mu)))
+    x, info = _optimize(model, mu, np.concatenate([levels, nodes]), q, cfg)
 
     # The value is TAP at the returned zeta, solved on its atoms alone: a
     # node between equal levels splits a layer and moves the discretized
     # value (by 7e-7 on a model with xi'(1) = 7.7), so it may not count.
     zeta = _steps_zeta(x, q)
-    val = tap_with_zeta(model, mu, zeta, config)
+    val = tap_with_zeta(model, mu, zeta, cfg)
     # prefer fewer atoms when the value is within 1e-9: greedily merge the
     # closest pair of atoms into their weighted mean as long as it is free;
     # a pair holding the atom at q merges there, keeping q in the support
@@ -477,7 +487,7 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
         loc = x0 if x0 <= q else (x0 * w0 + x1 * w1) / (w0 + w1)
         merged = atoms[:i] + [(loc, w0 + w1)] + atoms[i + 2:]
         cand = OrderParameter.from_atoms((q, 1.0), merged)
-        v_cand = tap_with_zeta(model, mu, cand, config)
+        v_cand = tap_with_zeta(model, mu, cand, cfg)
         if v_cand <= val + 1e-9:
             zeta, atoms, val = cand, merged, v_cand
         else:
@@ -491,13 +501,15 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
         "trivial": False,
     }
     if with_certificate:
-        diagnostics["certificate"] = _certificate(model, mu, zeta, config)
+        diagnostics["certificate"] = _certificate(model, mu, zeta, cfg)
+        if diagnostics["certificate"]["first_residual"] > CERTIFICATE_TOL:
+            diagnostics["converged"] = False
     if with_representation:
         shifted = model.shift(q)
         zb = band_coords(zeta)
         field = EffectiveField(shifted, zb, config)
         pbar = band_functional(shifted, mu, field, 0.0, zb, config,
-                               variant="bar", field=field)
+                               field=field)
         diagnostics["pbar_value"] = pbar
         diagnostics["representation_gap"] = abs(pbar - val)
     return TapResult(value=float(val), minimizer_zeta=zeta, q=q,
@@ -510,9 +522,7 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
 
 def directional_derivative(shifted: ShiftedModel, mu: DiscreteMeasure,
                            v0, zeta0: OrderParameter, v1, zeta1: OrderParameter,
-                           config: SolverConfig = DEFAULT_CONFIG,
-                           n_quad: int = 12, method: str = "quadrature",
-                           mc_paths: int = 20000, seed: int = 0) -> float:
+                           config: SolverConfig = DEFAULT_CONFIG) -> float:
     """Right derivative of b -> P_bar_mu^{v_b}(0, zeta_b) at b = 0 along the
     segment from (v0, zeta0) to (v1, zeta1):
 
@@ -520,24 +530,17 @@ def directional_derivative(shifted: ShiftedModel, mu: DiscreteMeasure,
         + int (v1 - v0)(a) Phi_x^band_{a,zeta0}(0, v0(a)) dmu(a).
 
     E u(s)^2 is the band optimal-control second moment started from v0(a),
-    computed by deterministic propagation (method="quadrature") or
-    Euler-Maruyama Monte Carlo (method="mc").
+    by deterministic propagation; the s-integral is Gauss-Legendre of order
+    DERIV_GL_ORDER on each piece where zeta1 - zeta0 is constant.
     """
     mu = _fold(mu)
     atoms = [(a, w) for a, w in mu.atoms if a < 1.0 - BOUNDARY_ATOM_TOL]
     runs = _band_runs(EffectiveField(shifted, zeta0, config), v0, atoms)
 
-    def mean_u2(s: float) -> float:
-        if method != "mc":
-            return _mean_sq_derivative(runs, s, 1)
-        return sum(w[0] * simulate_control(sol, float(x0[0]), mc_paths,
-                                           seed=seed, times=[s])["u2_mean"][0]
-                   for sol, x0, w in runs)
-
     # s-integral: (zeta1 - zeta0) is piecewise constant between the union of
     # node sets; integrate the smooth factor with Gauss-Legendre per piece.
     pts = np.unique(np.concatenate([zeta0.nodes, zeta1.nodes]))
-    gl_x, gl_w = gauss_legendre(n_quad)
+    gl_x, gl_w = gauss_legendre(DERIV_GL_ORDER)
     term1 = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
         dz = float(zeta1.cdf(0.5 * (lo + hi)) - zeta0.cdf(0.5 * (lo + hi)))
@@ -546,7 +549,8 @@ def directional_derivative(shifted: ShiftedModel, mu: DiscreteMeasure,
         s_nodes = lo + (hi - lo) * gl_x
         acc = 0.0
         for s, w in zip(s_nodes, gl_w):
-            acc += w * shifted.xi_q_double_prime(s) * (mean_u2(float(s)) - float(s))
+            acc += w * shifted.xi_q_double_prime(s) \
+                * (_mean_sq_derivative(runs, float(s), 1) - float(s))
         term1 += 0.5 * dz * acc * (hi - lo)
 
     term2 = 0.0

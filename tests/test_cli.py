@@ -103,6 +103,25 @@ def test_rs_scan_model_without_mu_exits_2(tmp_path, model_spec):
     assert not (tmp_path / "scan" / "at_scan.csv").exists()
 
 
+@pytest.mark.parametrize("flag", [["--grid-step", "0.01"], ["--seed", "3"]])
+def test_rs_scan_rejects_unused_flags(tmp_path, flag):
+    # the AT/Plefka table and the Gamma curve use neither a grid nor a seed
+    rc = main(["rs-scan", "--out", str(tmp_path / "o"), *flag])
+    assert rc == 2
+
+
+def test_correction_atom_near_one(tmp_path):
+    model = write(tmp_path, "m.json", {"coeffs_sq": [0.0, 0.045], "h": 0.0})
+    mu = write(tmp_path, "mu.json", {"interval": [0, 1], "atoms": [
+        [0.3, 0.5], [0.99999999, 0.5]]})
+    out = tmp_path / "near1"
+    assert main(["correction", "--model", model, "--mu", mu,
+                 "--out", str(out)]) == 0
+    data = json.loads((out / "correction.json").read_text())
+    assert abs(data["value"] - data["classical_tap"]) < 1e-8
+    assert data["converged"] is True
+
+
 def test_tap_solve_oversized_n_exits_2(tmp_path, model_spec):
     rc = main(["tap-solve", "--model", model_spec, "--N", "30",
                "--out", str(tmp_path / "o")])

@@ -385,3 +385,32 @@ def test_restrict_zeta():
                         0.2)
     assert ext.interval == (0.2, 1.0)
     assert ext.cdf(0.6) == 0.0
+
+
+def test_atom_near_one_matches_classical():
+    # an atom 1e-8 below the boundary needs the slope pad on every solve of
+    # the optimizer; RS instance, so the closed form is the oracle
+    model = sk_model(0.3)
+    mu = DiscreteMeasure(interval=(0.0, 1.0),
+                         atoms=((0.3, 0.5), (0.99999999, 0.5)))
+    res = tap_correction(model, mu, r_atoms=3)
+    assert abs(res.value - classical_tap(model, mu)) < 1e-8
+    assert res.diagnostics["converged"]
+
+
+def test_tied_levels_stop_is_not_converged():
+    # the optimizer stops with z_0 = z_1 and an atom at 1: the node between
+    # the tied levels has no derivative, so the projected gradient vanishes
+    # although the point is no minimizer
+    model = MixedModel(coeffs_sq=(0.0, 0.459, 0.720, 1.156))
+    mu = DiscreteMeasure.delta(0.2696)
+    res = tap_correction(model, mu, r_atoms=2)
+    assert res.diagnostics["stop"] == "tol"
+    assert res.diagnostics["certificate"]["first_residual"] > 1e-4
+    assert res.diagnostics["converged"] is False
+    # witness: moving the atom at 1 to 0.95 lowers the value
+    atoms = res.minimizer_zeta.measure.atoms
+    assert atoms[-1][0] == 1.0
+    moved = OrderParameter.from_atoms(
+        res.minimizer_zeta.interval, list(atoms[:-1]) + [(0.95, atoms[-1][1])])
+    assert tap_with_zeta(model, mu, moved) < res.value - 1e-3
