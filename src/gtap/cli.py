@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cascades, disorder, rs, tap
-from .measures import DiscreteMeasure, OrderParameter, empirical
+from .measures import DiscreteMeasure, OrderParameter, empirical, fold_law
 from .model import MixedModel, sk_model
 from .pde import SolverConfig, parisi_functional, parisi_measure, \
     second_derivative_identity, solve
@@ -35,8 +35,9 @@ def _load_model(path: str) -> MixedModel:
 
 
 def _load_measure(path: str) -> DiscreteMeasure:
+    """The folded law of the spec: magnetizations a -> |a| on [0, 1]."""
     try:
-        return DiscreteMeasure.from_json(Path(path).read_text())
+        return fold_law(DiscreteMeasure.from_json(Path(path).read_text()))
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         raise ConfigError(f"bad measure spec {path}: {e}") from e
 
@@ -49,9 +50,16 @@ def _sample(N: int, model: MixedModel, seed: int) -> disorder.DisorderSample:
 
 
 def _solver_config(args) -> SolverConfig:
-    if args.grid_step:
-        return SolverConfig(dx=args.grid_step)
-    return SolverConfig()
+    return SolverConfig() if args.grid_step is None else SolverConfig(dx=args.grid_step)
+
+
+def _positive(kind):
+    """argparse type: a positive finite `kind` (--grid-step, --r-atoms)."""
+    def parse(text: str):
+        if not 0 < kind(text) < np.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite: {text}")
+        return kind(text)
+    return parse
 
 
 def _write_json(path: Path, obj) -> None:
@@ -85,7 +93,6 @@ def _zeta_json(zeta) -> dict:
 def cmd_correction(args) -> int:
     model = _load_model(args.model)
     mu = _load_measure(args.mu)
-    folded = mu if mu.interval[0] >= 0 else mu.fold_abs()
     cfg = _solver_config(args)
     res = tap.tap_correction(model, mu, r_atoms=args.r_atoms, config=cfg,
                              seed=args.seed)
@@ -96,10 +103,10 @@ def cmd_correction(args) -> int:
         "minimizer": _zeta_json(res.minimizer_zeta),
         "certificate": res.diagnostics.get("certificate"),
         "representation_gap": res.diagnostics.get("representation_gap"),
-        "classical_tap": rs.classical_tap(model, folded),
+        "classical_tap": rs.classical_tap(model, mu),
     }
     if res.q < 1.0 - 1e-9:
-        diag = rs.is_replica_symmetric(model.shift(res.q), folded)
+        diag = rs.is_replica_symmetric(model.shift(res.q), mu)
         out["rs"] = {"is_rs": diag.is_rs, "sup_gamma": diag.sup_gamma,
                      "gamma_second_deriv_at_0": diag.gamma_second_deriv_at_0,
                      "plefka_lhs": diag.plefka_lhs}
@@ -114,7 +121,6 @@ def cmd_rs_scan(args) -> int:
     if args.model:
         model = _load_model(args.model)
         mu = _load_measure(args.mu)
-        mu = mu.fold_abs() if mu.interval[0] < 0 else mu
         q = mu.moment(2)
         if q >= 1.0 - 1e-9:
             raise ConfigError("mu = delta_1 has no band to scan")
@@ -332,13 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--model", required=True, help="model spec JSON")
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=seed)
-        sp.add_argument("--grid-step", type=float, default=None,
-                        dest="grid_step")
+        sp.add_argument("--grid-step", type=_positive(float), default=None)
 
     sp = sub.add_parser("correction", help="TAP correction for a measure")
     common(sp, seed=None)   # no --seed: the optimizer's evenly spread start
     sp.add_argument("--mu", required=True, help="measure spec JSON")
-    sp.add_argument("--r-atoms", type=int, default=3, dest="r_atoms")
+    sp.add_argument("--r-atoms", type=_positive(int), default=3)
     sp.set_defaults(func=cmd_correction)
 
     sp = sub.add_parser("rs-scan", help="Gamma curves and AT/Plefka tables")
@@ -366,12 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, default=0.2)
     sp.add_argument("--damping", type=float, default=0.3)
     sp.add_argument("--steps", type=int, default=10)
-    sp.add_argument("--r-atoms", type=int, default=1, dest="r_atoms")
+    sp.add_argument("--r-atoms", type=_positive(int), default=1)
     sp.set_defaults(func=cmd_tap_solve)
 
     sp = sub.add_parser("parisi", help="Parisi functional minimization")
     common(sp)
-    sp.add_argument("--r-atoms", type=int, default=3, dest="r_atoms")
+    sp.add_argument("--r-atoms", type=_positive(int), default=3)
     sp.set_defaults(func=cmd_parisi)
 
     sp = sub.add_parser("check", help="fast property smoke test")

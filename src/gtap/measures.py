@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DiscreteMeasure", "OrderParameter", "d1", "empirical",
-           "shift_theta", "restrict_zeta", "band_coords"]
+__all__ = ["DiscreteMeasure", "OrderParameter", "d1", "empirical", "fold_law",
+           "split_boundary", "shift_theta", "restrict_zeta", "band_coords"]
 
 MERGE_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
@@ -84,13 +84,6 @@ class DiscreteMeasure:
             raise ValueError("moment order must be >= 1")
         return float(np.sum(self.weights * self.locations ** k))
 
-    def fold_abs(self) -> "DiscreteMeasure":
-        """Push-forward under x -> |x| (symmetrization of magnetizations)."""
-        a, b = self.interval
-        hi = max(abs(a), abs(b))
-        atoms = tuple((abs(x), w) for x, w in self.atoms)
-        return DiscreteMeasure(interval=(0.0, hi), atoms=atoms)
-
     def to_json(self) -> str:
         return json.dumps(
             {"interval": list(self.interval),
@@ -128,6 +121,23 @@ def empirical(m, fold: bool = False, interval=None) -> DiscreteMeasure:
         interval = (0.0, 1.0) if np.all(m >= 0) else (-1.0, 1.0)
     w = 1.0 / m.size
     return DiscreteMeasure(interval=interval, atoms=tuple((x, w) for x in m))
+
+
+def fold_law(mu: DiscreteMeasure) -> DiscreteMeasure:
+    """Push-forward of a magnetization law under a -> |a|, on [0, 1];
+    ValueError for an atom outside [-1, 1], where no magnetization lies."""
+    if np.any(np.abs(mu.locations) > 1.0 + 1e-12):
+        raise ValueError("magnetization law has an atom outside [-1, 1]")
+    return DiscreteMeasure(interval=(0.0, 1.0),
+                           atoms=tuple((abs(x), w) for x, w in mu.atoms))
+
+
+def split_boundary(mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray, float]:
+    """Locations and weights of the atoms of a folded law below
+    1 - BOUNDARY_ATOM_TOL, and the mass of the atoms at the boundary."""
+    locs, wts = mu.locations, mu.weights
+    inner = locs < 1.0 - BOUNDARY_ATOM_TOL
+    return locs[inner], wts[inner], float(np.sum(wts[~inner]))
 
 
 @dataclass(frozen=True)

@@ -44,33 +44,26 @@ class MixedModel:
     def p_max(self) -> int:
         return len(self.coeffs_sq)
 
-    def xi(self, s):
+    def _derivative(self, s, k: int):
+        """k-th derivative of xi by Horner's rule on the coefficients
+        p (p-1) ... (p-k+1) beta_p^2 of s^(p-k)."""
         _check_domain(s)
         s = np.asarray(s, dtype=float)
         out = np.zeros_like(s)
-        for p in range(self.p_max, 0, -1):
-            out = s * (out + self.coeffs_sq[p - 1])
+        for p in range(self.p_max, max(k, 1) - 1, -1):
+            out = s * out + math.perm(p, k) * self.coeffs_sq[p - 1]
+        if k == 0 and self.p_max:   # xi has no constant term
+            out = s * out
         return out if out.ndim else float(out)
+
+    def xi(self, s):
+        return self._derivative(s, 0)
 
     def xi_prime(self, s):
-        _check_domain(s)
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        for p in range(self.p_max, 1, -1):
-            out = s * out + p * self.coeffs_sq[p - 1]
-        if self.p_max >= 1:
-            out = s * out + self.coeffs_sq[0]
-        return out if out.ndim else float(out)
+        return self._derivative(s, 1)
 
     def xi_double_prime(self, s):
-        _check_domain(s)
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        for p in range(self.p_max, 2, -1):
-            out = s * out + p * (p - 1) * self.coeffs_sq[p - 1]
-        if self.p_max >= 2:
-            out = s * out + 2.0 * self.coeffs_sq[1]
-        return out if out.ndim else float(out)
+        return self._derivative(s, 2)
 
     def theta(self, x):
         """x xi'(x) - xi(x); its derivative is x xi''(x)."""

@@ -56,6 +56,10 @@ class SolverConfig:
     x_max: float | None = None     # half-width of the x grid; auto if None
     x_pad: float = 0.0             # extra half-width on top of the auto rule
 
+    def __post_init__(self):
+        if not 0.0 < self.dx < math.inf:
+            raise ValueError(f"grid step dx must be positive and finite: {self.dx}")
+
     def with_pad(self, pad: float) -> "SolverConfig":
         return replace(self, x_pad=max(self.x_pad, pad))
 
@@ -362,24 +366,13 @@ class PDESolution:
 
     def int_xi_pp_zeta(self) -> float:
         """Integral of xi''(s) zeta(s) ds over [t0, t1]."""
-        total = 0.0
-        for p in range(len(self.levels)):
-            lo, hi = float(self.nodes[p]), float(self.nodes[p + 1])
-            total += self.levels[p] * (self.sp(hi) - self.sp(lo))
-        return float(total)
+        return float(np.sum(self.levels * np.diff(self.sp(self.nodes))))
 
     def int_s_xi_pp_zeta(self) -> float:
         """Integral of s xi''(s) zeta(s) ds over [t0, t1], via the exact
         antiderivative s xi'(s) - xi(s) of s xi''(s)."""
-
-        def theta(s):
-            return s * self.sp(s) - self.int_sp(s)
-
-        total = 0.0
-        for p in range(len(self.levels)):
-            lo, hi = float(self.nodes[p]), float(self.nodes[p + 1])
-            total += self.levels[p] * (theta(hi) - theta(lo))
-        return float(total)
+        theta = self.nodes * self.sp(self.nodes) - self.int_sp(self.nodes)
+        return float(np.sum(self.levels * np.diff(theta)))
 
     # -- sensitivities in the levels and nodes --------------------------------
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import BOUNDARY_ATOM_TOL, DiscreteMeasure
+from .measures import DiscreteMeasure, split_boundary
 from .model import MixedModel, ShiftedModel
 from .numerics import adaptive_simpson, gauss_hermite, log2cosh
 
@@ -84,10 +84,9 @@ def gamma_mu(shifted: ShiftedModel, mu: DiscreteMeasure, s: float) -> float:
         raise ValueError("s outside [0, 1-q]")
     g, w = gauss_hermite(GH_ORDER_RS)
     sd = math.sqrt(max(shifted.xi_q_prime(s), 0.0))
+    locs, wts, _ = split_boundary(mu)
     total = 0.0
-    for a, wt in mu.atoms:
-        if a >= 1.0 - BOUNDARY_ATOM_TOL:
-            continue
+    for a, wt in zip(locs, wts):
         x = v_rs(shifted, a) + sd * g
         logwt = phi_band_rs(shifted, a, s, x, deriv=0)
         m = np.max(logwt)
@@ -95,7 +94,7 @@ def gamma_mu(shifted: ShiftedModel, mu: DiscreteMeasure, s: float) -> float:
         gw /= gw.sum()
         slope = phi_band_rs(shifted, a, s, x, deriv=1)
         total += wt * float(np.sum(gw * slope * slope))
-    return total
+    return float(total)
 
 
 def big_gamma(shifted: ShiftedModel, mu: DiscreteMeasure, s: float) -> float:
@@ -126,9 +125,9 @@ def gamma_second_derivative(shifted: ShiftedModel, mu: DiscreteMeasure) -> float
     Phi_xx(0, v_RS(a)) = 1 - a^2 in the RS closed form.
     """
     b2 = shifted.xi_q_double_prime(0.0)
-    integral = sum(w * (1.0 - a * a) ** 2 for a, w in mu.atoms
-                   if a < 1.0 - BOUNDARY_ATOM_TOL)
-    return b2 * (b2 * integral - 1.0)
+    locs, wts, _ = split_boundary(mu)
+    integral = sum(w * (1.0 - a * a) ** 2 for a, w in zip(locs, wts))
+    return float(b2 * (b2 * integral - 1.0))
 
 
 def gamma_second_derivative_fd(shifted: ShiftedModel, mu: DiscreteMeasure) -> float:

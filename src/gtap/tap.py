@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import (BOUNDARY_ATOM_TOL, DiscreteMeasure, OrderParameter,
-                       band_coords, restrict_zeta)
+                       band_coords, fold_law, restrict_zeta, split_boundary)
 from .model import MixedModel, ShiftedModel
 from .numerics import gauss_legendre, project_monotone
 from .pde import (DEFAULT_CONFIG, PDESolution, SolverConfig, _interp_grid,
@@ -54,12 +54,6 @@ def _grid_pad_for(a_max: float, extra: float = 0.0) -> float:
     if a_max > 0.9:
         pad += math.atanh(a_max) + 2.0
     return pad
-
-
-def _inner_a_max(mu: DiscreteMeasure) -> float:
-    """Largest atom of mu below the boundary (0 if none)."""
-    inner = mu.locations < 1.0 - BOUNDARY_ATOM_TOL
-    return float(np.max(mu.locations[inner], initial=0.0))
 
 
 def _orig_solution(model: MixedModel, q: float, zeta: OrderParameter,
@@ -157,28 +151,33 @@ def effective_field(shifted: ShiftedModel, zeta_band: OrderParameter,
 # TAP functionals
 
 
-def _fold(mu: DiscreteMeasure) -> DiscreteMeasure:
-    if mu.interval[0] < -1e-12 or np.any(mu.locations < -1e-12):
-        return mu.fold_abs()
-    if mu.interval != (0.0, 1.0):
-        return DiscreteMeasure(interval=(0.0, 1.0), atoms=mu.atoms)
-    return mu
+def _evaluate(model: MixedModel, mu: DiscreteMeasure, nodes, levels,
+              config: SolverConfig) -> tuple[float, PDESolution, np.ndarray]:
+    """TAP(mu, zeta), the solution and the starts psi_bar(q, a), for a folded
+    law mu and the CDF `levels` on the pieces between `nodes` (q = nodes[0]).
+    Atoms at the boundary add their mass times (1/2) int xi'' zeta."""
+    locs, wts, edge = split_boundary(mu)
+    q = float(nodes[0])
+    cfg = config.with_pad(_grid_pad_for(float(np.max(locs, initial=0.0))))
+    sol = solve_steps(model, (q, float(nodes[-1])), nodes, levels, cfg)
+    starts = np.array([sol.inverse_phi_x(q, a) for a in locs])
+    total = 0.0
+    for a, w, x in zip(locs, wts, starts):
+        total += w * (float(sol.phi(q, x)) - a * x)
+    total += edge * (0.5 * sol.int_xi_pp_zeta())
+    return float(total - 0.5 * sol.int_s_xi_pp_zeta()), sol, starts
 
 
 def tap_with_zeta(model: MixedModel, mu: DiscreteMeasure,
                   zeta: OrderParameter,
                   config: SolverConfig = DEFAULT_CONFIG) -> float:
     """TAP(mu, zeta) = int Lambda_zeta(q, a) dmu - (1/2) int_q^1 s xi'' zeta ds."""
-    mu = _fold(mu)
+    mu = fold_law(mu)
     q = mu.moment(2)
     if q >= 1.0 - 1e-12:
         return 0.0
-    sol = _orig_solution(model, q, zeta, config, a_max=_inner_a_max(mu))
-    total = 0.0
-    for a, w in mu.atoms:
-        lam, _ = lambda_conj(model, q, a, zeta, config, sol=sol)
-        total += w * lam
-    return total - 0.5 * sol.int_s_xi_pp_zeta()
+    zq = restrict_zeta(zeta, q)
+    return _evaluate(model, mu, zq.nodes, zq.levels, config)[0]
 
 
 def band_functional(shifted: ShiftedModel, mu: DiscreteMeasure, v, lam: float,
@@ -191,17 +190,15 @@ def band_functional(shifted: ShiftedModel, mu: DiscreteMeasure, v, lam: float,
     The mu-integral runs over [0, 1): atoms at 1 are dropped, since the
     effective field diverges there. `v` is a callable on [0, 1).
     """
-    mu = _fold(mu)
+    locs, wts, _ = split_boundary(fold_law(mu))
     ev = field if field is not None else EffectiveField(shifted, zeta_band, config)
     total = 0.0
-    for a, w in mu.atoms:
-        if a >= 1.0 - BOUNDARY_ATOM_TOL:
-            continue
+    for a, w in zip(locs, wts):
         x = lam * a + float(v(a))
         sol = ev.solution_for(a, x_reach=abs(x))
         total += w * float(sol.phi(0.0, x))
     # theta_q is the antiderivative of s xi_q''(s)
-    return total - 0.5 * zeta_band.integral_against(shifted.theta_q)
+    return float(total - 0.5 * zeta_band.integral_against(shifted.theta_q))
 
 
 # ---------------------------------------------------------------------------
@@ -223,37 +220,25 @@ def _steps_zeta(x: np.ndarray, q: float) -> OrderParameter:
     return OrderParameter.from_atoms((q, 1.0), atoms or [(1.0, 1.0)])
 
 
-def _steps_value(model: MixedModel, mu: DiscreteMeasure, x: np.ndarray,
-                 q: float, config: SolverConfig) -> tuple[float, np.ndarray]:
-    """TAP(mu, zeta) at the optimizer variables x and its gradient in x."""
-    levels, nodes = _unpack(x, q)
-    sol = solve_steps(model, (q, 1.0), nodes, levels, config)
-    val = -0.5 * sol.int_s_xi_pp_zeta()
-    xbars, wts, boundary_w = [], [], 0.0
-    for a, w in mu.atoms:
-        if a >= 1.0 - BOUNDARY_ATOM_TOL:
-            val += w * 0.5 * sol.int_xi_pp_zeta()
-            boundary_w += w
-        else:
-            xb = sol.inverse_phi_x(q, a)
-            val += w * (float(sol.phi(q, xb)) - a * xb)
-            xbars.append(xb)
-            wts.append(w)
+def _gradient(sol: PDESolution, mu: DiscreteMeasure,
+              starts: np.ndarray) -> np.ndarray:
+    """Gradient of TAP(mu, zeta) in the optimizer variables, from the
+    solution and the psi_bar starts that `_evaluate` returned for them."""
+    _, wts, edge = split_boundary(mu)
+    levels, nodes = sol.levels, sol.nodes
     # d/dx of Phi(q, x) - a x vanishes at psi_bar, so the mu-integral of the
     # solver's sensitivities at psi_bar is the gradient of the Lambda term
-    grad = np.zeros(x.size)
-    if xbars:
-        grad[:] = [np.asarray(wts) @ _interp_grid(float(sol.x_grid[0]),
-                                                  config.dx, row, xbars)
-                   for row in sol.level_gradients()]
+    grad = np.array([wts @ _interp_grid(float(sol.x_grid[0]), sol.config.dx,
+                                        row, starts)
+                     for row in sol.level_gradients()])
     # explicit terms of the boundary atoms' (1/2) int xi'' zeta and of
     # -(1/2) int s xi'' zeta, whose antiderivative is s xi'(s) - xi(s)
     r, sp = levels.size, sol.sp(nodes)
     theta = nodes * sp - sol.int_sp(nodes)
-    grad[:r] += 0.5 * (boundary_w * np.diff(sp) - np.diff(theta))
+    grad[:r] += 0.5 * (edge * np.diff(sp) - np.diff(theta))
     inner = nodes[1:r]
-    grad[r:] -= 0.5 * sol.spp(inner) * np.diff(levels) * (boundary_w - inner)
-    return float(val), grad
+    grad[r:] -= 0.5 * sol.spp(inner) * np.diff(levels) * (edge - inner)
+    return grad
 
 
 def _face_basis(x: np.ndarray, r: int, q: float) -> np.ndarray:
@@ -307,9 +292,10 @@ def _optimize(model, mu, x: np.ndarray, q: float,
     def evaluate(x_t):
         nonlocal n_eval, stalls
         n_eval += 1
-        v_t, g_t = _steps_value(model, mu, x_t, q, config)
+        levels, nodes = _unpack(x_t, q)
+        v_t, sol, starts = _evaluate(model, mu, nodes, levels, config)
         stalls = stalls + 1 if abs(v_t - val) < OPT_FTOL else 0
-        return v_t, g_t
+        return v_t, _gradient(sol, mu, starts)
 
     def bfgs_step(face):
         """First point along the BFGS direction on the face that lowers
@@ -329,8 +315,9 @@ def _optimize(model, mu, x: np.ndarray, q: float,
         return None
 
     x = project(x)
-    val, grad = _steps_value(model, mu, x, q, config)
-    n_eval, stalls, B, step, fresh = 1, 0, None, 1.0, False
+    n_eval, stalls, val = 0, 0, math.inf
+    val, grad = evaluate(x)
+    B, step, fresh = None, 1.0, False
     while True:
         pg = float(np.max(np.abs(x - project(x - grad))))
         if pg < OPT_TOL:
@@ -370,14 +357,11 @@ class TapResult:
     diagnostics: dict
 
 
-def _band_runs(field: EffectiveField, v, atoms):
+def _band_runs(field: EffectiveField, v, locs, wts):
     """Runs [(band solution, [v(a)], [w])], one per atom (a, w) of mu."""
-    runs = []
-    for a, w in atoms:
-        x0 = float(v(a))
-        runs.append((field.solution_for(a, x_reach=abs(x0)), np.array([x0]),
-                     np.array([w])))
-    return runs
+    starts = [float(v(a)) for a in locs]
+    return [(field.solution_for(a, x_reach=abs(x0)), np.array([x0]),
+             np.array([w])) for a, x0, w in zip(locs, starts, wts)]
 
 
 def _mean_sq_derivative(runs, s: float, k: int) -> float:
@@ -420,19 +404,6 @@ def _stationarity(runs, zeta: OrderParameter, xi_pp,
     }
 
 
-def _certificate(model: MixedModel, mu: DiscreteMeasure,
-                 zeta: OrderParameter, config: SolverConfig) -> dict:
-    """Stationarity residuals of zeta in original coordinates, with the
-    control diffusion started at psi_bar(q, a); atoms of mu at the boundary,
-    whose slope u is 1, count as their mass."""
-    q = mu.moment(2)
-    inner = mu.locations < 1.0 - BOUNDARY_ATOM_TOL
-    sol = _orig_solution(model, q, zeta, config, a_max=_inner_a_max(mu))
-    starts = np.array([sol.inverse_phi_x(q, a) for a in mu.locations[inner]])
-    return _stationarity([(sol, starts, mu.weights[inner])], zeta,
-                         model.xi_double_prime, float(np.sum(mu.weights[~inner])))
-
-
 def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
                    config: SolverConfig = DEFAULT_CONFIG,
                    seed: int | None = None,
@@ -442,24 +413,27 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
 
     Levels and nodes are optimized together (see `_optimize`); seed None
     starts from evenly spread levels and nodes, an integer from random
-    ones. The optimizer, the value and the certificate share one x grid,
-    padded for mu's largest atom below 1. `diagnostics["stop"]` names the
-    stopping rule. `converged` needs tol or ftol and a certificate
-    `first_residual` of at most CERTIFICATE_TOL, when computed: tied levels
-    can stop at tol short of a minimizer. Also cross-evaluates the band
-    representation inf P_bar_mu^{v_zeta}(0, zeta) at the found minimizer
-    and reports the gap.
+    ones. The optimizer, the value, the merge candidates and the certificate
+    all evaluate through `_evaluate`; the certificate reuses the solve of
+    the returned zeta. `diagnostics["stop"]` names the stopping rule.
+    `converged` needs tol or ftol and a certificate `first_residual` of at
+    most CERTIFICATE_TOL, when computed: tied levels can stop at tol short
+    of a minimizer. Also cross-evaluates the band representation
+    inf P_bar_mu^{v_zeta}(0, zeta) at the found minimizer and reports the
+    gap.
 
     The correction does not depend on the model's external field h: the
     field enters the TAP free energy only through the energy H(m).
     """
-    mu = _fold(mu)
+    r = int(r_atoms)
+    if r < 1:
+        raise ValueError(f"r_atoms must be at least 1, got {r_atoms}")
+    mu = fold_law(mu)
     q = mu.moment(2)
     if q >= 1.0 - 1e-12:
         trivial = OrderParameter.delta_at(1.0, (1.0, 1.0))
         return TapResult(value=0.0, minimizer_zeta=trivial, q=1.0,
                          diagnostics={"trivial": True, "converged": True})
-    r = max(int(r_atoms), 1)
     if seed is None:
         nodes = q + (1.0 - q) * np.arange(1, r) / r
         levels = np.linspace(1.0 / r, 1.0, r)
@@ -467,14 +441,17 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
         rng = np.random.default_rng(seed)
         nodes = q + (1.0 - q) * np.sort(rng.uniform(0.05, 0.95, size=r - 1))
         levels = np.sort(rng.uniform(0.0, 1.0, size=r))
-    cfg = config.with_pad(_grid_pad_for(_inner_a_max(mu)))
-    x, info = _optimize(model, mu, np.concatenate([levels, nodes]), q, cfg)
+    x, info = _optimize(model, mu, np.concatenate([levels, nodes]), q, config)
+
+    def evaluate(z: OrderParameter):
+        zq = restrict_zeta(z, q)
+        return _evaluate(model, mu, zq.nodes, zq.levels, config)
 
     # The value is TAP at the returned zeta, solved on its atoms alone: a
     # node between equal levels splits a layer and moves the discretized
     # value (by 7e-7 on a model with xi'(1) = 7.7), so it may not count.
     zeta = _steps_zeta(x, q)
-    val = tap_with_zeta(model, mu, zeta, cfg)
+    val, sol, starts = evaluate(zeta)
     # prefer fewer atoms when the value is within 1e-9: greedily merge the
     # closest pair of atoms into their weighted mean as long as it is free;
     # a pair holding the atom at q merges there, keeping q in the support
@@ -487,11 +464,10 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
         loc = x0 if x0 <= q else (x0 * w0 + x1 * w1) / (w0 + w1)
         merged = atoms[:i] + [(loc, w0 + w1)] + atoms[i + 2:]
         cand = OrderParameter.from_atoms((q, 1.0), merged)
-        v_cand = tap_with_zeta(model, mu, cand, cfg)
-        if v_cand <= val + 1e-9:
-            zeta, atoms, val = cand, merged, v_cand
-        else:
+        trial = evaluate(cand)
+        if not trial[0] <= val + 1e-9:
             break
+        zeta, atoms, (val, sol, starts) = cand, merged, trial
 
     diagnostics = {
         "converged": info["stop"] in ("tol", "ftol"),
@@ -501,7 +477,11 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
         "trivial": False,
     }
     if with_certificate:
-        diagnostics["certificate"] = _certificate(model, mu, zeta, cfg)
+        # original coordinates: the control diffusion starts at psi_bar(q, a),
+        # and the boundary atoms, whose slope u is 1, count as their mass
+        _, wts, edge = split_boundary(mu)
+        diagnostics["certificate"] = _stationarity(
+            [(sol, starts, wts)], zeta, model.xi_double_prime, edge)
         if diagnostics["certificate"]["first_residual"] > CERTIFICATE_TOL:
             diagnostics["converged"] = False
     if with_representation:
@@ -533,9 +513,8 @@ def directional_derivative(shifted: ShiftedModel, mu: DiscreteMeasure,
     by deterministic propagation; the s-integral is Gauss-Legendre of order
     DERIV_GL_ORDER on each piece where zeta1 - zeta0 is constant.
     """
-    mu = _fold(mu)
-    atoms = [(a, w) for a, w in mu.atoms if a < 1.0 - BOUNDARY_ATOM_TOL]
-    runs = _band_runs(EffectiveField(shifted, zeta0, config), v0, atoms)
+    locs, wts, _ = split_boundary(fold_law(mu))
+    runs = _band_runs(EffectiveField(shifted, zeta0, config), v0, locs, wts)
 
     # s-integral: (zeta1 - zeta0) is piecewise constant between the union of
     # node sets; integrate the smooth factor with Gauss-Legendre per piece.
@@ -554,12 +533,12 @@ def directional_derivative(shifted: ShiftedModel, mu: DiscreteMeasure,
         term1 += 0.5 * dz * acc * (hi - lo)
 
     term2 = 0.0
-    for (a, w), (sol, x0, _) in zip(atoms, runs):
+    for a, w, (sol, x0, _) in zip(locs, wts, runs):
         dv = float(v1(a)) - float(x0[0])
         if abs(dv) < 1e-15:
             continue
         term2 += w * dv * float(sol.phi_x(0.0, float(x0[0])))
-    return term1 + term2
+    return float(term1 + term2)
 
 
 def optimality_check(shifted: ShiftedModel, mu: DiscreteMeasure,
@@ -573,8 +552,7 @@ def optimality_check(shifted: ShiftedModel, mu: DiscreteMeasure,
       xi_q''(s) int E[(Phi_xx(s, X_s))^2] dmu(a) <= 1 (slack <= 0)
     with X started at v_zeta(a) and the mu-integral over [0, 1).
     """
-    mu = _fold(mu)
+    locs, wts, _ = split_boundary(fold_law(mu))
     ev = field if field is not None else EffectiveField(shifted, zeta_band, config)
-    atoms = [(a, w) for a, w in mu.atoms if a < 1.0 - BOUNDARY_ATOM_TOL]
-    return _stationarity(_band_runs(ev, ev, atoms), zeta_band,
+    return _stationarity(_band_runs(ev, ev, locs, wts), zeta_band,
                          shifted.xi_q_double_prime)

@@ -122,6 +122,40 @@ def test_correction_atom_near_one(tmp_path):
     assert data["converged"] is True
 
 
+@pytest.mark.parametrize("spec", [
+    {"interval": [-2, 2], "atoms": [[-1.5, 0.5], [1.5, 0.5]]},
+    {"interval": [0, 2], "atoms": [[0.3, 0.5], [1.5, 0.5]]},
+])
+@pytest.mark.parametrize("command", ["correction", "rs-scan"])
+def test_measure_outside_unit_interval_exits_2(tmp_path, model_spec, spec,
+                                               command):
+    mu = write(tmp_path, "mu.json", spec)
+    out = tmp_path / "o"
+    rc = main([command, "--model", model_spec, "--mu", mu, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+BAD_GRID_STEPS = [["--grid-step", "0"], ["--grid-step", "-0.01"],
+                  ["--grid-step", "inf"]]
+BAD_ATOM_COUNTS = [["--r-atoms", "0"], ["--r-atoms", "-2"]]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag)
+    for command in ("correction", "mc-verify", "tap-solve", "parisi")
+    for flag in BAD_GRID_STEPS + (BAD_ATOM_COUNTS if command != "mc-verify"
+                                  else [])])
+def test_bad_numeric_flags_exit_2(tmp_path, model_spec, command, flag):
+    mu = write(tmp_path, "mu.json", {"interval": [0, 1], "atoms": [[0.3, 1.0]]})
+    extra = ["--mu", mu] if command == "correction" else []
+    out = tmp_path / "o"
+    rc = main([command, "--model", model_spec, *extra, "--out", str(out),
+               *flag])
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_tap_solve_oversized_n_exits_2(tmp_path, model_spec):
     rc = main(["tap-solve", "--model", model_spec, "--N", "30",
                "--out", str(tmp_path / "o")])

@@ -226,6 +226,26 @@ def test_tap_fixed_point_and_stationarity():
     assert float(np.max(np.abs(stat))) < 1e-4
 
 
+def test_generalized_iteration_from_perturbed_start():
+    # at the RS order parameter delta_q the generalized TAP equations are the
+    # classical ones, so their iteration, started off the classical fixed
+    # point, must walk back to it (oracle: classical_tap_iteration)
+    model = sk_model(0.3, h=0.6, convention="half")
+    N = 10
+    for seed in (9, 19, 29):
+        smpl = sample(N, model, seed=seed)
+        rng = np.random.default_rng(seed)
+        m_hat, q_hat, _, info = classical_tap_iteration(
+            smpl, rng.uniform(-0.3, 0.3, N), damping=0.5)
+        assert info["converged"]
+        zeta = OrderParameter.delta_at(q_hat, (q_hat, 1.0))
+        m0 = m_hat + 0.05 * rng.standard_normal(N)
+        m, res, info = solve_tap_equations(smpl, q_hat, zeta, m0, damping=0.5)
+        assert info["iterations"] > 0
+        assert info["converged"]
+        assert np.max(np.abs(m - m_hat)) < 1e-8
+
+
 def test_grad_tap_zero_vector(mixed_23):
     g, _ = grad_tap(mixed_23, np.zeros(5), r_atoms=1)
     assert np.allclose(g, 0.0, atol=1e-10)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gtap.measures import (DiscreteMeasure, OrderParameter, d1, empirical,
-                           shift_theta)
+                           fold_law, shift_theta, split_boundary)
 
 
 def delta(x):
@@ -130,3 +130,26 @@ def test_integral_against():
 def test_json_round_trip():
     m = DiscreteMeasure(interval=(0, 1), atoms=((0.0, 0.5), (1.0, 0.5)))
     assert DiscreteMeasure.from_json(m.to_json()) == m
+
+
+def test_fold_law():
+    mu = DiscreteMeasure(interval=(-1.0, 1.0),
+                         atoms=((-0.3, 0.25), (0.3, 0.25), (-1.0, 0.5)))
+    folded = fold_law(mu)
+    assert folded.interval == (0.0, 1.0)
+    assert folded.atoms == ((0.3, 0.5), (1.0, 0.5))
+    assert fold_law(folded) == folded
+    with pytest.raises(ValueError, match="outside"):
+        fold_law(DiscreteMeasure(interval=(0.0, 2.0),
+                                 atoms=((0.3, 0.5), (1.5, 0.5))))
+
+
+def test_split_boundary():
+    mu = DiscreteMeasure(interval=(0.0, 1.0),
+                         atoms=((0.2, 0.5), (1.0 - 1e-8, 0.25), (1.0, 0.25)))
+    locs, wts, edge = split_boundary(mu)
+    np.testing.assert_array_equal(locs, [0.2, 1.0 - 1e-8])
+    np.testing.assert_array_equal(wts, [0.5, 0.25])
+    assert edge == 0.25
+    locs, wts, edge = split_boundary(DiscreteMeasure.delta(0.0))
+    assert locs.tolist() == [0.0] and wts.tolist() == [1.0] and edge == 0.0

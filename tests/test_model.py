@@ -107,6 +107,18 @@ def test_monotone_nonnegative_on_unit_interval(rng):
             assert np.all(np.diff(vals) >= -1e-12)
 
 
+def test_derivatives_match_power_sums(rng):
+    # the k-th derivative is sum_p p!/(p-k)! beta_p^2 s^(p-k), term by term
+    for _ in range(5):
+        m = random_model(rng)
+        s = rng.uniform(-1, 1, 9)
+        for k, f in enumerate((m.xi, m.xi_prime, m.xi_double_prime)):
+            direct = sum(math.perm(p, k) * c * s ** (p - k)
+                         for p, c in enumerate(m.coeffs_sq, start=1) if p >= k)
+            np.testing.assert_allclose(f(s), direct, rtol=1e-13, atol=1e-15)
+            assert isinstance(f(float(s[0])), float)
+
+
 def test_domain_errors():
     m = pure_p_model(2)
     with pytest.raises(ValueError):

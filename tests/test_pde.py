@@ -165,6 +165,34 @@ def test_grid_too_small_raises(mixed_23):
         solve(mixed_23, zeta, SolverConfig(x_max=1.0))
 
 
+@pytest.mark.parametrize("dx", [0.0, -0.01, math.nan, math.inf])
+def test_nonpositive_grid_step_rejected(dx):
+    with pytest.raises(ValueError, match="dx"):
+        SolverConfig(dx=dx)
+
+
+def test_step_integrals_vs_midpoint_rule(mixed_23):
+    # int xi'' zeta and int s xi'' zeta on [q, 1]: equal to the piece-by-piece
+    # loop, and close to a dense midpoint sum that sees zeta only by its CDF
+    q = 0.2
+    zeta = OrderParameter.from_atoms((q, 1.0), [(q, 0.3), (0.45, 0.2),
+                                                (0.7, 0.5)])
+    sol = solve(mixed_23, zeta)
+    theta = mixed_23.theta
+    loop_pp, loop_spp = 0.0, 0.0
+    for z, lo, hi in zip(zeta.levels, zeta.nodes[:-1], zeta.nodes[1:]):
+        loop_pp += z * (mixed_23.xi_prime(hi) - mixed_23.xi_prime(lo))
+        loop_spp += z * (theta(hi) - theta(lo))
+    assert sol.int_xi_pp_zeta() == loop_pp
+    assert sol.int_s_xi_pp_zeta() == loop_spp
+    n = 400_000
+    s = q + (np.arange(n) + 0.5) * (1.0 - q) / n
+    f = mixed_23.xi_double_prime(s) * zeta.cdf(s) * (1.0 - q) / n
+    assert sol.int_xi_pp_zeta() == pytest.approx(float(np.sum(f)), abs=1e-9)
+    assert sol.int_s_xi_pp_zeta() == pytest.approx(float(np.sum(s * f)),
+                                                   abs=1e-9)
+
+
 def test_evaluation_outside_grid_raises(mixed_23):
     zeta = OrderParameter.delta_at(0.0, (0.0, 1.0))
     sol = solve(mixed_23, zeta)

@@ -35,11 +35,14 @@ def test_discrete_measure_invariants(raw):
     assert all(b - a > MERGE_TOL for a, b in zip(locs, locs[1:]))
     assert all(w > 0 for _, w in mu.atoms)
     assert math.fsum(w for _, w in mu.atoms) == pytest.approx(1.0, abs=1e-12)
-    # merging keeps the mass at every location
-    for x in locs:
-        near = math.fsum(w for y, w in atoms if abs(y - x) <= MERGE_TOL)
-        assert mu.cdf(x) - mu.cdf(x - 2 * MERGE_TOL) == pytest.approx(
-            near, abs=1e-12)
+    # merging moves each atom down onto the kept location at or below it,
+    # at most MERGE_TOL away, and the CDF jumps there by the mass moved
+    for x, nxt in zip(locs, locs[1:] + [math.inf]):
+        moved = [(y, w) for y, w in atoms if x <= y < nxt]
+        assert all(y - x <= MERGE_TOL for y, _ in moved)
+        jump = mu.cdf(x) - mu.cdf(math.nextafter(x, -math.inf))
+        assert jump == pytest.approx(math.fsum(w for _, w in moved),
+                                     abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)

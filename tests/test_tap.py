@@ -8,10 +8,10 @@ from gtap.measures import (DiscreteMeasure, OrderParameter, band_coords, d1,
 from gtap.model import MixedModel, sk_model
 from gtap.pde import SolverConfig, parisi_functional, solve
 from gtap.rs import big_gamma, classical_tap, is_replica_symmetric, v_rs
-from gtap.tap import (EffectiveField, band_functional,
-                      directional_derivative, effective_field, lambda_conj,
-                      optimality_check, psi, psi_bar, tap_correction,
-                      tap_with_zeta)
+from gtap.tap import (EffectiveField, _evaluate, _gradient, _unpack,
+                      band_functional, directional_derivative,
+                      effective_field, lambda_conj, optimality_check, psi,
+                      psi_bar, tap_correction, tap_with_zeta)
 
 from conftest import random_mu, random_zeta
 
@@ -389,13 +389,58 @@ def test_restrict_zeta():
 
 def test_atom_near_one_matches_classical():
     # an atom 1e-8 below the boundary needs the slope pad on every solve of
-    # the optimizer; RS instance, so the closed form is the oracle
-    model = sk_model(0.3)
-    mu = DiscreteMeasure(interval=(0.0, 1.0),
-                         atoms=((0.3, 0.5), (0.99999999, 0.5)))
-    res = tap_correction(model, mu, r_atoms=3)
-    assert abs(res.value - classical_tap(model, mu)) < 1e-8
-    assert res.diagnostics["converged"]
+    # the optimizer; an atom at 1 enters the optimizer's value and gradient
+    # as its mass times (1/2) int xi'' zeta. RS instances, so the closed
+    # form is the oracle
+    for beta, top in ((0.3, 0.99999999), (0.5, 1.0)):
+        model = sk_model(beta)
+        mu = DiscreteMeasure(interval=(0.0, 1.0),
+                             atoms=((0.3, 0.5), (top, 0.5)))
+        res = tap_correction(model, mu, r_atoms=3)
+        assert abs(res.value - classical_tap(model, mu)) < 1e-8
+        assert res.diagnostics["converged"]
+
+
+def test_boundary_atom_gradient_matches_finite_differences():
+    # the optimizer's gradient at r = 3 (three levels, two interior nodes)
+    # on a law with an atom at 1, against central differences of the value
+    model = sk_model(0.5)
+    mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.3, 0.5), (1.0, 0.5)))
+    q = mu.moment(2)
+    x = np.array([0.2, 0.5, 0.8, q + 0.3 * (1.0 - q), q + 0.6 * (1.0 - q)])
+
+    def evaluate(x):
+        levels, nodes = _unpack(x, q)
+        return _evaluate(model, mu, nodes, levels, SolverConfig())
+
+    _, sol, starts = evaluate(x)
+    grad = _gradient(sol, mu, starts)
+    h = 1e-6
+    fd = [(evaluate(x + h * e)[0] - evaluate(x - h * e)[0]) / (2.0 * h)
+          for e in np.eye(x.size)]
+    np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("interval, atoms", [
+    ((-2.0, 2.0), ((-1.5, 0.5), (1.5, 0.5))),
+    ((0.0, 2.0), ((0.3, 0.5), (1.5, 0.5))),
+])
+def test_law_outside_unit_interval_raises(mixed_23, interval, atoms):
+    # no magnetization lies outside [-1, 1]; such a law used to fold to a
+    # "value" of 0.0 reported as converged
+    mu = DiscreteMeasure(interval=interval, atoms=atoms)
+    zeta = OrderParameter.delta_at(1.0, (0.0, 1.0))
+    with pytest.raises(ValueError, match="outside"):
+        tap_correction(sk_model(1.0), mu)
+    with pytest.raises(ValueError, match="outside"):
+        tap_with_zeta(mixed_23, mu, zeta)
+
+
+@pytest.mark.parametrize("r_atoms", [0, -2])
+def test_tap_correction_rejects_no_atoms(mixed_23, r_atoms):
+    mu = DiscreteMeasure.delta(0.3)
+    with pytest.raises(ValueError, match="r_atoms"):
+        tap_correction(mixed_23, mu, r_atoms=r_atoms)
 
 
 def test_tied_levels_stop_is_not_converged():
