@@ -50,16 +50,17 @@ def _sample(N: int, model: MixedModel, seed: int) -> disorder.DisorderSample:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig() if args.grid_step is None else SolverConfig(dx=args.grid_step)
+    try:
+        return SolverConfig(dx=args.grid_step)
+    except ValueError as e:
+        raise ConfigError(f"bad --grid-step: {e}") from e
 
 
-def _positive(kind):
-    """argparse type: a positive finite `kind` (--grid-step, --r-atoms)."""
-    def parse(text: str):
-        if not 0 < kind(text) < np.inf:
-            raise argparse.ArgumentTypeError(f"must be positive and finite: {text}")
-        return kind(text)
-    return parse
+def _positive_int(text: str) -> int:
+    """argparse type of --r-atoms: a positive integer."""
+    if int(text) <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text}")
+    return int(text)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -126,10 +127,10 @@ def cmd_rs_scan(args) -> int:
             raise ConfigError("mu = delta_1 has no band to scan")
         shifted = model.shift(q)
         grid = shifted.horizon * np.linspace(0.0, 1.0, args.n + 1)[1:]
-        curve = rs.big_gamma_curve(shifted, mu, grid)
-        rows = [(0.0, rs.gamma_mu(shifted, mu, 0.0), 0.0)]
-        rows += [(float(s), rs.gamma_mu(shifted, mu, float(s)), float(g))
-                 for s, g in zip(grid, curve)]
+        s = np.concatenate(([0.0], grid))
+        curve = np.concatenate(([0.0], rs.big_gamma_curve(shifted, mu, grid)))
+        rows = zip(s.tolist(), rs.gamma_mu(shifted, mu, s).tolist(),
+                   curve.tolist())
         _write_csv(out_dir / "gamma_curve.csv", ["s", "gamma_mu", "Gamma_mu"],
                    rows)
     beta_grid = _parse_grid(args.beta_grid)
@@ -232,12 +233,9 @@ def cmd_tap_solve(args) -> int:
     smpl = _sample(N, model, args.seed)
     rng = np.random.default_rng(args.seed + 1)
     m0 = rng.uniform(-0.5, 0.5, size=N)
-    if args.q is None:
-        # self-consistent sphere: free classical iteration fixes q
-        m0, q, _, _ = disorder.classical_tap_iteration(smpl, m0,
-                                                       damping=args.damping)
-    else:
-        q = args.q
+    # self-consistent sphere: free classical iteration fixes q
+    m0, q, _, _ = disorder.classical_tap_iteration(smpl, m0,
+                                                   damping=args.damping)
     zeta = OrderParameter.delta_at(q, (q, 1.0))   # RS start: CDF = 1 on [q,1]
     m, res, info = disorder.solve_tap_equations(smpl, q, zeta, m0,
                                                 damping=args.damping,
@@ -338,12 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--model", required=True, help="model spec JSON")
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=seed)
-        sp.add_argument("--grid-step", type=_positive(float), default=None)
+        sp.add_argument("--grid-step", type=float, default=SolverConfig.dx)
 
     sp = sub.add_parser("correction", help="TAP correction for a measure")
     common(sp, seed=None)   # no --seed: the optimizer's evenly spread start
     sp.add_argument("--mu", required=True, help="measure spec JSON")
-    sp.add_argument("--r-atoms", type=_positive(int), default=3)
+    sp.add_argument("--r-atoms", type=_positive_int, default=3)
     sp.set_defaults(func=cmd_correction)
 
     sp = sub.add_parser("rs-scan", help="Gamma curves and AT/Plefka tables")
@@ -365,18 +363,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tap-solve", help="TAP fixed points on sampled disorder")
     common(sp)
     sp.add_argument("--N", type=int, default=8)
-    sp.add_argument("--q", type=float, default=None,
-                    help="sphere radius; self-consistent when omitted")
     sp.add_argument("--eps", type=float, default=0.2)
     sp.add_argument("--delta", type=float, default=0.2)
     sp.add_argument("--damping", type=float, default=0.3)
     sp.add_argument("--steps", type=int, default=10)
-    sp.add_argument("--r-atoms", type=_positive(int), default=1)
+    sp.add_argument("--r-atoms", type=_positive_int, default=1)
     sp.set_defaults(func=cmd_tap_solve)
 
     sp = sub.add_parser("parisi", help="Parisi functional minimization")
     common(sp)
-    sp.add_argument("--r-atoms", type=_positive(int), default=3)
+    sp.add_argument("--r-atoms", type=_positive_int, default=3)
     sp.set_defaults(func=cmd_parisi)
 
     sp = sub.add_parser("check", help="fast property smoke test")

@@ -10,8 +10,6 @@ from functools import lru_cache
 
 import numpy as np
 
-SIMPSON_MAX_DEPTH = 24      # bisection depth cap of adaptive_simpson
-
 
 @lru_cache(maxsize=32)
 def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -96,32 +94,6 @@ def grid_derivative(f: np.ndarray, dx: float) -> np.ndarray:
     d[0] = (f[1] - f[0]) / dx
     d[-1] = (f[-1] - f[-2]) / dx
     return d
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
-    """Adaptive Simpson quadrature of a scalar function on [a, b]."""
-    if b <= a:
-        return 0.0
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        x1 = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + x1)
-        xr = 0.5 * (x1 + x2)
-        fl = f(xl)
-        fr = f(xr)
-        left = simpson(x0, x1, f0, fl, f1)
-        right = simpson(x1, x2, f1, fr, f2)
-        if depth >= SIMPSON_MAX_DEPTH or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(x0, x1, f0, fl, f1, left, eps / 2.0, depth + 1)
-                + recurse(x1, x2, f1, fr, f2, right, eps / 2.0, depth + 1))
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
 
 
 def project_monotone(z: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:

@@ -47,6 +47,12 @@ __all__ = [
 ]
 
 
+# Largest grid step: Phi varies on the unit scale of log cosh. At dx = 1/4
+# a value is off by ~1e-5 (xi = s^2 / 8); at dx = 1 by ~2e-3, and at
+# dx = 1e300 the grid has three points and the value is off by 0.12.
+MAX_GRID_STEP = 0.25
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Numerical knobs shared across the PDE-based functionals."""
@@ -57,8 +63,9 @@ class SolverConfig:
     x_pad: float = 0.0             # extra half-width on top of the auto rule
 
     def __post_init__(self):
-        if not 0.0 < self.dx < math.inf:
-            raise ValueError(f"grid step dx must be positive and finite: {self.dx}")
+        if not 0.0 < self.dx <= MAX_GRID_STEP:
+            raise ValueError(f"grid step dx must be in (0, {MAX_GRID_STEP}]: "
+                             f"{self.dx}")
 
     def with_pad(self, pad: float) -> "SolverConfig":
         return replace(self, x_pad=max(self.x_pad, pad))

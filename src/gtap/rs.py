@@ -28,7 +28,7 @@ import numpy as np
 
 from .measures import DiscreteMeasure, split_boundary
 from .model import MixedModel, ShiftedModel
-from .numerics import adaptive_simpson, gauss_hermite, log2cosh
+from .numerics import gauss_hermite, gauss_legendre, log2cosh
 
 __all__ = [
     "RsDiagnostics", "v_rs", "phi_band_rs", "gamma_mu", "big_gamma",
@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 GH_ORDER_RS = 60            # Gauss-Hermite order of gamma_mu
-GAMMA_TOL = 1e-11           # adaptive Simpson tolerance of the Gamma curve
+GAMMA_GL_ORDER = 12         # Gauss-Legendre nodes per piece of the Gamma curve
+GAMMA_PIECE = 1.0 / 32.0    # widest piece of the Gamma curve
 GAMMA_FD_STEP = 0.02        # finite-difference step of Gamma''(0), times 1-q
 RS_TOLERANCE = 1e-6         # largest sup Gamma and Gamma''(0) still called RS
 RS_GRID = 24                # Gamma samples of is_replica_symmetric
@@ -72,29 +73,29 @@ def phi_band_rs(shifted: ShiftedModel, a: float, s, x, deriv: int = 0):
     raise ValueError("deriv must be 0 or 1")
 
 
-def gamma_mu(shifted: ShiftedModel, mu: DiscreteMeasure, s: float) -> float:
-    """Gibbs-weighted mean of the squared RS slope at time s.
+def gamma_mu(shifted: ShiftedModel, mu: DiscreteMeasure, s):
+    """Gibbs-weighted mean of the squared RS slope at time s (scalar or array).
 
     gamma_mu(s) = int E[ (Phi_x(s, X_s))^2 ] dmu(a) for the RS control
     process started at v_RS(a); the Gaussian average over
     x = v_RS(a) + sqrt(xi_q'(s)) g is reweighted by exp(Phi(s, x)), the
     Cole-Hopf change of measure at level 1. Atoms of mu at 1 are excluded.
     """
-    if not 0.0 <= s <= shifted.horizon + 1e-12:
+    s = np.asarray(s, dtype=float)
+    if not np.all((s >= 0.0) & (s <= shifted.horizon + 1e-12)):
         raise ValueError("s outside [0, 1-q]")
     g, w = gauss_hermite(GH_ORDER_RS)
-    sd = math.sqrt(max(shifted.xi_q_prime(s), 0.0))
+    sd = np.sqrt(np.maximum(shifted.xi_q_prime(s), 0.0))[..., None]
     locs, wts, _ = split_boundary(mu)
-    total = 0.0
+    total = np.zeros(s.shape)
     for a, wt in zip(locs, wts):
         x = v_rs(shifted, a) + sd * g
-        logwt = phi_band_rs(shifted, a, s, x, deriv=0)
-        m = np.max(logwt)
-        gw = w * np.exp(logwt - m)
-        gw /= gw.sum()
-        slope = phi_band_rs(shifted, a, s, x, deriv=1)
-        total += wt * float(np.sum(gw * slope * slope))
-    return float(total)
+        logwt = phi_band_rs(shifted, a, s[..., None], x, deriv=0)
+        gw = w * np.exp(logwt - np.max(logwt, axis=-1, keepdims=True))
+        gw /= gw.sum(axis=-1, keepdims=True)
+        slope = phi_band_rs(shifted, a, s[..., None], x, deriv=1)
+        total += wt * np.sum(gw * slope * slope, axis=-1)
+    return total if total.ndim else float(total)
 
 
 def big_gamma(shifted: ShiftedModel, mu: DiscreteMeasure, s: float) -> float:
@@ -104,18 +105,24 @@ def big_gamma(shifted: ShiftedModel, mu: DiscreteMeasure, s: float) -> float:
 
 def big_gamma_curve(shifted: ShiftedModel, mu: DiscreteMeasure,
                     s_grid: np.ndarray) -> np.ndarray:
-    """Gamma_mu on an increasing grid, integrating segment by segment."""
+    """Gamma_mu on an increasing grid by one composite Gauss-Legendre rule.
 
-    def integrand(r):
-        return shifted.xi_q_double_prime(r) * (gamma_mu(shifted, mu, r) - r)
-
-    out = np.zeros(len(s_grid))
-    prev_s, acc = 0.0, 0.0
-    for i, s in enumerate(s_grid):
-        acc += adaptive_simpson(integrand, prev_s, float(s), tol=GAMMA_TOL)
-        out[i] = acc
-        prev_s = float(s)
-    return out
+    Each gap between consecutive grid points (from 0) is cut into equal
+    pieces no wider than GAMMA_PIECE, each with a GAMMA_GL_ORDER-point rule.
+    The integrand is analytic in s, so the rule is exact to rounding; one
+    gamma_mu call evaluates it at every node.
+    """
+    ends = np.concatenate(([0.0], np.asarray(s_grid, dtype=float)))
+    gaps = np.diff(ends)
+    n = np.maximum(np.ceil(gaps / GAMMA_PIECE), 1).astype(np.int64)
+    width = np.repeat(gaps / n, n)
+    last = np.cumsum(n)                   # one past each gap's last piece
+    lo = np.repeat(ends[:-1], n) \
+        + width * (np.arange(n.sum()) - np.repeat(last - n, n))
+    u, w = gauss_legendre(GAMMA_GL_ORDER)
+    r = lo[:, None] + width[:, None] * u
+    f = shifted.xi_q_double_prime(r) * (gamma_mu(shifted, mu, r) - r)
+    return np.cumsum(width * np.sum(f * w, axis=-1))[last - 1]
 
 
 def gamma_second_derivative(shifted: ShiftedModel, mu: DiscreteMeasure) -> float:

@@ -156,10 +156,34 @@ def test_bad_numeric_flags_exit_2(tmp_path, model_spec, command, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command",
+                         ["correction", "mc-verify", "tap-solve", "parisi"])
+@pytest.mark.parametrize("step", ["0.5", "1e300"])
+def test_coarse_grid_step_exits_2(tmp_path, model_spec, command, step):
+    # dx above pde.MAX_GRID_STEP is refused like a non-positive one
+    mu = write(tmp_path, "mu.json", {"interval": [0, 1], "atoms": [[0.3, 1.0]]})
+    extra = ["--mu", mu] if command == "correction" else []
+    out = tmp_path / "o"
+    rc = main([command, "--model", model_spec, *extra, "--out", str(out),
+               "--grid-step", step])
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_tap_solve_oversized_n_exits_2(tmp_path, model_spec):
     rc = main(["tap-solve", "--model", model_spec, "--N", "30",
                "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+def test_tap_solve_fixed_q_flag_is_gone(tmp_path, model_spec):
+    # q comes from the classical fixed point; a fixed sphere radius had no
+    # multiplier for |m|^2 = Nq and could not converge away from it
+    out = tmp_path / "o"
+    rc = main(["tap-solve", "--model", model_spec, "--q", "0.3",
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
 
 
 def test_parisi_with_field_exits_2(tmp_path):

@@ -165,7 +165,7 @@ def test_grid_too_small_raises(mixed_23):
         solve(mixed_23, zeta, SolverConfig(x_max=1.0))
 
 
-@pytest.mark.parametrize("dx", [0.0, -0.01, math.nan, math.inf])
+@pytest.mark.parametrize("dx", [0.0, -0.01, math.nan, math.inf, 0.5, 1e300])
 def test_nonpositive_grid_step_rejected(dx):
     with pytest.raises(ValueError, match="dx"):
         SolverConfig(dx=dx)

@@ -175,3 +175,43 @@ def test_gamma_curve_monotone_grid(mixed_23):
     curve = big_gamma_curve(sh, mu, grid)
     single = big_gamma(sh, mu, float(grid[-1]))
     assert curve[-1] == pytest.approx(single, abs=1e-10)
+
+
+def test_gamma_mu_array_matches_scalar_calls(mixed_23):
+    mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.1, 0.3), (0.5, 0.7)))
+    sh = mixed_23.shift(mu.moment(2))
+    s = np.linspace(0.0, sh.horizon, 17).reshape(17, 1)
+    arr = gamma_mu(sh, mu, s)
+    assert arr.shape == (17, 1)
+    scalar = [gamma_mu(sh, mu, float(x)) for x in s.ravel()]
+    assert all(isinstance(v, float) for v in scalar)
+    np.testing.assert_allclose(arr.ravel(), scalar, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [[0.1, math.nan], [-0.1, 0.2], [0.2, 2.0]])
+def test_gamma_mu_rejects_array_outside_band(mixed_23, bad):
+    mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.3, 1.0),))
+    sh = mixed_23.shift(mu.moment(2))
+    with pytest.raises(ValueError, match="outside"):
+        gamma_mu(sh, mu, np.array(bad))
+
+
+@pytest.mark.parametrize("atoms", [((0.3, 1.0),), ((0.1, 0.5), (0.6, 0.5))])
+def test_gamma_curve_vs_composite_simpson(atoms):
+    # direct summation oracle: composite Simpson on 4,000 uniform intervals
+    # of gamma_mu over [0, 1-q]; xi = 2 s^10 is steep enough that one
+    # Gauss-Legendre piece over the whole band misses by ~1e-5, which the
+    # one-point grid of big_gamma(1-q) would show without subdivision
+    model = MixedModel(coeffs_sq=(0.0,) * 9 + (2.0,))
+    mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=atoms)
+    sh = model.shift(mu.moment(2))
+    grid = sh.horizon * np.linspace(0.1, 1.0, 10)
+    r = np.linspace(0.0, sh.horizon, 4001)
+    f = sh.xi_q_double_prime(r) * (gamma_mu(sh, mu, r) - r)
+    simpson = np.concatenate(([0.0], np.cumsum(
+        (r[2::2] - r[:-2:2]) / 6.0 * (f[:-2:2] + 4.0 * f[1::2] + f[2::2]))))
+    # every grid point is a multiple of 400 intervals
+    oracle = simpson[np.rint(grid / sh.horizon * 2000).astype(int)]
+    assert np.max(np.abs(big_gamma_curve(sh, mu, grid) - oracle)) < 1e-10
+    assert big_gamma(sh, mu, sh.horizon) == pytest.approx(simpson[-1],
+                                                          abs=1e-10)
