@@ -35,7 +35,7 @@ print(f"\nsite-factorized estimate: {est['mean']:.5f} +- {est['se']:.5f}")
 print(f"band PDE integral:        {target:.5f}")
 print(f"agreement: {abs(est['mean'] - target) / est['se']:.2f} sigma")
 
-ups = upsilon(sh, zb)
-ums = upsilon_mc(casc, sh, zb, n_reps=500, seed=13)
+ups = upsilon(sh.mixture, zb)
+ums = upsilon_mc(casc, sh.mixture, zb, n_reps=500, seed=13)
 print(f"\ntheta-field functional: closed form {ups:.5f}, "
       f"Monte Carlo {ums['mean']:.5f} +- {ums['se']:.5f}")

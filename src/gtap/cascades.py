@@ -84,20 +84,21 @@ def sample_cascade(levels, K, seed: int = 0) -> CascadeSample:
         raise ValueError("need one truncation per level")
     if any(k < 2 for k in Ks):
         raise ValueError("truncation must keep at least 2 points per node")
-    rng = np.random.default_rng(seed)
-    if r == 0:
-        return CascadeSample(levels=(), K=(), weights=np.array([1.0]),
-                             seed=seed, coverage=())
-    w = np.array([1.0])
-    for p in range(r):
-        n_parents = w.size
-        pts = np.stack([_pd_points(levels[p], Ks[p], rng)
-                        for _ in range(n_parents)])
-        w = (w[:, None] * pts).ravel()
-    w = w / w.sum()
-    cov = tuple(_coverage_estimate(levels[p], Ks[p]) for p in range(r))
+    w = _leaf_weights(levels, Ks, seed)
+    cov = tuple(_coverage_estimate(l, k) for l, k in zip(levels, Ks))
     return CascadeSample(levels=levels, K=Ks, weights=w, seed=seed,
                          coverage=cov)
+
+
+def _leaf_weights(levels, Ks, seed: int) -> np.ndarray:
+    """Normalized leaf weights: the Ks[p] largest points at every node of
+    depth p, multiplied down the tree (one leaf of weight 1 without levels)."""
+    rng = np.random.default_rng(seed)
+    w = np.array([1.0])
+    for level, K in zip(levels, Ks):
+        pts = np.stack([_pd_points(level, K, rng) for _ in range(w.size)])
+        w = (w[:, None] * pts).ravel()
+    return w / w.sum()
 
 
 def zeta_to_cascade_params(zeta_band: OrderParameter, fprime) -> tuple[list[float], list[float]]:
@@ -163,13 +164,12 @@ def _replicates(cascade: CascadeSample, fprime_nodes, n_copies: int,
     vals = np.empty(n_reps)
     rng = np.random.default_rng(seed)
     for rep in range(n_reps):
+        w = cascade.weights
         if cascade.levels:
-            c = sample_cascade(cascade.levels, cascade.K,
-                               seed=int(rng.integers(2 ** 62)))
-        else:
-            c = cascade
-        g = sample_tree_field(c, fprime_nodes, n_copies, rng)
-        vals[rep] = float(logsumexp(np.log(c.weights) + log_leaf(g))) / norm
+            w = _leaf_weights(cascade.levels, cascade.K,
+                              int(rng.integers(2 ** 62)))
+        g = sample_tree_field(cascade, fprime_nodes, n_copies, rng)
+        vals[rep] = float(logsumexp(np.log(w) + log_leaf(g))) / norm
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0
     return mean, se
@@ -233,23 +233,16 @@ def psi_band(cascade: CascadeSample, fprime_nodes, m, eps: float,
             "band_size": int(T.shape[0])}
 
 
-def _theta_of(f):
-    """x f'(x) - f(x) for a MixedModel or a ShiftedModel."""
-    if hasattr(f, "theta_q"):
-        return f.theta_q
-    return f.theta
-
-
 def upsilon(f, zeta_band: OrderParameter) -> float:
-    """(1/2) int zeta(s) s f''(s) ds, exactly (antiderivative x f' - f)."""
-    return 0.5 * zeta_band.integral_against(_theta_of(f))
+    """(1/2) int zeta(s) s f''(s) ds, exactly (antiderivative x f' - f), for
+    a MixedModel f; in band coordinates f is `ShiftedModel.mixture`."""
+    return 0.5 * zeta_band.integral_against(f.theta)
 
 
 def upsilon_mc(cascade: CascadeSample, f, zeta_band: OrderParameter,
                n_reps: int = 400, seed: int = 2) -> dict:
     """E log sum_alpha v_alpha exp g_{theta_f}(alpha), by resampling."""
-    theta = _theta_of(f)
-    levels, theta_nodes = zeta_to_cascade_params(zeta_band, theta)
+    levels, theta_nodes = zeta_to_cascade_params(zeta_band, f.theta)
     if tuple(levels) != cascade.levels:
         raise ValueError("cascade levels do not match the order parameter")
     mean, se = _replicates(cascade, theta_nodes, 1, lambda g: g[0], n_reps,

@@ -19,8 +19,8 @@ import numpy as np
 from . import cascades, disorder, rs, tap
 from .measures import DiscreteMeasure, OrderParameter, empirical, fold_law
 from .model import MixedModel, sk_model
-from .pde import SolverConfig, parisi_functional, parisi_measure, \
-    second_derivative_identity, solve
+from .pde import MAX_GRID_STEP, SolverConfig, parisi_functional, \
+    parisi_measure, second_derivative_identity, solve
 
 
 class ConfigError(Exception):
@@ -30,7 +30,7 @@ class ConfigError(Exception):
 def _load_model(path: str) -> MixedModel:
     try:
         return MixedModel.from_json(Path(path).read_text())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError, TypeError) as e:
         raise ConfigError(f"bad model spec {path}: {e}") from e
 
 
@@ -38,7 +38,7 @@ def _load_measure(path: str) -> DiscreteMeasure:
     """The folded law of the spec: magnetizations a -> |a| on [0, 1]."""
     try:
         return fold_law(DiscreteMeasure.from_json(Path(path).read_text()))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError, TypeError) as e:
         raise ConfigError(f"bad measure spec {path}: {e}") from e
 
 
@@ -49,18 +49,28 @@ def _sample(N: int, model: MixedModel, seed: int) -> disorder.DisorderSample:
         raise ConfigError(f"bad --N {N}: {e}") from e
 
 
-def _solver_config(args) -> SolverConfig:
-    try:
-        return SolverConfig(dx=args.grid_step)
-    except ValueError as e:
-        raise ConfigError(f"bad --grid-step: {e}") from e
+def _bounded(cast, lo: float, hi: float = np.inf, open_lo: bool = False):
+    """argparse type: a finite `cast` number in [lo, hi] ((lo, hi] when
+    open_lo), so a flag outside its domain exits 2 before any work."""
+    def parse(text: str):
+        x = cast(text)
+        above = lo < x if open_lo else lo <= x
+        if not (np.isfinite(x) and above and x <= hi):
+            raise argparse.ArgumentTypeError(
+                f"must lie in {'(' if open_lo else '['}{lo}, {hi}]: {text}")
+        return x
+    parse.__name__ = cast.__name__    # argparse names the type on a bad cast
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of --r-atoms: a positive integer."""
-    if int(text) <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text}")
-    return int(text)
+def _grid(value):
+    """argparse type of a lo:hi:n grid: n >= 1 points, both ends `value`s."""
+    def parse(text: str) -> list[float]:
+        lo, hi, n = text.split(":")
+        return [float(v) for v in np.linspace(value(lo), value(hi),
+                                              _bounded(int, 1)(n))]
+    parse.__name__ = "lo:hi:n grid"
+    return parse
 
 
 def _write_json(path: Path, obj) -> None:
@@ -94,7 +104,7 @@ def _zeta_json(zeta) -> dict:
 def cmd_correction(args) -> int:
     model = _load_model(args.model)
     mu = _load_measure(args.mu)
-    cfg = _solver_config(args)
+    cfg = SolverConfig(dx=args.grid_step)
     res = tap.tap_correction(model, mu, r_atoms=args.r_atoms, config=cfg,
                              seed=args.seed)
     out = {
@@ -133,11 +143,9 @@ def cmd_rs_scan(args) -> int:
                    curve.tolist())
         _write_csv(out_dir / "gamma_curve.csv", ["s", "gamma_mu", "Gamma_mu"],
                    rows)
-    beta_grid = _parse_grid(args.beta_grid)
-    h_grid = _parse_grid(args.h_grid)
     rows = []
-    for beta in beta_grid:
-        for h in h_grid:
+    for beta in args.beta_grid:
+        for h in args.h_grid:
             r = rs.at_line_scan(beta, h)
             rows.append((beta, h, r["q"], r["at_value"], r["plefka_lhs"],
                          int(r["at_ok"]), int(r["plefka_ok"]),
@@ -148,17 +156,9 @@ def cmd_rs_scan(args) -> int:
     return 0
 
 
-def _parse_grid(spec: str) -> list[float]:
-    try:
-        lo, hi, n = spec.split(":")
-        return [float(v) for v in np.linspace(float(lo), float(hi), int(n))]
-    except ValueError as e:
-        raise ConfigError(f"bad grid spec {spec!r}; use lo:hi:n") from e
-
-
 def cmd_mc_verify(args) -> int:
     model = _load_model(args.model)
-    cfg = _solver_config(args)
+    cfg = SolverConfig(dx=args.grid_step)
     seed = args.seed
     checks = []
 
@@ -189,9 +189,9 @@ def cmd_mc_verify(args) -> int:
                    "estimate": est["mean"], "target": target, "se": est["se"]})
 
     # cascade closed form for the theta-field functional
-    ups = cascades.upsilon(shifted, zb)
-    ups_mc = cascades.upsilon_mc(casc, shifted, zb, n_reps=2 * args.reps,
-                                 seed=seed + 2)
+    ups = cascades.upsilon(shifted.mixture, zb)
+    ups_mc = cascades.upsilon_mc(casc, shifted.mixture, zb,
+                                 n_reps=2 * args.reps, seed=seed + 2)
     checks.append({"check": "upsilon_closed_form",
                    "pass": bool(abs(ups_mc["mean"] - ups) <= 3.0 * ups_mc["se"]),
                    "estimate": ups_mc["mean"], "target": ups,
@@ -228,7 +228,7 @@ def cmd_mc_verify(args) -> int:
 
 def cmd_tap_solve(args) -> int:
     model = _load_model(args.model)
-    cfg = _solver_config(args)
+    cfg = SolverConfig(dx=args.grid_step)
     N = args.N
     smpl = _sample(N, model, args.seed)
     rng = np.random.default_rng(args.seed + 1)
@@ -269,7 +269,7 @@ def cmd_parisi(args) -> int:
     model = _load_model(args.model)
     if model.external_field_h != 0.0:
         raise ConfigError("parisi needs a model without external field h")
-    cfg = _solver_config(args)
+    cfg = SolverConfig(dx=args.grid_step)
     zeta, info = parisi_measure(model, r_atoms=args.r_atoms, config=cfg,
                                 seed=args.seed)
     out = {"value": info["value"], "measure": _zeta_json(zeta),
@@ -331,48 +331,53 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gtap",
                                 description="generalized TAP free energy toolkit")
     sub = p.add_subparsers(dest="command", required=True)
+    count, positive = _bounded(int, 1), _bounded(float, 0.0, open_lo=True)
+    n_band = _bounded(int, 1, 14)   # tap_Nn's n = 2 band: 2^(2N) <= 2^28 pairs
 
     def common(sp, seed=0):
         sp.add_argument("--model", required=True, help="model spec JSON")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--seed", type=int, default=seed)
-        sp.add_argument("--grid-step", type=float, default=SolverConfig.dx)
+        sp.add_argument("--seed", type=_bounded(int, 0), default=seed)
+        sp.add_argument("--grid-step", default=SolverConfig.dx,
+                        type=_bounded(float, 0.0, MAX_GRID_STEP, open_lo=True))
 
     sp = sub.add_parser("correction", help="TAP correction for a measure")
     common(sp, seed=None)   # no --seed: the optimizer's evenly spread start
     sp.add_argument("--mu", required=True, help="measure spec JSON")
-    sp.add_argument("--r-atoms", type=_positive_int, default=3)
+    sp.add_argument("--r-atoms", type=count, default=3)
     sp.set_defaults(func=cmd_correction)
 
     sp = sub.add_parser("rs-scan", help="Gamma curves and AT/Plefka tables")
     sp.add_argument("--model", default=None)
     sp.add_argument("--mu", default=None)
     sp.add_argument("--out", default="out")
-    sp.add_argument("--n", type=int, default=24, help="Gamma grid points")
-    sp.add_argument("--beta-grid", default="0.5:1.5:5", dest="beta_grid")
-    sp.add_argument("--h-grid", default="0.1:0.5:3", dest="h_grid")
+    sp.add_argument("--n", type=count, default=24, help="Gamma grid points")
+    sp.add_argument("--beta-grid", type=_grid(positive), default="0.5:1.5:5")
+    sp.add_argument("--h-grid", type=_grid(_bounded(float, 0.0)),
+                    default="0.1:0.5:3")
     sp.set_defaults(func=cmd_rs_scan)
 
     sp = sub.add_parser("mc-verify", help="Monte-Carlo identity checks")
     common(sp)
-    sp.add_argument("--paths", type=int, default=20000)
-    sp.add_argument("--reps", type=int, default=120)
-    sp.add_argument("--N", type=int, default=10)
+    sp.add_argument("--paths", type=_bounded(int, 3), default=20000)
+    sp.add_argument("--reps", type=_bounded(int, 2), default=120)
+    sp.add_argument("--N", type=n_band, default=10)
     sp.set_defaults(func=cmd_mc_verify)
 
     sp = sub.add_parser("tap-solve", help="TAP fixed points on sampled disorder")
     common(sp)
-    sp.add_argument("--N", type=int, default=8)
-    sp.add_argument("--eps", type=float, default=0.2)
-    sp.add_argument("--delta", type=float, default=0.2)
-    sp.add_argument("--damping", type=float, default=0.3)
-    sp.add_argument("--steps", type=int, default=10)
-    sp.add_argument("--r-atoms", type=_positive_int, default=1)
+    sp.add_argument("--N", type=n_band, default=8)
+    sp.add_argument("--eps", type=positive, default=0.2)
+    sp.add_argument("--delta", type=positive, default=0.2)
+    sp.add_argument("--damping", type=_bounded(float, 0.0, 1.0, open_lo=True),
+                    default=0.3)
+    sp.add_argument("--steps", type=_bounded(int, 0), default=10)
+    sp.add_argument("--r-atoms", type=count, default=1)
     sp.set_defaults(func=cmd_tap_solve)
 
     sp = sub.add_parser("parisi", help="Parisi functional minimization")
     common(sp)
-    sp.add_argument("--r-atoms", type=_positive_int, default=3)
+    sp.add_argument("--r-atoms", type=count, default=3)
     sp.set_defaults(func=cmd_parisi)
 
     sp = sub.add_parser("check", help="fast property smoke test")

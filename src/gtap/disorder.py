@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import OrderParameter, empirical, restrict_zeta
+from .measures import (BOUNDARY_ATOM_TOL, OrderParameter, empirical,
+                       restrict_zeta)
 from .model import MixedModel
 from .numerics import logsumexp
 from .pde import DEFAULT_CONFIG, SolverConfig
@@ -82,8 +83,8 @@ class DisorderSample:
 
 def sample(N: int, model: MixedModel, seed: int) -> DisorderSample:
     """Draw the coefficient tensors; deterministic given the seed."""
-    if N > N_MAX:
-        raise ValueError(f"N={N} exceeds the enumeration-friendly cap {N_MAX}")
+    if not 1 <= N <= N_MAX:
+        raise ValueError(f"N={N} outside the enumeration-friendly [1, {N_MAX}]")
     active = [p for p in range(1, model.p_max + 1) if model.coeffs_sq[p - 1] > 0]
     budget = sum(N ** p for p in active)
     if budget > TENSOR_BUDGET:
@@ -318,7 +319,8 @@ def grad_tap(model: MixedModel, m, r_atoms: int = 2,
 
     Equals -(1/N) (psi_bar(q, m_i, zeta_m) + m_i xi''(q) int_q^1 zeta_m(s) ds)
     with zeta_m the minimizing order parameter of TAP(mu_|m|); psi_bar is odd
-    in its magnetization argument, so signed coordinates work directly.
+    in its magnetization argument, so signed coordinates work directly. It
+    comes from the minimizer's solve, re-solved wider for a boundary atom.
     """
     m = np.asarray(m, dtype=float)
     if np.any(np.abs(m) >= 1.0):
@@ -330,7 +332,9 @@ def grad_tap(model: MixedModel, m, r_atoms: int = 2,
                             with_representation=False, with_certificate=False)
     zeta_m = result.minimizer_zeta
     a_max = float(np.max(np.abs(m)))
-    sol = _orig_solution(model, q, zeta_m, config, a_max=a_max)
+    sol = result.solution
+    if a_max >= 1.0 - BOUNDARY_ATOM_TOL:
+        sol = _orig_solution(model, q, zeta_m, config, a_max=a_max)
     psi_vals = np.array([sol.inverse_phi_x(sol.t0, a) for a in m])
     int_zeta = restrict_zeta(zeta_m, q).integral()
     grad = -(psi_vals + m * model.xi_double_prime(q) * int_zeta) / N
@@ -355,16 +359,15 @@ def tap_ascent(smpl: DisorderSample, q: float, steps: int = 30,
 
     def objective(mv):
         g_tap, res = grad_tap(smpl.model, mv, r_atoms=r_atoms, config=config)
-        val = smpl.energy(mv) / N + res.value
-        return val, g_tap
+        grad = smpl.gradient(mv) / N + g_tap
+        if q > 0:
+            grad = grad - (grad @ mv) / (N * q) * mv
+        return smpl.energy(mv) / N + res.value, grad
 
-    val, g_tap = objective(m)
+    val, grad = objective(m)
     traj = [{"step": 0, "value": val}]
     eta = ASCENT_STEP
     for k in range(1, steps + 1):
-        grad = smpl.gradient(m) / N + g_tap
-        if q > 0:
-            grad = grad - (grad @ m) / (N * q) * m
         moved = False
         while eta > 1e-8:
             m_try = m + eta * grad
@@ -373,7 +376,7 @@ def tap_ascent(smpl: DisorderSample, q: float, steps: int = 30,
             m_try = np.clip(m_try, -1 + 1e-9, 1 - 1e-9)
             v_try, g_try = objective(m_try)
             if v_try >= val - 1e-12:
-                m, val, g_tap = m_try, v_try, g_try
+                m, val, grad = m_try, v_try, g_try
                 moved = True
                 eta = min(eta * 1.5, 4.0)
                 break

@@ -38,6 +38,8 @@ class DiscreteMeasure:
         wts = [float(w) for _, w in self.atoms]
         if len(locs) == 0:
             raise ValueError("measure needs at least one atom")
+        if not np.all(np.isfinite([a, b, *locs, *wts])):
+            raise ValueError("interval ends, locations and weights must be finite")
         merged: list[list[float]] = []
         for x, w in sorted(zip(locs, wts)):
             if w <= 0:

@@ -36,6 +36,8 @@ class MixedModel:
 
     def __post_init__(self):
         c = tuple(float(b) for b in self.coeffs_sq)
+        if not all(map(math.isfinite, c + (self.external_field_h,))):
+            raise ValueError("coefficients beta_p^2 and field h must be finite")
         if any(b < 0 for b in c):
             raise ValueError("coefficients beta_p^2 must be nonnegative")
         object.__setattr__(self, "coeffs_sq", c)
@@ -67,7 +69,6 @@ class MixedModel:
 
     def theta(self, x):
         """x xi'(x) - xi(x); its derivative is x xi''(x)."""
-        _check_domain(x)
         x = np.asarray(x, dtype=float)
         out = x * self.xi_prime(x) - self.xi(x)
         return out if out.ndim else float(out)
@@ -94,22 +95,23 @@ class MixedModel:
 
 @dataclass(frozen=True)
 class ShiftedModel:
-    """Model re-centered at self-overlap q, living on [0, 1 - q]."""
+    """Model re-centered at self-overlap q, living on [0, 1 - q]. xi_q is
+    itself a mixed p-spin mixture, `mixture`, with coefficients beta_k(q)^2
+    for k >= 2; the evaluators below delegate to it."""
 
     base: MixedModel
     q: float
     coeffs_sq_shifted: tuple[float, ...] = field(init=False)
+    mixture: MixedModel = field(init=False)
 
     def __post_init__(self):
-        base, q = self.base, self.q
-        coeffs = []
-        for k in range(1, base.p_max + 1):
-            bk = sum(
-                math.comb(p, k) * base.coeffs_sq[p - 1] * q ** (p - k)
-                for p in range(k, base.p_max + 1)
-            )
-            coeffs.append(bk)
-        object.__setattr__(self, "coeffs_sq_shifted", tuple(coeffs))
+        c, q = self.base.coeffs_sq, self.q
+        coeffs = tuple(sum(math.comb(p, k) * c[p - 1] * q ** (p - k)
+                           for p in range(k, len(c) + 1))
+                       for k in range(1, len(c) + 1))
+        object.__setattr__(self, "coeffs_sq_shifted", coeffs)
+        object.__setattr__(self, "mixture",
+                           MixedModel(coeffs_sq=(0.0, *coeffs[1:])))
 
     @property
     def horizon(self) -> float:
@@ -123,34 +125,28 @@ class ShiftedModel:
             return 0.0
         return self.coeffs_sq_shifted[k - 1]
 
+    def _checked(self, s):
+        """s, once s + q is known to lie in [-1, 1], the base model's domain."""
+        _check_domain(np.asarray(s, dtype=float) + self.q)
+        return s
+
     def xi_hat(self, s):
         """xi(s + q) - xi(q): full re-centered mixture with linear term."""
-        s = np.asarray(s, dtype=float)
-        out = np.asarray(self.base.xi(s + self.q) - self.base.xi(self.q))
-        return out if out.ndim else float(out)
+        return self.xi_q(s) + self.beta_k_sq(1) * np.asarray(s, dtype=float)
 
     def xi_q(self, s):
         """xi(s + q) - xi(q) - xi'(q) s: linear term removed."""
-        s = np.asarray(s, dtype=float)
-        out = np.asarray(self.xi_hat(s) - self.base.xi_prime(self.q) * s)
-        return out if out.ndim else float(out)
+        return self.mixture.xi(self._checked(s))
 
     def xi_q_prime(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.asarray(self.base.xi_prime(s + self.q)
-                         - self.base.xi_prime(self.q))
-        return out if out.ndim else float(out)
+        return self.mixture.xi_prime(self._checked(s))
 
     def xi_q_double_prime(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.asarray(self.base.xi_double_prime(s + self.q))
-        return out if out.ndim else float(out)
+        return self.mixture.xi_double_prime(self._checked(s))
 
     def theta_q(self, s):
         """s xi_q'(s) - xi_q(s): antiderivative of s xi_q''(s)."""
-        s = np.asarray(s, dtype=float)
-        out = np.asarray(s * self.xi_q_prime(s) - self.xi_q(s))
-        return out if out.ndim else float(out)
+        return self.mixture.theta(self._checked(s))
 
 
 def sk_model(beta: float, h: float = 0.0, convention: str = "half") -> MixedModel:

@@ -103,17 +103,12 @@ class Frame:
         return linear_eval(self.x0, self.dx, self.phi_xxx, x)
 
 
-def _boundary_frame(kind: str, a: float, x: np.ndarray) -> Frame:
+def _boundary_frame(a: float, x: np.ndarray) -> Frame:
+    """The boundary log 2cosh x - a x and its x-derivatives."""
     th = np.tanh(x)
     sech2 = 1.0 - th * th
-    phi = log2cosh(x)
-    if kind == "band":
-        phi = phi - a * x
-        phi_x = th - a
-    else:
-        phi_x = th.copy()
     return Frame(float(x[0]), float(x[1] - x[0]),
-                 phi, phi_x, sech2, -2.0 * th * sech2)
+                 log2cosh(x) - a * x, th - a, sech2, -2.0 * th * sech2)
 
 
 def _exp_tail(y: np.ndarray) -> np.ndarray:
@@ -231,19 +226,16 @@ def _gibbs_step(upper: Frame, layer: _Layer | None) -> Frame:
 class PDESolution:
     """Layered solution of a Parisi PDE with an atomic order parameter.
 
-    Attributes of note: `x_grid`, the uniform evaluation grid; `nodes` and
-    `levels`, the piecewise-constant CDF of zeta; `boundary` in
-    {"original", "band"}; `a`, the band tilt (0 for the original boundary).
+    Attributes of note: `mixture`, the xi of the equation (the shifted
+    mixture xi_q for a band solve); `x_grid`, the uniform evaluation grid;
+    `nodes` and `levels`, the piecewise-constant CDF of zeta; `a`, the tilt
+    of the boundary log 2cosh x - a x (0 for the original boundary).
     """
 
-    def __init__(self, *, sp, spp, int_sp, interval, nodes, levels,
-                 boundary: str, a: float, config: SolverConfig,
-                 zeta: OrderParameter | None = None):
-        self.sp = sp            # xi'(t) along the solve interval
-        self.spp = spp          # xi''(t)
-        self.int_sp = int_sp    # xi(t): antiderivative of sp
+    def __init__(self, mixture: MixedModel, interval, nodes, levels, a: float,
+                 config: SolverConfig, zeta: OrderParameter | None = None):
+        self.mixture = mixture
         self.zeta = zeta        # measure form, when constructed from one
-        self.boundary = boundary
         self.a = float(a)
         self.config = config
         t0, t1 = interval
@@ -256,7 +248,8 @@ class PDESolution:
             raise ValueError("nodes and levels must be nondecreasing")
         if np.any(self.levels < -1e-12) or np.any(self.levels > 1.0 + 1e-12):
             raise ValueError("levels must lie in [0, 1]")
-        var_total = max(self.sp(self.t1) - self.sp(self.t0), 0.0)
+        sp = mixture.xi_prime
+        var_total = max(sp(self.t1) - sp(self.t0), 0.0)
         if config.x_max is not None:
             x_max = config.x_max + config.x_pad
         else:
@@ -285,7 +278,8 @@ class PDESolution:
         """Solved frame at t_hi and the kernel of the layer down to t_lo
         (None when the layer has no width)."""
         upper = self._frames[self._key(t_hi)]
-        sigma = math.sqrt(max(self.sp(t_hi) - self.sp(t_lo), 0.0))
+        sp = self.mixture.xi_prime
+        sigma = math.sqrt(max(sp(t_hi) - sp(t_lo), 0.0))
         if sigma <= 1e-14:
             return upper, None
         return upper, _Layer(upper, sigma, level, self.x_grid, self.config)
@@ -297,8 +291,7 @@ class PDESolution:
         return self._layer(t_up, float(t), self._level_at(t))
 
     def _solve(self) -> None:
-        self._frames[self._key(self.t1)] = _boundary_frame(
-            self.boundary, self.a, self.x_grid)
+        self._frames[self._key(self.t1)] = _boundary_frame(self.a, self.x_grid)
         for p in range(len(self.levels) - 1, -1, -1):
             t_lo = float(self.nodes[p])
             upper, layer = self._layer(float(self.nodes[p + 1]), t_lo,
@@ -373,13 +366,14 @@ class PDESolution:
 
     def int_xi_pp_zeta(self) -> float:
         """Integral of xi''(s) zeta(s) ds over [t0, t1]."""
-        return float(np.sum(self.levels * np.diff(self.sp(self.nodes))))
+        return float(np.sum(self.levels
+                            * np.diff(self.mixture.xi_prime(self.nodes))))
 
     def int_s_xi_pp_zeta(self) -> float:
         """Integral of s xi''(s) zeta(s) ds over [t0, t1], via the exact
-        antiderivative s xi'(s) - xi(s) of s xi''(s)."""
-        theta = self.nodes * self.sp(self.nodes) - self.int_sp(self.nodes)
-        return float(np.sum(self.levels * np.diff(theta)))
+        antiderivative theta = s xi'(s) - xi(s) of s xi''(s)."""
+        return float(np.sum(self.levels
+                            * np.diff(self.mixture.theta(self.nodes))))
 
     # -- sensitivities in the levels and nodes --------------------------------
 
@@ -406,7 +400,8 @@ class PDESolution:
                 s_p = float(self.nodes[p])
                 jump = float(self.levels[p] - self.levels[p - 1])
                 ux = self._frames[self._key(s_p)].phi_x
-                sens[r - 1 + p] = -0.5 * self.spp(s_p) * jump * ux * ux
+                sens[r - 1 + p] = (-0.5 * self.mixture.xi_double_prime(s_p)
+                                   * jump * ux * ux)
         return np.stack([sens[k] for k in range(2 * r - 1)])
 
     # -- pathwise expectations -------------------------------------------------
@@ -453,17 +448,14 @@ class PDESolution:
         return self.path_expectation(s, fr.phi_x ** 2, x_start)
 
 
-
 def solve(model: MixedModel, zeta: OrderParameter,
           config: SolverConfig = DEFAULT_CONFIG) -> PDESolution:
     """Original-boundary Parisi PDE on zeta.interval (inside [0, 1])."""
     t0, t1 = zeta.interval
     if t0 < -1e-12 or t1 > 1.0 + 1e-12:
         raise ValueError("original-boundary solve needs an interval inside [0, 1]")
-    return PDESolution(sp=model.xi_prime, spp=model.xi_double_prime,
-                       int_sp=model.xi, interval=zeta.interval,
-                       nodes=zeta.nodes, levels=zeta.levels, zeta=zeta,
-                       boundary="original", a=0.0, config=config)
+    return PDESolution(model, zeta.interval, zeta.nodes, zeta.levels, 0.0,
+                       config, zeta)
 
 
 def solve_steps(model: MixedModel, interval, nodes, levels,
@@ -473,10 +465,7 @@ def solve_steps(model: MixedModel, interval, nodes, levels,
     Unlike `solve`, zero-mass pieces are kept, which preserves the slot
     structure needed by level_gradients during optimization.
     """
-    return PDESolution(sp=model.xi_prime, spp=model.xi_double_prime,
-                       int_sp=model.xi, interval=interval, nodes=nodes,
-                       levels=levels, boundary="original", a=0.0,
-                       config=config)
+    return PDESolution(model, interval, nodes, levels, 0.0, config)
 
 
 def solve_band(shifted: ShiftedModel, a: float, zeta: OrderParameter,
@@ -485,10 +474,8 @@ def solve_band(shifted: ShiftedModel, a: float, zeta: OrderParameter,
     t0, t1 = zeta.interval
     if abs(t0) > 1e-12 or t1 > shifted.horizon + 1e-9:
         raise ValueError("band solve requires zeta on [0, 1-q]")
-    return PDESolution(sp=shifted.xi_q_prime, spp=shifted.xi_q_double_prime,
-                       int_sp=shifted.xi_q, interval=zeta.interval,
-                       nodes=zeta.nodes, levels=zeta.levels, zeta=zeta,
-                       boundary="band", a=float(a), config=config)
+    return PDESolution(shifted.mixture, zeta.interval, zeta.nodes, zeta.levels,
+                       a, config, zeta)
 
 
 def unify(original_sol: PDESolution, a: float, x):
@@ -497,8 +484,8 @@ def unify(original_sol: PDESolution, a: float, x):
     With I = int_{t0}^{t1} xi'' zeta ds, the band solution with tilt a and
     shifted order parameter equals Phi(t0, x - a I) - a x + (a^2/2) I.
     """
-    if original_sol.boundary != "original":
-        raise ValueError("unify expects an original-boundary solution")
+    if original_sol.a != 0.0:
+        raise ValueError("unify expects an untilted (original-boundary) solution")
     I = original_sol.int_xi_pp_zeta()
     x = np.asarray(x, dtype=float)
     return original_sol.phi(original_sol.t0, x - a * I) - a * x + 0.5 * a * a * I
@@ -537,12 +524,13 @@ def simulate_control(sol: PDESolution, x0: float, n_paths: int,
         measure(float(grid[0]), X)
     xlim = float(sol.x_grid[-1]) - 0.5
     x0g, dxg = float(sol.x_grid[0]), sol.config.dx
+    sp, spp = sol.mixture.xi_prime, sol.mixture.xi_double_prime
     for k in range(len(grid) - 1):
         t, t_next = float(grid[k]), float(grid[k + 1])
         dt = t_next - t    # > 0: the grid is strictly increasing
         slope = linear_eval(x0g, dxg, sol.phi_x_table(t), X)
-        drift = sol.spp(t) * sol._level_at(t) * slope
-        sig = math.sqrt(max(sol.sp(t_next) - sol.sp(t), 0.0))
+        drift = spp(t) * sol._level_at(t) * slope
+        sig = math.sqrt(max(sp(t_next) - sp(t), 0.0))
         z = rng.standard_normal(half)
         z = np.concatenate([z, -z])
         X = X + drift * dt + sig * z

@@ -19,7 +19,7 @@ solver (`PDESolution.level_gradients`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -233,11 +233,12 @@ def _gradient(sol: PDESolution, mu: DiscreteMeasure,
                      for row in sol.level_gradients()])
     # explicit terms of the boundary atoms' (1/2) int xi'' zeta and of
     # -(1/2) int s xi'' zeta, whose antiderivative is s xi'(s) - xi(s)
-    r, sp = levels.size, sol.sp(nodes)
-    theta = nodes * sp - sol.int_sp(nodes)
-    grad[:r] += 0.5 * (edge * np.diff(sp) - np.diff(theta))
+    r, mix = levels.size, sol.mixture
+    grad[:r] += 0.5 * (edge * np.diff(mix.xi_prime(nodes))
+                       - np.diff(mix.theta(nodes)))
     inner = nodes[1:r]
-    grad[r:] -= 0.5 * sol.spp(inner) * np.diff(levels) * (edge - inner)
+    grad[r:] -= (0.5 * mix.xi_double_prime(inner) * np.diff(levels)
+                 * (edge - inner))
     return grad
 
 
@@ -349,12 +350,15 @@ def _optimize(model, mu, x: np.ndarray, q: float,
 
 @dataclass(frozen=True)
 class TapResult:
-    """Outcome of the TAP correction minimization."""
+    """Outcome of the TAP correction minimization. `solution` is the
+    original-boundary solve of the minimizer (None when q = 1)."""
 
     value: float
     minimizer_zeta: OrderParameter
     q: float
     diagnostics: dict
+    solution: PDESolution | None = dataclass_field(default=None, repr=False,
+                                                   compare=False)
 
 
 def _band_runs(field: EffectiveField, v, locs, wts):
@@ -493,7 +497,7 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
         diagnostics["pbar_value"] = pbar
         diagnostics["representation_gap"] = abs(pbar - val)
     return TapResult(value=float(val), minimizer_zeta=zeta, q=q,
-                     diagnostics=diagnostics)
+                     diagnostics=diagnostics, solution=sol)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from gtap.cascades import (psi_band, psi_full, sample_cascade,
                            zeta_to_cascade_params)
 from gtap.measures import DiscreteMeasure, OrderParameter
 from gtap.model import MixedModel, pure_p_model
+from gtap.numerics import logsumexp
 from gtap.tap import band_functional
 
 
@@ -182,3 +183,28 @@ def test_truncation_monotone_in_K():
     assert means[0][0] <= means[2][0] + 3 * (means[0][1] + means[2][1])
     assert sample_cascade(levels, 50, seed=29).coverage[0] < \
         sample_cascade(levels, 4000, seed=29).coverage[0]
+
+
+def test_replicates_skip_the_coverage_estimate(monkeypatch):
+    # each replicate redraws only the weights; the coverage of a cascade it
+    # never returns is not computed, and the draws are those of
+    # sample_cascade at the replicate's seed
+    from gtap import cascades
+    f = MixedModel(coeffs_sq=(0.0, 0.9))
+    zb = OrderParameter.from_atoms((0.0, 1.0), [(0.0, 0.5), (1.0, 0.5)])
+    levels, theta_nodes = zeta_to_cascade_params(zb, f.theta)
+    c = sample_cascade(levels, 300, seed=19)
+    calls = []
+    estimate = cascades._coverage_estimate
+    monkeypatch.setattr(cascades, "_coverage_estimate",
+                        lambda *a: calls.append(a) or estimate(*a))
+    out = upsilon_mc(c, f, zb, n_reps=50, seed=23)
+    assert calls == []
+    monkeypatch.undo()
+    rng = np.random.default_rng(23)
+    vals = []
+    for _ in range(50):
+        c_rep = sample_cascade(levels, 300, seed=int(rng.integers(2 ** 62)))
+        g = sample_tree_field(c_rep, theta_nodes, 1, rng)
+        vals.append(float(logsumexp(np.log(c_rep.weights) + g[0])))
+    assert out["mean"] == float(np.mean(vals))

@@ -234,3 +234,78 @@ def test_mc_verify_command(tmp_path, model_spec):
     assert {"sde_second_derivative", "cascade_band_integral",
             "upsilon_closed_form", "band_chain_inequality"} <= names
     assert rc == 0
+
+
+SPEC_COMMANDS = ["correction", "rs-scan", "mc-verify", "tap-solve", "parisi"]
+
+
+def run_with_specs(tmp_path, command, model_text, mu_text):
+    model = tmp_path / "model.json"
+    model.write_text(model_text)
+    mu = tmp_path / "mu.json"
+    mu.write_text(mu_text)
+    extra = ["--mu", str(mu)] if command in ("correction", "rs-scan") else []
+    out = tmp_path / "o"
+    rc = main([command, "--model", str(model), *extra, "--out", str(out)])
+    return rc, out
+
+
+GOOD_MU = '{"interval": [0, 1], "atoms": [[0.3, 1.0]]}'
+
+
+@pytest.mark.parametrize("model_text", [
+    '{"coeffs_sq": [0, NaN]}', '{"coeffs_sq": [0, Infinity], "h": 0}',
+    '{"coeffs_sq": [0, 0.125], "h": NaN}', '{"coeffs_sq": [0, 1e400]}',
+    '{"coeffs_sq": [0, 0.125], "h": null}'])
+@pytest.mark.parametrize("command", SPEC_COMMANDS)
+def test_non_finite_model_spec_exits_2(tmp_path, command, model_text):
+    rc, out = run_with_specs(tmp_path, command, model_text, GOOD_MU)
+    assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mu_text", [
+    '{"interval": [0, 1], "atoms": [[0.3, NaN]]}',
+    '{"interval": [0, 1], "atoms": [[NaN, 1.0]]}',
+    '{"interval": [0, Infinity], "atoms": [[0.3, 1.0]]}'])
+@pytest.mark.parametrize("command", ["correction", "rs-scan"])
+def test_non_finite_measure_spec_exits_2(tmp_path, command, mu_text):
+    rc, out = run_with_specs(tmp_path, command, '{"coeffs_sq": [0, 0.125]}',
+                             mu_text)
+    assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("tap-solve", ["--N", "0"]), ("tap-solve", ["--N", "15"]),
+    ("tap-solve", ["--damping", "1.5"]), ("tap-solve", ["--damping", "0"]),
+    ("tap-solve", ["--eps", "0"]), ("tap-solve", ["--delta", "-1"]),
+    ("tap-solve", ["--eps", "nan"]), ("tap-solve", ["--steps", "-1"]),
+    ("tap-solve", ["--seed", "-1"]),
+    ("mc-verify", ["--N", "0"]), ("mc-verify", ["--N", "15"]),
+    ("mc-verify", ["--paths", "0"]), ("mc-verify", ["--paths", "2"]),
+    ("mc-verify", ["--reps", "1"]), ("mc-verify", ["--N", "abc"]),
+    ("rs-scan", ["--n", "0"]), ("rs-scan", ["--n", "-5"]),
+    ("rs-scan", ["--beta-grid", "1:2:0"]), ("rs-scan", ["--beta-grid", "0:1:2"]),
+    ("rs-scan", ["--h-grid=-0.5:0.5:3"]), ("rs-scan", ["--h-grid", "0:1"]),
+    ("rs-scan", ["--beta-grid", "1:inf:2"]),
+])
+def test_flag_outside_its_domain_exits_2(tmp_path, model_spec, command, flags):
+    # refused before any work: rs-scan gets a model and a measure, so a late
+    # refusal would leave its Gamma curve behind
+    mu = write(tmp_path, "mu.json", {"interval": [0, 1], "atoms": [[0.3, 1.0]]})
+    extra = ["--mu", mu] if command == "rs-scan" else []
+    out = tmp_path / "o"
+    rc = main([command, "--model", model_spec, *extra, "--out", str(out),
+               *flags])
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_tap_solve_zero_ascent_steps(tmp_path):
+    model = write(tmp_path, "m.json", {"coeffs_sq": [0.0, 0.045], "h": 0.6})
+    out = tmp_path / "solve"
+    assert main(["tap-solve", "--model", model, "--out", str(out),
+                 "--N", "6", "--steps", "0"]) == 0
+    rows = (out / "ascent.csv").read_text().splitlines()
+    assert rows[0] == "step,objective" and len(rows) == 2

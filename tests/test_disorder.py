@@ -284,3 +284,96 @@ def test_tap_ascent_zero_model():
     out = tap_ascent(z, q=0.2, steps=3, r_atoms=1, seed=5)
     # H == 0: the objective is TAP(mu_m) alone and stays finite
     assert np.isfinite(out["value"])
+
+
+def test_tap_n2_matches_double_loop():
+    # oracle: the replicated band sum by a direct loop over pairs of
+    # configurations, energies by the multilinear evaluation of H
+    model = MixedModel(coeffs_sq=(0.0, 0.6, 0.2))
+    for N, seed in ((5, 11), (8, 12)):
+        s = sample(N, model, seed=seed)
+        m = np.random.default_rng(seed).uniform(-0.7, 0.7, N)
+        eps, delta = 0.3, 0.3
+        q, hm = float(m @ m) / N, s.energy(m)
+        inside = [sig for sig in all_configs(N)
+                  if abs((sig - m) @ m) / N < eps]
+        terms = [s.energy(a) + s.energy(b) - 2.0 * hm
+                 for a in inside for b in inside
+                 if abs(float(a @ b) / N - q) < delta]
+        assert len(terms) > len(inside)
+        expect = float(logsumexp(np.array(terms))) / (2 * N)
+        band = BandSpec(tuple(m), eps=eps, delta=delta, n=2)
+        assert tap_Nn(s, band) == pytest.approx(expect, abs=1e-12)
+
+
+def test_sample_rejects_empty_system():
+    model = MixedModel(coeffs_sq=(0.0, 0.5))
+    for N in (0, -3):
+        with pytest.raises(ValueError):
+            sample(N, model, seed=0)
+
+
+def _tap_solve_point(model, N, seed):
+    """The fixed point `gtap tap-solve` feeds grad_tap, for --seed seed."""
+    s = sample(N, model, seed=seed)
+    m0 = np.random.default_rng(seed + 1).uniform(-0.5, 0.5, N)
+    m0, q, _, _ = classical_tap_iteration(s, m0, damping=0.3)
+    zeta = OrderParameter.delta_at(q, (q, 1.0))
+    return solve_tap_equations(s, q, zeta, m0, damping=0.3)[0]
+
+
+def test_grad_tap_reuses_the_minimizer_solve(monkeypatch):
+    # the gradient reads psi_bar off tap_correction's solve of the minimizer
+    # instead of solving it again: one solve fewer, the same bits
+    from gtap import pde
+    from gtap.measures import restrict_zeta
+    from gtap.tap import _orig_solution
+    model = sk_model(0.3, h=0.6, convention="half")
+    N = 10
+    m = _tap_solve_point(model, N, seed=6)
+    solves = []
+    init = pde.PDESolution.__init__
+
+    def counting(self, *args, **kwargs):
+        solves.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(pde.PDESolution, "__init__", counting)
+    grad, res = grad_tap(model, m, r_atoms=2)
+    assert len(solves) == 9
+    assert res.diagnostics["level_evals"] == 7
+    monkeypatch.setattr(pde.PDESolution, "__init__", init)
+    # the former path: a fresh solve of the minimizer
+    q = float(m @ m) / N
+    sol = _orig_solution(model, q, res.minimizer_zeta, pde.DEFAULT_CONFIG,
+                         a_max=float(np.max(np.abs(m))))
+    psi_vals = np.array([sol.inverse_phi_x(sol.t0, a) for a in m])
+    int_zeta = restrict_zeta(res.minimizer_zeta, q).integral()
+    old = -(psi_vals + m * model.xi_double_prime(q) * int_zeta) / N
+    assert np.array_equal(grad, old)
+
+
+def test_grad_tap_boundary_atom_still_solved_wide():
+    # an entry at 1 - 1e-9, where tap_ascent clips, is a boundary atom: the
+    # minimizer's solve has no slope pad for it, so grad_tap solves again
+    m = np.array([0.3, -0.5, 1.0 - 1e-9, 0.2])
+    grad, _ = grad_tap(sk_model(0.5), m, r_atoms=2)
+    np.testing.assert_allclose(
+        grad, [-0.08966115117837666, 0.15779528622521474,
+               -2.717989128603511, -0.05887063856164834], rtol=0, atol=1e-12)
+
+
+def test_tap_ascent_zero_steps_returns_start():
+    model = sk_model(0.4, h=0.3, convention="half")
+    N, q = 8, 0.25
+    s = sample(N, model, seed=30)
+    out = tap_ascent(s, q=q, steps=0, r_atoms=1, seed=1)
+    m = np.random.default_rng(1).uniform(-0.5, 0.5, size=N)
+    m *= math.sqrt(N * q) / np.linalg.norm(m)
+    assert np.array_equal(out["m"], m)
+    assert [row["step"] for row in out["trajectory"]] == [0]
+    g_tap, _ = grad_tap(model, m, r_atoms=1)
+    grad = s.gradient(m) / N + g_tap
+    grad -= (grad @ m) / (N * q) * m
+    assert out["grad_norm"] == pytest.approx(float(np.linalg.norm(grad)),
+                                             rel=1e-12)

@@ -153,3 +153,15 @@ def test_split_boundary():
     assert edge == 0.25
     locs, wts, edge = split_boundary(DiscreteMeasure.delta(0.0))
     assert locs.tolist() == [0.0] and wts.tolist() == [1.0] and edge == 0.0
+
+
+@pytest.mark.parametrize("interval, atoms", [
+    ((0.0, 1.0), ((0.3, float("nan")),)),
+    ((0.0, 1.0), ((float("nan"), 1.0),)),
+    ((0.0, 1.0), ((0.3, 0.5), (float("inf"), 0.5))),
+    ((0.0, float("inf")), ((0.3, 1.0),)),
+    ((float("-inf"), 1.0), ((0.3, 1.0),)),
+])
+def test_non_finite_measure_rejected(interval, atoms):
+    with pytest.raises(ValueError):
+        DiscreteMeasure(interval=interval, atoms=atoms)

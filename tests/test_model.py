@@ -142,3 +142,50 @@ def test_sk_conventions():
     assert sk_model(2.0, convention="full").xi(1.0) == pytest.approx(4.0)
     with pytest.raises(ValueError):
         sk_model(1.0, convention="bogus")
+
+
+@pytest.mark.parametrize("q", [0.0, 0.3, 0.9])
+def test_shifted_mixture_matches_subtraction(rng, q):
+    # oracle: xi_q by subtraction of base-model values at s + q and q
+    for _ in range(5):
+        m = random_model(rng, p_max=5)
+        sh = m.shift(q)
+        s = np.linspace(0.0, 1.0 - q, 13)
+        by_subtraction = m.xi(s + q) - m.xi(q) - m.xi_prime(q) * s
+        assert np.max(np.abs(sh.xi_q(s) - by_subtraction)) <= 1e-14
+        assert np.max(np.abs(sh.xi_q_prime(s)
+                             - (m.xi_prime(s + q) - m.xi_prime(q)))) <= 1e-14
+        assert sh.mixture.coeffs_sq[1:] == sh.coeffs_sq_shifted[1:]
+
+
+def test_shifted_domain_is_the_base_domain():
+    # the shifted evaluators accept s exactly when s + q lies in [-1, 1],
+    # although the bare mixture of the shifted coefficients lives on |s| <= 1
+    sh = MixedModel(coeffs_sq=(0.0, 0.6, 0.2)).shift(0.3)
+    s_end = 1.0 - 0.3
+    assert sh.xi_q_prime(s_end) == pytest.approx(1.2 + 0.6 - 0.36 - 0.054,
+                                                 abs=1e-14)
+    for f in (sh.xi_hat, sh.xi_q, sh.xi_q_prime, sh.xi_q_double_prime,
+              sh.theta_q):
+        f(s_end)
+        with pytest.raises(ValueError):
+            f(s_end + 1e-6)
+        with pytest.raises(ValueError):
+            f(np.array([0.0, 0.75]))
+    assert np.isfinite(sh.mixture.xi_prime(0.75))
+
+
+@pytest.mark.parametrize("coeffs, h", [
+    ((0.0, math.nan), 0.0), ((0.0, math.inf), 0.0),
+    ((0.0, 0.5), math.nan), ((0.0, 0.5), -math.inf)])
+def test_non_finite_model_rejected(coeffs, h):
+    with pytest.raises(ValueError, match="finite"):
+        MixedModel(coeffs_sq=coeffs, external_field_h=h)
+
+
+def test_non_finite_model_spec_rejected():
+    # json accepts NaN and Infinity; the model must not
+    for text in ('{"coeffs_sq": [0, NaN]}', '{"coeffs_sq": [0, 1], "h": NaN}',
+                 '{"coeffs_sq": [0, Infinity]}'):
+        with pytest.raises(ValueError, match="finite"):
+            MixedModel.from_json(text)
