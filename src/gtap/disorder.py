@@ -326,11 +326,12 @@ def grad_tap(model: MixedModel, m, r_atoms: int = 2,
     if np.any(np.abs(m) >= 1.0):
         raise ValueError("grad_tap needs m in the open cube (-1, 1)^N")
     N = m.size
-    q = float(m @ m) / N
     mu = empirical(m, fold=True)
     result = tap_correction(model, mu, r_atoms=r_atoms, config=config,
                             with_representation=False, with_certificate=False)
-    zeta_m = result.minimizer_zeta
+    # the solve's q, the second moment of mu: m . m / N can differ in the
+    # last bit
+    q, zeta_m = result.q, result.minimizer_zeta
     a_max = float(np.max(np.abs(m)))
     sol = result.solution
     if a_max >= 1.0 - BOUNDARY_ATOM_TOL:

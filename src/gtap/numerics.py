@@ -6,7 +6,7 @@ Everything here is plain numpy and deterministic.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -46,43 +46,87 @@ def logsumexp(a: np.ndarray) -> float:
     return float((m + np.log(s)).item())
 
 
+class GridStencil:
+    """Cubic Hermite and linear interpolation on the uniform grid
+    x0 + k dx (k < size) at fixed points xq.
+
+    The cell and fraction of every point and the points beyond the grid are
+    found once, and the Hermite weights when first needed, so evaluating
+    several grid functions at the same points (the quadrature points of a
+    PDE layer) costs only gathers and weighted sums. Outside the grid the
+    Hermite continuation is linear with the edge slope, which matches the
+    asymptotically linear tails of log-cosh type solutions; the linear
+    continuation is constant.
+    """
+
+    def __init__(self, x0: float, dx: float, size: int, xq):
+        xq = np.asarray(xq, dtype=float)
+        self.shape = xq.shape
+        # 1-d inside, so tails can be assigned by mask
+        xq = np.atleast_1d(xq)
+        n = size - 1
+        u = (xq - x0) / dx
+        self.cells = np.clip(np.floor(u).astype(np.int64), 0, n - 1)
+        self.t = np.clip(u - self.cells, 0.0, 1.0)
+        self.dx = dx
+        # (mask, distance from the edge, edge index) beyond each end
+        self.tails = [(mask, xq[mask] - edge, end)
+                      for mask, edge, end in ((xq < x0, x0, 0),
+                                              (xq > x0 + n * dx, x0 + n * dx, -1))
+                      if mask.any()]
+
+    @cached_property
+    def _cubic(self):
+        """Weights of f and dx f' at the left and right end of each cell."""
+        t, dx = self.t, self.dx
+        t2 = t * t
+        t3 = t2 * t
+        a, b = 2.0 * t3, 3.0 * t2
+        return a - b + 1.0, dx * (t3 - 2.0 * t2 + t), b - a, dx * (t3 - t2)
+
+    def _ends(self, f: np.ndarray):
+        """Fresh arrays of f at the left and right end of each cell."""
+        return f.take(self.cells), f[1:].take(self.cells)
+
+    def _shaped(self, out: np.ndarray):
+        # a scalar point gives a numpy scalar, an array of points an array
+        return out.reshape(self.shape)[()]
+
+    def hermite(self, f: np.ndarray, d: np.ndarray):
+        """Cubic Hermite interpolation of (f, f') = (f, d)."""
+        a, b, c, e = self._cubic
+        f0, f1 = self._ends(f)
+        d0, d1 = self._ends(d)
+        f0 *= a
+        d0 *= b
+        f0 += d0
+        f1 *= c
+        f0 += f1
+        d1 *= e
+        f0 += d1
+        for mask, dist, end in self.tails:
+            f0[mask] = f[end] + d[end] * dist
+        return self._shaped(f0)
+
+    def linear(self, f: np.ndarray):
+        """Linear interpolation of f (the fraction is 0 or 1 off the grid)."""
+        f0, f1 = self._ends(f)
+        f0 *= 1.0 - self.t
+        f1 *= self.t
+        f0 += f1
+        return self._shaped(f0)
+
+
 def hermite_eval(x0: float, dx: float, f: np.ndarray, d: np.ndarray,
                  xq: np.ndarray) -> np.ndarray:
-    """Cubic Hermite interpolation of (f, f') sampled on a uniform grid.
-
-    Outside the grid the continuation is linear with the edge slope, which
-    matches the asymptotically linear tails of log-cosh type solutions.
-    """
-    xq = np.asarray(xq, dtype=float)
-    n = f.shape[0] - 1
-    u = (xq - x0) / dx
-    i = np.clip(np.floor(u).astype(np.int64), 0, n - 1)
-    t = u - i
-    t = np.clip(t, 0.0, 1.0)
-    t2 = t * t
-    t3 = t2 * t
-    h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-    h10 = t3 - 2.0 * t2 + t
-    h01 = -2.0 * t3 + 3.0 * t2
-    h11 = t3 - t2
-    out = h00 * f[i] + dx * h10 * d[i] + h01 * f[i + 1] + dx * h11 * d[i + 1]
-    lo = xq < x0
-    hi = xq > x0 + n * dx
-    if np.any(lo):
-        out = np.where(lo, f[0] + d[0] * (xq - x0), out)
-    if np.any(hi):
-        out = np.where(hi, f[-1] + d[-1] * (xq - (x0 + n * dx)), out)
-    return out
+    """Cubic Hermite interpolation of (f, f') sampled on a uniform grid, at
+    the points xq (see `GridStencil`)."""
+    return GridStencil(x0, dx, f.shape[0], xq).hermite(f, d)
 
 
 def linear_eval(x0: float, dx: float, f: np.ndarray, xq: np.ndarray) -> np.ndarray:
     """Linear interpolation on a uniform grid, constant continuation."""
-    xq = np.asarray(xq, dtype=float)
-    n = f.shape[0] - 1
-    u = np.clip((xq - x0) / dx, 0.0, float(n))
-    i = np.clip(np.floor(u).astype(np.int64), 0, n - 1)
-    t = u - i
-    return (1.0 - t) * f[i] + t * f[i + 1]
+    return GridStencil(x0, dx, f.shape[0], xq).linear(f)
 
 
 def grid_derivative(f: np.ndarray, dx: float) -> np.ndarray:

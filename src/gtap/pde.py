@@ -17,6 +17,12 @@ propagated by the differentiated recursion (Gibbs-weighted moments), so the
 solution is exact in t for atomic zeta up to quadrature and interpolation
 error.
 
+A layer is evaluated through one `numerics.GridStencil` of its quadrature
+points x_k + sigma g_j: their cells, cubic Hermite weights and the points
+beyond the grid are found once when the layer is made, and Phi and its three
+derivatives there (hence the Doob weights and the next frame), the pulled-back
+sensitivities and phi_x_table are gathers and weighted sums over it.
+
 The same Gibbs weights give a deterministic propagator for expectations
 E f(X_s) of the optimal-control diffusion
 
@@ -37,8 +43,8 @@ import numpy as np
 
 from .measures import DiscreteMeasure, OrderParameter
 from .model import MixedModel, ShiftedModel
-from .numerics import (gauss_hermite, grid_derivative, hermite_eval,
-                       linear_eval, log2cosh)
+from .numerics import (GridStencil, gauss_hermite, grid_derivative,
+                       hermite_eval, linear_eval, log2cosh)
 
 __all__ = [
     "SolverConfig", "PDESolution", "solve", "solve_steps", "solve_band",
@@ -99,9 +105,6 @@ class Frame:
     def eval_phi_xx(self, x):
         return hermite_eval(self.x0, self.dx, self.phi_xx, self.phi_xxx, x)
 
-    def eval_phi_xxx(self, x):
-        return linear_eval(self.x0, self.dx, self.phi_xxx, x)
-
 
 def _boundary_frame(a: float, x: np.ndarray) -> Frame:
     """The boundary log 2cosh x - a x and its x-derivatives."""
@@ -121,10 +124,10 @@ def _exp_tail(y: np.ndarray) -> np.ndarray:
 class _Layer:
     """Transition kernel of one layer below an upper frame.
 
-    Holds the quadrature points X = x + sigma g and the normalized Doob
-    weights exp(level Phi_upper(X)) (plain Gauss-Hermite weights at level 0),
-    so that `mean` averages values at X over the layer and `pull` averages a
-    grid function.
+    Holds the stencil of the quadrature points X = x + sigma g and the
+    normalized Doob weights exp(level Phi_upper(X)) (plain Gauss-Hermite
+    weights at level 0), so that `mean` averages values at X over the layer
+    and `pull` averages a grid function.
 
     A positive level z uses y = z (Phi_upper - c): phi = c + log E exp(y)/z,
     with c the row maximum (no overflow) or, where z (max - min) Phi_upper
@@ -137,8 +140,9 @@ class _Layer:
         g, self.w = gauss_hermite(config.gh_order)
         self.upper = upper
         self.level = level
-        self.x0, self.dx = float(x[0]), config.dx
-        self.X = x[:, None] + sigma * g[None, :]
+        self.dx = config.dx
+        self.stencil = GridStencil(float(x[0]), config.dx, x.size,
+                                   x[:, None] + sigma * g[None, :])
         if level > 0.0:
             self._small = level * (self.P.max() - self.P.min()) < 0.1
             if self._small:
@@ -162,7 +166,7 @@ class _Layer:
     @cached_property
     def P(self) -> np.ndarray:
         """Phi of the upper frame at the quadrature points."""
-        return self.upper.eval_phi(self.X)
+        return self.stencil.hermite(self.upper.phi, self.upper.phi_x)
 
     @cached_property
     def phi(self) -> np.ndarray:
@@ -192,7 +196,7 @@ class _Layer:
         return np.sum(self.om * vals, axis=1)
 
     def pull(self, f: np.ndarray) -> np.ndarray:
-        return self.mean(_interp_grid(self.x0, self.dx, f, self.X))
+        return self.mean(self.stencil.hermite(f, grid_derivative(f, self.dx)))
 
 
 def _interp_grid(x0: float, dx: float, f: np.ndarray, xq) -> np.ndarray:
@@ -207,17 +211,19 @@ def _gibbs_step(upper: Frame, layer: _Layer | None) -> Frame:
         return Frame(upper.x0, upper.dx, upper.phi.copy(),
                      upper.phi_x.copy(), upper.phi_xx.copy(),
                      upper.phi_xxx.copy())
-    X, level = layer.X, layer.level
-    Px = upper.eval_phi_x(X)
-    Pxx = upper.eval_phi_xx(X)
-    Pxxx = upper.eval_phi_xxx(X)
-    phi_x, phi_xx, phi_xxx = layer.mean(Px), layer.mean(Pxx), layer.mean(Pxxx)
+    st, level = layer.stencil, layer.level
+    Px = st.hermite(upper.phi_x, upper.phi_xx)
+    Pxx = st.hermite(upper.phi_xx, upper.phi_xxx)
+    phi_x, phi_xx = layer.mean(Px), layer.mean(Pxx)
+    phi_xxx = layer.mean(st.linear(upper.phi_xxx))
     if level > 0.0:
         # derivatives of (1/z) log E exp(z Phi): Gibbs moments of Phi_x
         om = layer.om
         var = np.sum(om * Px * Px, axis=1) - phi_x * phi_x
         cov = np.sum(om * Pxx * Px, axis=1) - phi_xx * phi_x
-        m3 = np.sum(om * (Px - phi_x[:, None]) ** 3, axis=1)
+        # two products: an array ** 3 goes through pow, ~100x slower
+        dev = Px - phi_x[:, None]
+        m3 = np.sum(om * (dev * dev * dev), axis=1)
         phi_xx = phi_xx + level * var
         phi_xxx = phi_xxx + 3.0 * level * cov + level ** 2 * m3
     return Frame(upper.x0, upper.dx, layer.phi, phi_x, phi_xx, phi_xxx)
@@ -440,7 +446,7 @@ class PDESolution:
         upper, layer = self._off_node_layer(t)
         if layer is None:
             return upper.phi_x
-        return layer.mean(upper.eval_phi_x(layer.X))
+        return layer.mean(layer.stencil.hermite(upper.phi_x, upper.phi_xx))
 
     def expected_u_squared(self, s: float, x_start):
         """E[(Phi_x(s, X_s))^2] started from (t0, x_start)."""

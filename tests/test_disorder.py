@@ -353,6 +353,31 @@ def test_grad_tap_reuses_the_minimizer_solve(monkeypatch):
     assert np.array_equal(grad, old)
 
 
+def test_grad_tap_takes_q_from_the_solve(monkeypatch):
+    # at this point m . m / N and the folded law's second moment differ in
+    # the last bit; xi''(q) and the restriction of zeta take the solve's q
+    from gtap import disorder
+    model = sk_model(0.3, h=0.6, convention="half")
+    N = 10
+    m = _tap_solve_point(model, N, seed=6)
+    seen = []
+    restrict, xi_pp = disorder.restrict_zeta, MixedModel.xi_double_prime
+
+    def restrict_seen(zeta, q):
+        seen.append(("restrict", q))
+        return restrict(zeta, q)
+
+    def xi_pp_seen(self, s):
+        seen.append(("xi_pp", s))
+        return xi_pp(self, s)
+
+    monkeypatch.setattr(disorder, "restrict_zeta", restrict_seen)
+    monkeypatch.setattr(MixedModel, "xi_double_prime", xi_pp_seen)
+    _, res = grad_tap(model, m, r_atoms=2)
+    assert res.q != float(m @ m) / N
+    assert seen[-2:] == [("restrict", res.q), ("xi_pp", res.q)]
+
+
 def test_grad_tap_boundary_atom_still_solved_wide():
     # an entry at 1 - 1e-9, where tap_ascent clips, is a boundary atom: the
     # minimizer's solve has no slope pad for it, so grad_tap solves again

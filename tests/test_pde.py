@@ -5,7 +5,8 @@ import pytest
 
 from gtap.measures import OrderParameter, band_coords, d1
 from gtap.model import MixedModel, sk_model
-from gtap.numerics import gauss_hermite
+from gtap.numerics import (GridStencil, gauss_hermite, hermite_eval,
+                           linear_eval)
 from gtap.pde import (SolverConfig, parisi_functional, parisi_measure,
                       second_derivative_identity, simulate_control, solve,
                       solve_band, solve_steps, unify)
@@ -283,6 +284,84 @@ def test_parisi_functional_with_field_rs_closed_form():
 def test_parisi_measure_rejects_field():
     with pytest.raises(ValueError):
         parisi_measure(sk_model(1.0, h=0.3, convention="half"), r_atoms=1)
+
+
+def _smooth_grid_function(rng, x):
+    """A random smooth function with a linear trend and its first three
+    derivatives on the grid x."""
+    amp = rng.uniform(-1.0, 1.0, 3)
+    freq = rng.uniform(0.3, 3.0, 3)
+    arg = freq[:, None] * x + rng.uniform(0.0, 2 * math.pi, 3)[:, None]
+    sin, cos = np.sin(arg), np.cos(arg)
+    slope = rng.uniform(-1.0, 1.0)
+    return (amp @ sin + slope * x, (amp * freq) @ cos + slope,
+            -(amp * freq ** 2) @ sin, -(amp * freq ** 3) @ cos)
+
+
+def _hermite_reference(x0, dx, f, d, xq):
+    """Cubic Hermite interpolation point by point, linear beyond the grid."""
+    n = f.size - 1
+    u = (xq - x0) / dx
+    i = np.clip(np.floor(u).astype(np.int64), 0, n - 1)
+    t = np.clip(u - i, 0.0, 1.0)
+    t2, t3 = t * t, t * t * t
+    out = ((2.0 * t3 - 3.0 * t2 + 1.0) * f[i] + dx * (t3 - 2.0 * t2 + t) * d[i]
+           + (-2.0 * t3 + 3.0 * t2) * f[i + 1] + dx * (t3 - t2) * d[i + 1])
+    out = np.where(xq < x0, f[0] + d[0] * (xq - x0), out)
+    return np.where(xq > x0 + n * dx, f[-1] + d[-1] * (xq - (x0 + n * dx)), out)
+
+
+def _linear_reference(x0, dx, f, xq):
+    """Linear interpolation point by point, constant beyond the grid."""
+    n = f.size - 1
+    u = np.clip((xq - x0) / dx, 0.0, float(n))
+    i = np.clip(np.floor(u).astype(np.int64), 0, n - 1)
+    t = u - i
+    return (1.0 - t) * f[i] + t * f[i + 1]
+
+
+@pytest.mark.parametrize("dx, half_width, shifts", [
+    # sigma < dx: every point in a cell next to its grid point
+    (1.0 / 16, 3.0, 0.05 * gauss_hermite(40)[0]),
+    # sigma g_j beyond twice the half-width: whole columns past both edges
+    (1.0 / 16, 2.0, 1.0 * gauss_hermite(40)[0]),
+    (0.03, 2.0, 0.9 * gauss_hermite(40)[0]),
+    # shifts of whole cells: every point on a cell boundary
+    (1.0 / 16, 2.0, np.array([-5.0, -1.0, 0.0, 2.0, 7.0, 70.0]) / 16),
+    (1.0 / 16, 2.0, 1.7 * gauss_hermite(12)[0]),
+])
+def test_stencil_matches_point_interpolation(dx, half_width, shifts):
+    # a layer's stencil at x_k + shift_j, and the point interpolators, against
+    # the point-by-point formulas: the same arithmetic, so the same bits
+    rng = np.random.default_rng(41)
+    n = int(round(half_width / dx))
+    x = dx * np.arange(-n, n + 1)
+    f, d, d2, d3 = _smooth_grid_function(rng, x)
+    pts = x[:, None] + shifts[None, :]
+    st = GridStencil(x[0], dx, x.size, pts)
+    for vals, ders in ((f, d), (d, d2), (d2, d3)):
+        ref = _hermite_reference(x[0], dx, vals, ders, pts)
+        np.testing.assert_array_equal(st.hermite(vals, ders), ref)
+        np.testing.assert_array_equal(
+            hermite_eval(x[0], dx, vals, ders, pts[:, 0]), ref[:, 0])
+    ref = _linear_reference(x[0], dx, d3, pts)
+    np.testing.assert_array_equal(st.linear(d3), ref)
+    np.testing.assert_array_equal(linear_eval(x[0], dx, d3, pts[0]), ref[0])
+    # a scalar point gives a scalar
+    point = hermite_eval(x[0], dx, f, d, pts[0, 0])
+    assert np.ndim(point) == 0
+    assert point == _hermite_reference(x[0], dx, f, d, pts[0, 0])
+
+
+@pytest.mark.parametrize("t", [0.3, 0.55])
+def test_phi_x_table_matches_frame_at_off_node(mixed_23, t):
+    # t = 0.3 lies in a level-0 layer, t = 0.55 in a layer of level 0.4; two
+    # fresh solves, since phi_x_table reads frame_at's cache
+    zeta = OrderParameter.from_atoms((0.2, 1.0), [(0.4, 0.4), (0.7, 0.6)])
+    assert zeta.cdf(t) == (0.0 if t < 0.4 else 0.4)
+    table = solve(mixed_23, zeta).phi_x_table(t)
+    frame = solve(mixed_23, zeta).frame_at(t)
+    np.testing.assert_allclose(table, frame.phi_x, rtol=0, atol=1e-13)
 
 
 def test_level_gradients_match_finite_differences(mixed_23):
