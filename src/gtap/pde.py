@@ -21,7 +21,9 @@ A layer is evaluated through one `numerics.GridStencil` of its quadrature
 points x_k + sigma g_j: their cells, cubic Hermite weights and the points
 beyond the grid are found once when the layer is made, and Phi and its three
 derivatives there (hence the Doob weights and the next frame), the pulled-back
-sensitivities and phi_x_table are gathers and weighted sums over it.
+sensitivities and phi_x_table are gathers and weighted sums over it. A
+`solve_steps` solve pulls its level and node sensitivities through each layer
+while it builds it, so the gradients need no second sweep.
 
 The same Gibbs weights give a deterministic propagator for expectations
 E f(X_s) of the optimal-control diffusion
@@ -239,7 +241,8 @@ class PDESolution:
     """
 
     def __init__(self, mixture: MixedModel, interval, nodes, levels, a: float,
-                 config: SolverConfig, zeta: OrderParameter | None = None):
+                 config: SolverConfig, zeta: OrderParameter | None = None, *,
+                 with_gradients: bool = False):
         self.mixture = mixture
         self.zeta = zeta        # measure form, when constructed from one
         self.a = float(a)
@@ -263,7 +266,8 @@ class PDESolution:
         n = int(math.ceil(x_max / config.dx))
         self.x_grid = config.dx * np.arange(-n, n + 1)
         self._frames: dict[float, Frame] = {}
-        self._solve()
+        self._level_grads: np.ndarray | None = None
+        self._solve(with_gradients)
 
     # -- construction -----------------------------------------------------
 
@@ -296,18 +300,37 @@ class PDESolution:
         t_up = float(self.nodes[min(idx, len(self.nodes) - 1)])
         return self._layer(t_up, float(t), self._level_at(t))
 
-    def _solve(self) -> None:
+    def _solve(self, with_gradients: bool) -> None:
+        """Frames from t1 down to t0; `with_gradients` also pulls the rows of
+        `level_gradients` through each layer while it is at hand."""
         self._frames[self._key(self.t1)] = _boundary_frame(self.a, self.x_grid)
-        for p in range(len(self.levels) - 1, -1, -1):
+        r = len(self.levels)
+        sens: dict[int, np.ndarray] = {}
+        for p in range(r - 1, -1, -1):
             t_lo = float(self.nodes[p])
             upper, layer = self._layer(float(self.nodes[p + 1]), t_lo,
                                        float(self.levels[p]))
-            self._frames[self._key(t_lo)] = _gibbs_step(upper, layer)
+            lower = self._frames[self._key(t_lo)] = _gibbs_step(upper, layer)
+            if not with_gradients:
+                continue
+            if layer is None:
+                sens[p] = np.zeros_like(self.x_grid)
+            else:
+                sens = {j: layer.pull(S) for j, S in sens.items()}
+                sens[p] = layer.level_sensitivity()
+            if p > 0:
+                s_p = float(self.nodes[p])
+                jump = float(self.levels[p] - self.levels[p - 1])
+                sens[r - 1 + p] = (-0.5 * self.mixture.xi_double_prime(s_p)
+                                   * jump * lower.phi_x * lower.phi_x)
         top = self._frames[self._key(self.t0)]
         edge = max(abs(top.phi_xx[0]), abs(top.phi_xx[-1]))
         if edge > EDGE_CURVATURE_TOL:
             raise RuntimeError(
                 f"x grid too small: boundary influence {edge:.2e} at the edge")
+        if with_gradients:
+            self._level_grads = np.stack([sens[k] for k in range(2 * r - 1)])
+            self._level_grads.setflags(write=False)
 
     def frame_at(self, t: float) -> Frame:
         """Solved frame at time t (sub-layer recursion for off-node t)."""
@@ -387,28 +410,17 @@ class PDESolution:
         """d Phi(t0, x) as grid functions, shape (2r - 1, n_grid): rows
         0..r-1 in the levels, rows r..2r-2 in the interior nodes s_1..s_{r-1}.
 
-        One backward sweep: a layer's own level enters by its
+        Swept by the solve itself, so only a `solve_steps` solution has
+        them; the array is read-only. A layer's own level enters by its
         `level_sensitivity`; moving s_j right replaces z_j by z_{j-1} just
         above it, which injects -(1/2) xi''(s_j) (z_j - z_{j-1})
-        Phi_x(s_j, .)^2 at s_j. Both propagate to t0 by Gibbs averaging.
+        Phi_x(s_j, .)^2 at s_j. Both propagate to t0 by Gibbs averaging
+        through the layers below, as the solve builds them.
         """
-        r = len(self.levels)
-        sens: dict[int, np.ndarray] = {}
-        for p in range(r - 1, -1, -1):
-            _, layer = self._layer(float(self.nodes[p + 1]),
-                                   float(self.nodes[p]), float(self.levels[p]))
-            if layer is None:
-                sens[p] = np.zeros_like(self.x_grid)
-            else:
-                sens = {j: layer.pull(S) for j, S in sens.items()}
-                sens[p] = layer.level_sensitivity()
-            if p > 0:
-                s_p = float(self.nodes[p])
-                jump = float(self.levels[p] - self.levels[p - 1])
-                ux = self._frames[self._key(s_p)].phi_x
-                sens[r - 1 + p] = (-0.5 * self.mixture.xi_double_prime(s_p)
-                                   * jump * ux * ux)
-        return np.stack([sens[k] for k in range(2 * r - 1)])
+        if self._level_grads is None:
+            raise ValueError("level gradients are swept only by solve_steps; "
+                             "this solution was built without them")
+        return self._level_grads
 
     # -- pathwise expectations -------------------------------------------------
 
@@ -469,9 +481,11 @@ def solve_steps(model: MixedModel, interval, nodes, levels,
     """Original-boundary solve from an explicit CDF step function.
 
     Unlike `solve`, zero-mass pieces are kept, which preserves the slot
-    structure needed by level_gradients during optimization.
+    structure the optimizer needs, and the solve sweeps `level_gradients`
+    while it builds each layer, so the optimizer never builds one twice.
     """
-    return PDESolution(model, interval, nodes, levels, 0.0, config)
+    return PDESolution(model, interval, nodes, levels, 0.0, config,
+                       with_gradients=True)
 
 
 def solve_band(shifted: ShiftedModel, a: float, zeta: OrderParameter,

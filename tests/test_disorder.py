@@ -388,6 +388,23 @@ def test_grad_tap_boundary_atom_still_solved_wide():
                -2.717989128603511, -0.05887063856164834], rtol=0, atol=1e-12)
 
 
+def test_grad_tap_matches_closed_form_at_rs_minimizer():
+    # the minimizer is delta_q, where Phi_x(q, x) = tanh x: psi_bar(q, a) =
+    # atanh a and the entries are -(atanh m_i + m_i xi''(q) (1 - q)) / N.
+    # At 1 - 1e-9, Phi_x = a is solved where Phi_xx ~ 2e-9, so that entry
+    # moves by ~1.3e-8 per ulp of Phi_x
+    model = sk_model(0.5)
+    m = np.array([0.3, -0.5, 1.0 - 1e-9, 0.2])
+    grad, res = grad_tap(model, m, r_atoms=2)
+    q = res.q
+    assert res.minimizer_zeta.measure.atoms == ((q, 1.0),)
+    exact = -(np.arctanh(m) + m * model.xi_double_prime(q) * (1.0 - q)) / m.size
+    interior = [0, 1, 3]
+    np.testing.assert_allclose(grad[interior], exact[interior], rtol=0,
+                               atol=1e-9)
+    assert abs(grad[2] - exact[2]) <= 1e-7
+
+
 def test_tap_ascent_zero_steps_returns_start():
     model = sk_model(0.4, h=0.3, convention="half")
     N, q = 8, 0.25

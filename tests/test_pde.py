@@ -424,6 +424,59 @@ def test_small_level_keeps_precision(mixed_23):
                                    rtol=0, atol=1e-6)
 
 
+def _rebuilt_level_gradients(sol):
+    """Reference: the level and node sensitivities by a second backward
+    sweep that builds every layer again from the solved frames."""
+    r = len(sol.levels)
+    sens = {}
+    for p in range(r - 1, -1, -1):
+        _, layer = sol._layer(float(sol.nodes[p + 1]), float(sol.nodes[p]),
+                              float(sol.levels[p]))
+        if layer is None:
+            sens[p] = np.zeros_like(sol.x_grid)
+        else:
+            sens = {j: layer.pull(S) for j, S in sens.items()}
+            sens[p] = layer.level_sensitivity()
+        if p > 0:
+            s_p = float(sol.nodes[p])
+            jump = float(sol.levels[p] - sol.levels[p - 1])
+            ux = sol._frames[sol._key(s_p)].phi_x
+            sens[r - 1 + p] = (-0.5 * sol.mixture.xi_double_prime(s_p)
+                               * jump * ux * ux)
+    return np.stack([sens[k] for k in range(2 * r - 1)])
+
+
+@pytest.mark.parametrize("model, interval, nodes, levels", [
+    # a level-0 slot and a zero-width piece
+    (MixedModel(coeffs_sq=(0.0, 0.6, 0.2)), (0.2, 1.0),
+     [0.2, 0.3, 0.3, 0.6, 1.0], [0.0, 0.3, 0.5, 0.8]),
+    # a level small enough for the Taylor-tail branch of the kernel
+    (MixedModel(coeffs_sq=(0.0, 0.6, 0.2)), (0.2, 1.0),
+     [0.2, 0.6, 1.0], [1e-10, 0.8]),
+    (sk_model(1.4), (0.0, 1.0),
+     [0.0, 0.2, 0.45, 0.7, 1.0], [0.15, 0.4, 0.6, 0.85]),
+], ids=["slots", "small_level", "sk_4_levels"])
+def test_level_gradients_equal_the_rebuilt_sweep(model, interval, nodes,
+                                                 levels):
+    sol = solve_steps(model, interval, nodes, np.array(levels))
+    assert np.array_equal(sol.level_gradients(), _rebuilt_level_gradients(sol))
+
+
+def test_level_gradients_read_only_and_only_from_solve_steps(mixed_23):
+    sol = solve_steps(mixed_23, (0.2, 1.0), [0.2, 0.6, 1.0],
+                      np.array([0.3, 0.8]))
+    grads = sol.level_gradients()
+    kept = grads.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        grads[0, 0] = 1.0
+    assert np.array_equal(sol.level_gradients(), kept)
+    zeta = OrderParameter.from_atoms((0.2, 1.0), [(0.6, 0.3), (1.0, 0.7)])
+    sh = mixed_23.shift(0.2)
+    for built in (solve(mixed_23, zeta), solve_band(sh, 0.3, band_coords(zeta))):
+        with pytest.raises(ValueError, match="solve_steps"):
+            built.level_gradients()
+
+
 def test_parisi_minimizer_small_beta_vs_grid_oracle():
     # xi = beta^2 s^2 with beta = 0.3: the minimum sits at the RS point
     model = sk_model(0.3, convention="full")

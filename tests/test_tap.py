@@ -421,6 +421,27 @@ def test_boundary_atom_gradient_matches_finite_differences():
     np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-8)
 
 
+def test_evaluation_builds_each_layer_once(mixed_23, monkeypatch):
+    # the solve sweeps the gradient rows while it builds each layer, so a
+    # value and its gradient build each layer of positive width once
+    from gtap import pde
+    mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.3, 0.5), (0.6, 0.5)))
+    q = mu.moment(2)
+    nodes = np.array([q, 0.5, 0.5, 0.8, 1.0])   # [0.5, 0.5) has no width
+    levels = np.array([0.2, 0.4, 0.7, 0.9])
+    built = []
+    init = pde._Layer.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(pde._Layer, "__init__", counting)
+    _, sol, starts = _evaluate(mixed_23, mu, nodes, levels, SolverConfig())
+    _gradient(sol, mu, starts)
+    assert len(built) == 3
+
+
 @pytest.mark.parametrize("interval, atoms", [
     ((-2.0, 2.0), ((-1.5, 0.5), (1.5, 0.5))),
     ((0.0, 2.0), ((0.3, 0.5), (1.5, 0.5))),
