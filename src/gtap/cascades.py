@@ -159,8 +159,10 @@ def _replicates(cascade: CascadeSample, fprime_nodes, n_copies: int,
     """Mean and standard error of log sum_alpha v_alpha exp(log_leaf(g)) / norm.
 
     Each replicate redraws the cascade weights (when there are levels) and
-    the tree fields g, shape (n_copies, n_leaves).
+    the tree fields g, shape (n_copies, n_leaves); n_reps >= 2.
     """
+    if n_reps < 2:
+        raise ValueError(f"need at least 2 replicates, got {n_reps}")
     vals = np.empty(n_reps)
     rng = np.random.default_rng(seed)
     for rep in range(n_reps):
@@ -171,7 +173,7 @@ def _replicates(cascade: CascadeSample, fprime_nodes, n_copies: int,
         g = sample_tree_field(cascade, fprime_nodes, n_copies, rng)
         vals[rep] = float(logsumexp(np.log(w) + log_leaf(g))) / norm
     mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0
+    se = float(np.std(vals, ddof=1) / math.sqrt(n_reps))
     return mean, se
 
 

@@ -221,7 +221,9 @@ def concentration_bound(model: MixedModel, N: int, n: int, eps: float,
 def concentration_experiment(model: MixedModel, N: int, band: BandSpec,
                              n_draws: int, seed: int = 0,
                              thresholds=(0.05, 0.1)) -> dict:
-    """Empirical tails of TAP_{N,n} across disorder draws vs the theory bound."""
+    """Empirical tails of TAP_{N,n} over n_draws >= 2 draws vs the theory bound."""
+    if n_draws < 2:
+        raise ValueError(f"need at least 2 draws, got {n_draws}")
     vals = np.empty(n_draws)
     for k in range(n_draws):
         smpl = sample(N, model, seed=seed + k)

@@ -478,21 +478,20 @@ def solve(model: MixedModel, zeta: OrderParameter,
 
 def solve_steps(model: MixedModel, interval, nodes, levels,
                 config: SolverConfig = DEFAULT_CONFIG) -> PDESolution:
-    """Original-boundary solve from an explicit CDF step function.
-
-    Unlike `solve`, zero-mass pieces are kept, which preserves the slot
-    structure the optimizer needs, and the solve sweeps `level_gradients`
-    while it builds each layer, so the optimizer never builds one twice.
-    """
+    """Original-boundary solve from an explicit CDF step function, for the
+    TAP optimizer alone (`tap._evaluate`). Unlike `solve`, it keeps zero-mass
+    pieces, the slots the optimizer moves, and it sweeps `level_gradients`
+    while it builds each layer, so the optimizer never builds one twice."""
     return PDESolution(model, interval, nodes, levels, 0.0, config,
                        with_gradients=True)
 
 
 def solve_band(shifted: ShiftedModel, a: float, zeta: OrderParameter,
                config: SolverConfig = DEFAULT_CONFIG) -> PDESolution:
-    """Band-boundary Parisi PDE on [0, 1-q]: boundary log2 - ax + logcosh x."""
+    """Band-boundary Parisi PDE on all of [0, 1-q] (ValueError for zeta on
+    any other interval): boundary log2 - ax + logcosh x."""
     t0, t1 = zeta.interval
-    if abs(t0) > 1e-12 or t1 > shifted.horizon + 1e-9:
+    if abs(t0) > 1e-12 or abs(t1 - shifted.horizon) > 1e-9:
         raise ValueError("band solve requires zeta on [0, 1-q]")
     return PDESolution(shifted.mixture, zeta.interval, zeta.nodes, zeta.levels,
                        a, config, zeta)

@@ -28,7 +28,7 @@ from .measures import (BOUNDARY_ATOM_TOL, DiscreteMeasure, OrderParameter,
 from .model import MixedModel, ShiftedModel
 from .numerics import gauss_legendre, project_monotone
 from .pde import (DEFAULT_CONFIG, PDESolution, SolverConfig, _interp_grid,
-                  solve_band, solve_steps)
+                  solve, solve_band, solve_steps)
 
 __all__ = [
     "TapResult", "EffectiveField", "lambda_conj", "psi_bar", "psi",
@@ -58,15 +58,28 @@ def _grid_pad_for(a_max: float, extra: float = 0.0) -> float:
 
 def _orig_solution(model: MixedModel, q: float, zeta: OrderParameter,
                    config: SolverConfig, a_max: float = 0.0) -> PDESolution:
+    """Plain solve of zeta restricted to [q, 1], padded for slopes up to
+    a_max; ValueError when zeta's interval does not end at 1."""
     zq = restrict_zeta(zeta, q)
-    cfg = config.with_pad(_grid_pad_for(a_max)) if a_max else config
-    return solve_steps(model, zq.interval, zq.nodes, zq.levels, cfg)
+    if abs(zq.interval[1] - 1.0) > 1e-12:
+        raise ValueError(f"order parameter must end at 1, not {zq.interval[1]}")
+    return solve(model, zq, config.with_pad(_grid_pad_for(a_max)))
+
+
+def _conj(sol: PDESolution, a: float) -> tuple[float, float]:
+    """(Phi(q, psi_bar) - a psi_bar, psi_bar(q, a)) on the solve from
+    q = sol.t0; at |a| = 1 the limits ((1/2) int_q^1 xi'' zeta, +-inf)."""
+    if abs(a) >= 1.0 - BOUNDARY_ATOM_TOL:
+        return 0.5 * sol.int_xi_pp_zeta(), math.copysign(math.inf, a)
+    x = sol.inverse_phi_x(sol.t0, a)
+    return float(sol.phi(sol.t0, x)) - a * x, x
 
 
 def lambda_conj(model: MixedModel, q: float, a: float, zeta: OrderParameter,
                 config: SolverConfig = DEFAULT_CONFIG,
                 sol: PDESolution | None = None) -> tuple[float, float]:
-    """Concave conjugate Lambda_zeta(q, a) and its minimizer x*.
+    """Concave conjugate Lambda_zeta(q, a) and its minimizer x* (`_conj`),
+    on `sol` or else a plain solve of zeta on [q, 1] (`_orig_solution`).
 
     For |a| = 1 the infimum is the limit (1/2) int_q^1 xi'' zeta ds and the
     minimizer escapes to +-infinity (returned as a signed inf sentinel).
@@ -75,11 +88,7 @@ def lambda_conj(model: MixedModel, q: float, a: float, zeta: OrderParameter,
         raise ValueError("conjugate argument must lie in [-1, 1]")
     if sol is None:
         sol = _orig_solution(model, q, zeta, config, a_max=abs(a))
-    if abs(a) >= 1.0 - BOUNDARY_ATOM_TOL:
-        return 0.5 * sol.int_xi_pp_zeta(), math.copysign(math.inf, a)
-    x_star = sol.inverse_phi_x(sol.t0, a)
-    lam = float(sol.phi(sol.t0, x_star)) - a * x_star
-    return lam, x_star
+    return _conj(sol, a)
 
 
 def psi_bar(model: MixedModel, q: float, a: float, zeta: OrderParameter,
@@ -151,33 +160,41 @@ def effective_field(shifted: ShiftedModel, zeta_band: OrderParameter,
 # TAP functionals
 
 
+def _inner_a_max(mu: DiscreteMeasure) -> float:
+    return float(np.max(split_boundary(mu)[0], initial=0.0))
+
+
+def _tap_on(sol: PDESolution, mu: DiscreteMeasure):
+    """(TAP(mu, zeta), sol, starts psi_bar(q, a) of mu's atoms below the
+    boundary), read off the solve `sol` of zeta from q = sol.t0."""
+    locs, wts, edge = split_boundary(mu)
+    conj = [_conj(sol, a) for a in locs]
+    total = sum(w * lam for w, (lam, _) in zip(wts, conj))
+    total += edge * _conj(sol, 1.0)[0]
+    return (float(total - 0.5 * sol.int_s_xi_pp_zeta()), sol,
+            np.array([x for _, x in conj]))
+
+
 def _evaluate(model: MixedModel, mu: DiscreteMeasure, nodes, levels,
               config: SolverConfig) -> tuple[float, PDESolution, np.ndarray]:
     """TAP(mu, zeta), the solution and the starts psi_bar(q, a), for a folded
     law mu and the CDF `levels` on the pieces between `nodes` (q = nodes[0]).
-    Atoms at the boundary add their mass times (1/2) int xi'' zeta."""
-    locs, wts, edge = split_boundary(mu)
-    q = float(nodes[0])
-    cfg = config.with_pad(_grid_pad_for(float(np.max(locs, initial=0.0))))
-    sol = solve_steps(model, (q, float(nodes[-1])), nodes, levels, cfg)
-    starts = np.array([sol.inverse_phi_x(q, a) for a in locs])
-    total = 0.0
-    for a, w, x in zip(locs, wts, starts):
-        total += w * (float(sol.phi(q, x)) - a * x)
-    total += edge * (0.5 * sol.int_xi_pp_zeta())
-    return float(total - 0.5 * sol.int_s_xi_pp_zeta()), sol, starts
+    Only this, the optimizer's evaluation, sweeps `level_gradients`."""
+    cfg = config.with_pad(_grid_pad_for(_inner_a_max(mu)))
+    return _tap_on(solve_steps(model, (float(nodes[0]), float(nodes[-1])),
+                               nodes, levels, cfg), mu)
 
 
 def tap_with_zeta(model: MixedModel, mu: DiscreteMeasure,
                   zeta: OrderParameter,
                   config: SolverConfig = DEFAULT_CONFIG) -> float:
-    """TAP(mu, zeta) = int Lambda_zeta(q, a) dmu - (1/2) int_q^1 s xi'' zeta ds."""
+    """TAP(mu, zeta) = int Lambda_zeta(q, a) dmu - (1/2) int_q^1 s xi'' zeta ds,
+    on a plain solve of zeta on [q, 1] (see `_orig_solution`)."""
     mu = fold_law(mu)
     q = mu.moment(2)
     if q >= 1.0 - 1e-12:
         return 0.0
-    zq = restrict_zeta(zeta, q)
-    return _evaluate(model, mu, zq.nodes, zq.levels, config)[0]
+    return _tap_on(_orig_solution(model, q, zeta, config, _inner_a_max(mu)), mu)[0]
 
 
 def band_functional(shifted: ShiftedModel, mu: DiscreteMeasure, v, lam: float,
@@ -350,7 +367,7 @@ def _optimize(model, mu, x: np.ndarray, q: float,
 
 @dataclass(frozen=True)
 class TapResult:
-    """Outcome of the TAP correction minimization. `solution` is the
+    """Outcome of the TAP correction minimization. `solution` is the plain
     original-boundary solve of the minimizer (None when q = 1)."""
 
     value: float
@@ -417,9 +434,10 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
 
     Levels and nodes are optimized together (see `_optimize`); seed None
     starts from evenly spread levels and nodes, an integer from random
-    ones. The optimizer, the value, the merge candidates and the certificate
-    all evaluate through `_evaluate`; the certificate reuses the solve of
-    the returned zeta. `diagnostics["stop"]` names the stopping rule.
+    ones. Only the optimizer evaluates through `_evaluate`; the value and
+    the merge candidates take plain solves (`_orig_solution`), and the
+    certificate reuses the solve of the returned zeta. `diagnostics["stop"]`
+    names the stopping rule.
     `converged` needs tol or ftol and a certificate `first_residual` of at
     most CERTIFICATE_TOL, when computed: tied levels can stop at tol short
     of a minimizer. Also cross-evaluates the band representation
@@ -446,16 +464,12 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
         nodes = q + (1.0 - q) * np.sort(rng.uniform(0.05, 0.95, size=r - 1))
         levels = np.sort(rng.uniform(0.0, 1.0, size=r))
     x, info = _optimize(model, mu, np.concatenate([levels, nodes]), q, config)
-
-    def evaluate(z: OrderParameter):
-        zq = restrict_zeta(z, q)
-        return _evaluate(model, mu, zq.nodes, zq.levels, config)
-
+    a_max = _inner_a_max(mu)
     # The value is TAP at the returned zeta, solved on its atoms alone: a
     # node between equal levels splits a layer and moves the discretized
     # value (by 7e-7 on a model with xi'(1) = 7.7), so it may not count.
     zeta = _steps_zeta(x, q)
-    val, sol, starts = evaluate(zeta)
+    val, sol, starts = _tap_on(_orig_solution(model, q, zeta, config, a_max), mu)
     # prefer fewer atoms when the value is within 1e-9: greedily merge the
     # closest pair of atoms into their weighted mean as long as it is free;
     # a pair holding the atom at q merges there, keeping q in the support
@@ -468,7 +482,7 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
         loc = x0 if x0 <= q else (x0 * w0 + x1 * w1) / (w0 + w1)
         merged = atoms[:i] + [(loc, w0 + w1)] + atoms[i + 2:]
         cand = OrderParameter.from_atoms((q, 1.0), merged)
-        trial = evaluate(cand)
+        trial = _tap_on(_orig_solution(model, q, cand, config, a_max), mu)
         if not trial[0] <= val + 1e-9:
             break
         zeta, atoms, (val, sol, starts) = cand, merged, trial

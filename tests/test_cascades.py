@@ -208,3 +208,16 @@ def test_replicates_skip_the_coverage_estimate(monkeypatch):
         g = sample_tree_field(c_rep, theta_nodes, 1, rng)
         vals.append(float(logsumexp(np.log(c_rep.weights) + g[0])))
     assert out["mean"] == float(np.mean(vals))
+
+
+def test_single_replicate_is_refused():
+    # one replicate has no standard error; 0.0 would make a 3-sigma check
+    # demand exact equality
+    f = pure_p_model(2)
+    zb = OrderParameter.from_atoms((0.0, 1.0), [(0.0, 0.5), (1.0, 0.5)])
+    levels, fnodes = zeta_to_cascade_params(zb, f.theta)
+    c = sample_cascade(levels, 200, seed=19)
+    with pytest.raises(ValueError, match="2 replicates"):
+        psi_full(c, fnodes, np.full(3, 0.2), n_reps=1)
+    with pytest.raises(ValueError, match="2 replicates"):
+        upsilon_mc(c, f, zb, n_reps=1)

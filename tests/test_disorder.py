@@ -419,3 +419,10 @@ def test_tap_ascent_zero_steps_returns_start():
     grad -= (grad @ m) / (N * q) * m
     assert out["grad_norm"] == pytest.approx(float(np.linalg.norm(grad)),
                                              rel=1e-12)
+
+
+def test_concentration_single_draw_is_refused():
+    # one draw has no spread: the std would be NaN
+    band = BandSpec((0.0,) * 8, eps=0.2, delta=0.2, n=2)
+    with pytest.raises(ValueError, match="2 draws"):
+        concentration_experiment(sk_model(1.0), 8, band, n_draws=1)

@@ -517,3 +517,16 @@ def test_parisi_minimizer_independent_of_init(coeffs):
     assert max(values) - min(values) < 1e-7
     for info in infos:
         assert info["diagnostics"]["certificate"]["first_residual"] < 1e-4
+
+
+def test_band_zeta_short_of_the_horizon_is_refused():
+    # a band zeta on [0, 0.5] with 1 - q = 0.91 used to be solved on [0, 0.5]
+    from gtap.tap import EffectiveField
+    sh = sk_model(1.0).shift(0.09)
+    short = OrderParameter.delta_at(0.0, (0.0, 0.5))
+    with pytest.raises(ValueError, match="1-q"):
+        solve_band(sh, 0.3, short)
+    with pytest.raises(ValueError, match="1-q"):
+        EffectiveField(sh, short)(0.3)
+    full = OrderParameter.delta_at(0.0, (0.0, sh.horizon))
+    assert np.isfinite(EffectiveField(sh, full)(0.3))

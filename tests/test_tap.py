@@ -480,3 +480,71 @@ def test_tied_levels_stop_is_not_converged():
     moved = OrderParameter.from_atoms(
         res.minimizer_zeta.interval, list(atoms[:-1]) + [(0.95, atoms[-1][1])])
     assert tap_with_zeta(model, mu, moved) < res.value - 1e-3
+
+
+def test_tap_correction_solution_sweeps_no_gradients(mixed_23):
+    # the returned minimizer's solve is a plain solve: only the optimizer's
+    # evaluations sweep level gradients
+    mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.3, 0.5), (0.6, 0.5)))
+    res = tap_correction(mixed_23, mu, r_atoms=2, with_representation=False)
+    with pytest.raises(ValueError, match="solve_steps"):
+        res.solution.level_gradients()
+
+
+def test_every_swept_solve_is_read_once(mixed_23, monkeypatch):
+    from gtap import pde
+    swept, reads = [], []
+    init, grads = pde.PDESolution.__init__, pde.PDESolution.level_gradients
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if kwargs.get("with_gradients"):
+            swept.append(self)
+
+    def counting_grads(self):
+        reads.append(self)
+        return grads(self)
+
+    monkeypatch.setattr(pde.PDESolution, "__init__", counting_init)
+    monkeypatch.setattr(pde.PDESolution, "level_gradients", counting_grads)
+    mu = DiscreteMeasure(interval=(0.0, 1.0),
+                         atoms=((0.3, 0.4), (0.6, 0.4), (1.0, 0.2)))
+    res = tap_correction(mixed_23, mu, r_atoms=3)
+    assert len(swept) == res.diagnostics["level_evals"]
+    assert [id(s) for s in reads] == [id(s) for s in swept]
+    swept.clear()
+    q, zeta = res.q, res.minimizer_zeta
+    tap_with_zeta(mixed_23, mu, zeta)
+    lambda_conj(mixed_23, q, 0.5, zeta)
+    psi_bar(mixed_23, q, 0.5, zeta)
+    psi(mixed_23, q, 0.5, zeta)
+    assert swept == []
+
+
+def test_zeta_that_stops_short_of_one_is_refused(mixed_23):
+    # the PDE would be solved on [q, 0.8] only and give a wrong value
+    mu = DiscreteMeasure.delta(0.3)
+    q = mu.moment(2)
+    short = OrderParameter.delta_at(0.8, (0.0, 0.8))
+    calls = (lambda z: tap_with_zeta(mixed_23, mu, z),
+             lambda z: lambda_conj(mixed_23, q, 0.5, z),
+             lambda z: psi_bar(mixed_23, q, 0.5, z),
+             lambda z: psi(mixed_23, q, 0.5, z))
+    for call in calls:
+        with pytest.raises(ValueError, match="end at 1"):
+            call(short)
+    # a zeta starting above q is extended by zero on [q, 0.5)
+    late = OrderParameter.delta_at(0.7, (0.5, 1.0))
+    full = OrderParameter.delta_at(0.7, (0.0, 1.0))
+    for call in calls:
+        assert call(late) == call(full)
+
+
+def test_swept_and_plain_solves_give_the_same_value(mixed_23):
+    mu = DiscreteMeasure(interval=(0.0, 1.0),
+                         atoms=((0.3, 0.4), (0.6, 0.4), (1.0, 0.2)))
+    zeta = OrderParameter.from_atoms((0.0, 1.0), [(0.7, 0.6), (1.0, 0.4)])
+    zq = restrict_zeta(zeta, mu.moment(2))
+    assert zq.levels[0] == 0.0
+    val = _evaluate(mixed_23, mu, zq.nodes, zq.levels, SolverConfig())[0]
+    assert val == tap_with_zeta(mixed_23, mu, zeta)
