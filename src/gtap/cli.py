@@ -117,7 +117,10 @@ def cmd_correction(args) -> int:
         "classical_tap": rs.classical_tap(model, mu),
     }
     if res.q < 1.0 - 1e-9:
-        diag = rs.is_replica_symmetric(model.shift(res.q), mu)
+        # tap_correction's own diagnostic, unless its curvature test skipped it
+        diag = res.diagnostics.get("rs")
+        if diag is None:
+            diag = rs.is_replica_symmetric(model.shift(res.q), mu)
         out["rs"] = {"is_rs": diag.is_rs, "sup_gamma": diag.sup_gamma,
                      "gamma_second_deriv_at_0": diag.gamma_second_deriv_at_0,
                      "plefka_lhs": diag.plefka_lhs}
@@ -301,9 +304,14 @@ def cmd_check(args) -> int:
     mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.0, 1.0),))
     small = sk_model(0.4, convention="half")
     res = tap.tap_correction(small, mu, r_atoms=2)
-    record("rs_classical_tap",
-           abs(res.value - rs.classical_tap(small, mu)) < 1e-6,
-           value=res.value, classical=rs.classical_tap(small, mu))
+    classical = rs.classical_tap(small, mu)
+    record("rs_classical_tap", abs(res.value - classical) < 1e-6,
+           value=res.value, classical=classical)
+    # Gamma_mu < 0: the RS shortcut returns delta_q without the optimizer
+    record("rs_shortcut",
+           res.diagnostics["stop"] == "rs"
+           and abs(res.value - classical) < 1e-9,
+           stop=res.diagnostics["stop"], error=abs(res.value - classical))
     smpl = disorder.sample(8, model, seed=11)
     band = disorder.BandSpec((0.0,) * 8, eps=0.3, delta=0.3, n=2)
     ch = disorder.chain_values(smpl, band)

@@ -38,6 +38,8 @@ CLASSICAL_TOL = 1e-12        # its sup-norm residual tolerance
 GENERALIZED_MAX_ITER = 2000  # iteration cap of solve_tap_equations
 GENERALIZED_TOL = 1e-9       # its sup-norm residual tolerance
 ASCENT_STEP = 0.5            # first step length of tap_ascent
+ASCENT_BOUND = 1.0 - BOUNDARY_ATOM_TOL   # its cube: |m_i| <= ASCENT_BOUND
+ASCENT_GTOL = 1e-6           # its converged tangent-gradient norm
 
 
 @dataclass(frozen=True)
@@ -344,39 +346,63 @@ def grad_tap(model: MixedModel, m, r_atoms: int = 2,
     return grad, result
 
 
+def _onto_sphere_cube(m: np.ndarray, q: float) -> np.ndarray:
+    """A point of {||m||^2 = N q} with every |m_i| <= ASCENT_BOUND: scale m
+    onto the sphere, then clip and rescale the unclipped coordinates until
+    none exceeds the bound. Each round clips at least one more coordinate,
+    so N rounds suffice when q <= ASCENT_BOUND^2."""
+    N = m.size
+    if q == 0.0:
+        return np.zeros(N)
+    m = m * (math.sqrt(N * q) / np.linalg.norm(m))
+    for _ in range(N):
+        if np.max(np.abs(m)) <= ASCENT_BOUND:
+            break
+        m = np.clip(m, -ASCENT_BOUND, ASCENT_BOUND)
+        free = np.abs(m) < ASCENT_BOUND
+        rest = N * q - ASCENT_BOUND ** 2 * (N - np.count_nonzero(free))
+        m[free] *= math.sqrt(rest / float(m[free] @ m[free]))
+    return m
+
+
 def tap_ascent(smpl: DisorderSample, q: float, steps: int = 30,
                r_atoms: int = 2, seed: int = 0,
                config: SolverConfig = DEFAULT_CONFIG) -> dict:
-    """Projected gradient ascent of H(m)/N + TAP(mu_m) on ||m||^2 = N q.
+    """Projected gradient ascent of H(m)/N + TAP(mu_m) on ||m||^2 = N q
+    inside the cube [-ASCENT_BOUND, ASCENT_BOUND]^N.
 
-    Starts from a random point of the sphere drawn from `seed`. Monotone up
-    to line-search tolerance; reports the trajectory and the final objective
-    next to the true free energy F_N (an upper bound only in the large-N
-    limit, so the comparison is a report, not an assertion).
+    Starts from a random point drawn from `seed`; the start and every step
+    are put on sphere and cube by `_onto_sphere_cube`. Monotone up to
+    line-search tolerance. Stops after `steps` steps, when no step raises
+    the objective, or when the sphere-tangent gradient norm is at most
+    ASCENT_GTOL, the only stop reported as `converged`. Reports the
+    trajectory (step, value, point) and the final objective next to the
+    true free energy F_N (an upper bound only in the large-N limit, so the
+    comparison is a report, not an assertion).
     """
     N = smpl.N
+    if not 0.0 <= q <= ASCENT_BOUND ** 2:
+        raise ValueError(f"sphere radius q={q} outside "
+                         f"[0, {ASCENT_BOUND ** 2}]")
     rng = np.random.default_rng(seed)
-    m = rng.uniform(-0.5, 0.5, size=N)
-    if q > 0:
-        m *= math.sqrt(N * q) / np.linalg.norm(m)
+    m = _onto_sphere_cube(rng.uniform(-0.5, 0.5, size=N), q)
 
     def objective(mv):
         g_tap, res = grad_tap(smpl.model, mv, r_atoms=r_atoms, config=config)
         grad = smpl.gradient(mv) / N + g_tap
-        if q > 0:
-            grad = grad - (grad @ mv) / (N * q) * mv
+        # tangent to the sphere; at q = 0 the sphere is the origin
+        grad = grad - (grad @ mv) / (N * q) * mv if q > 0 else np.zeros(N)
         return smpl.energy(mv) / N + res.value, grad
 
     val, grad = objective(m)
-    traj = [{"step": 0, "value": val}]
+    traj = [{"step": 0, "value": val, "m": m}]
     eta = ASCENT_STEP
     for k in range(1, steps + 1):
+        if np.linalg.norm(grad) <= ASCENT_GTOL:
+            break
         moved = False
         while eta > 1e-8:
-            m_try = m + eta * grad
-            if q > 0:
-                m_try *= math.sqrt(N * q) / np.linalg.norm(m_try)
-            m_try = np.clip(m_try, -1 + 1e-9, 1 - 1e-9)
+            m_try = _onto_sphere_cube(m + eta * grad, q)
             v_try, g_try = objective(m_try)
             if v_try >= val - 1e-12:
                 m, val, grad = m_try, v_try, g_try
@@ -384,9 +410,10 @@ def tap_ascent(smpl: DisorderSample, q: float, steps: int = 30,
                 eta = min(eta * 1.5, 4.0)
                 break
             eta *= 0.5
-        traj.append({"step": k, "value": val})
+        traj.append({"step": k, "value": val, "m": m})
         if not moved:
             break
+    grad_norm = float(np.linalg.norm(grad))
     return {"m": m, "value": val, "trajectory": traj,
-            "free_energy": free_energy(smpl),
-            "grad_norm": float(np.linalg.norm(grad))}
+            "free_energy": free_energy(smpl), "grad_norm": grad_norm,
+            "converged": grad_norm <= ASCENT_GTOL}

@@ -10,10 +10,13 @@ Central objects, for a magnetization law mu on [0, 1] with q = int a^2 dmu:
   and the band functionals P_mu^v(lambda, zeta) it enters; the minimizer of
   TAP(mu, .) is the unique fixed point of the band representation.
 
-The minimization over r-atom order parameters is one projected-gradient
-loop on the CDF levels and the node locations together, with BFGS steps
-on the active face; the exact gradient comes from one backward sweep of the
-solver (`PDESolution.level_gradients`).
+The minimization starts from the paper's replica-symmetric theorem: when
+the closed-form stability curve Gamma_mu (`rs.is_replica_symmetric`) is
+strictly negative on the band, the minimizer is delta_q and no optimizer
+runs. Otherwise it is one projected-gradient loop over r-atom order
+parameters, on the CDF levels and the node locations together, with BFGS
+steps on the active face; the exact gradient comes from one backward sweep
+of the solver (`PDESolution.level_gradients`).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from . import rs
 from .measures import (BOUNDARY_ATOM_TOL, DiscreteMeasure, OrderParameter,
                        band_coords, fold_law, restrict_zeta, split_boundary)
 from .model import MixedModel, ShiftedModel
@@ -56,20 +60,33 @@ def _grid_pad_for(a_max: float, extra: float = 0.0) -> float:
     return pad
 
 
-def _orig_solution(model: MixedModel, q: float, zeta: OrderParameter,
-                   config: SolverConfig, a_max: float = 0.0) -> PDESolution:
-    """Plain solve of zeta restricted to [q, 1], padded for slopes up to
-    a_max; ValueError when zeta's interval does not end at 1."""
+def _restricted(zeta: OrderParameter, q: float) -> OrderParameter:
+    """zeta restricted to [q, 1]; ValueError when its interval does not end
+    at 1."""
     zq = restrict_zeta(zeta, q)
     if abs(zq.interval[1] - 1.0) > 1e-12:
         raise ValueError(f"order parameter must end at 1, not {zq.interval[1]}")
-    return solve(model, zq, config.with_pad(_grid_pad_for(a_max)))
+    return zq
+
+
+def _orig_solution(model: MixedModel, q: float, zeta: OrderParameter,
+                   config: SolverConfig, a_max: float = 0.0) -> PDESolution:
+    """Plain solve of zeta restricted to [q, 1], padded for slopes up to
+    a_max."""
+    return solve(model, _restricted(zeta, q),
+                 config.with_pad(_grid_pad_for(a_max)))
+
+
+def _at_boundary(a: float) -> bool:
+    """The one boundary rule of Lambda and psi_bar: |a| >= 1 - BOUNDARY_ATOM_TOL
+    takes the |a| = 1 limits, where inverting Phi_x is ill-conditioned."""
+    return abs(a) >= 1.0 - BOUNDARY_ATOM_TOL
 
 
 def _conj(sol: PDESolution, a: float) -> tuple[float, float]:
     """(Phi(q, psi_bar) - a psi_bar, psi_bar(q, a)) on the solve from
-    q = sol.t0; at |a| = 1 the limits ((1/2) int_q^1 xi'' zeta, +-inf)."""
-    if abs(a) >= 1.0 - BOUNDARY_ATOM_TOL:
+    q = sol.t0; at the boundary the limits ((1/2) int_q^1 xi'' zeta, +-inf)."""
+    if _at_boundary(a):
         return 0.5 * sol.int_xi_pp_zeta(), math.copysign(math.inf, a)
     x = sol.inverse_phi_x(sol.t0, a)
     return float(sol.phi(sol.t0, x)) - a * x, x
@@ -82,10 +99,16 @@ def lambda_conj(model: MixedModel, q: float, a: float, zeta: OrderParameter,
     on `sol` or else a plain solve of zeta on [q, 1] (`_orig_solution`).
 
     For |a| = 1 the infimum is the limit (1/2) int_q^1 xi'' zeta ds and the
-    minimizer escapes to +-infinity (returned as a signed inf sentinel).
+    minimizer escapes to +-infinity (returned as a signed inf sentinel). That
+    closed form reads no grid, so without `sol` it solves nothing.
     """
     if abs(a) > 1.0 + 1e-12:
         raise ValueError("conjugate argument must lie in [-1, 1]")
+    if sol is None and _at_boundary(a):
+        # the arithmetic of PDESolution.int_xi_pp_zeta, on the same steps
+        zq = _restricted(zeta, q)
+        return (0.5 * zq.integral_against(model.xi_prime),
+                math.copysign(math.inf, a))
     if sol is None:
         sol = _orig_solution(model, q, zeta, config, a_max=abs(a))
     return _conj(sol, a)
@@ -94,9 +117,12 @@ def lambda_conj(model: MixedModel, q: float, a: float, zeta: OrderParameter,
 def psi_bar(model: MixedModel, q: float, a: float, zeta: OrderParameter,
             config: SolverConfig = DEFAULT_CONFIG,
             sol: PDESolution | None = None) -> float:
-    """Unique x with d/dx Phi_zeta(q, x) = a (odd in a)."""
+    """Unique x with d/dx Phi_zeta(q, x) = a (odd in a); +-inf at the
+    boundary, as in `lambda_conj`."""
     if abs(a) >= 1.0:
         raise ValueError("psi_bar requires |a| < 1")
+    if _at_boundary(a):
+        return math.copysign(math.inf, a)
     if sol is None:
         sol = _orig_solution(model, q, zeta, config, a_max=abs(a))
     return sol.inverse_phi_x(sol.t0, a)
@@ -425,6 +451,57 @@ def _stationarity(runs, zeta: OrderParameter, xi_pp,
     }
 
 
+def _rs_certified(model: MixedModel, mu: DiscreteMeasure,
+                  q: float) -> tuple[bool, rs.RsDiagnostics | None]:
+    """The paper's RS test with a strict sign: Gamma''(0) and sup Gamma_mu
+    both at most -RS_TOLERANCE. The closed-form curvature goes first; when it
+    already fails, the curve is not computed (diagnostic None)."""
+    shifted = model.shift(q)
+    if rs.gamma_second_derivative(shifted, mu) > -rs.RS_TOLERANCE:
+        return False, None
+    diag = rs.is_replica_symmetric(shifted, mu)
+    return diag.sup_gamma <= -rs.RS_TOLERANCE, diag
+
+
+def _minimize(model: MixedModel, mu: DiscreteMeasure, q: float, r: int,
+              config: SolverConfig, seed: int | None, a_max: float):
+    """The optimizer path of `tap_correction`: `_optimize` from evenly
+    spread (seed None) or random levels and nodes, then greedy atom merges.
+    Returns (zeta, (value, solution, psi_bar starts), optimizer info)."""
+    if seed is None:
+        nodes = q + (1.0 - q) * np.arange(1, r) / r
+        levels = np.linspace(1.0 / r, 1.0, r)
+    else:
+        rng = np.random.default_rng(seed)
+        nodes = q + (1.0 - q) * np.sort(rng.uniform(0.05, 0.95, size=r - 1))
+        levels = np.sort(rng.uniform(0.0, 1.0, size=r))
+    x, info = _optimize(model, mu, np.concatenate([levels, nodes]), q, config)
+    # The value is TAP at the returned zeta, solved on its atoms alone: a
+    # node between equal levels splits a layer and moves the discretized
+    # value (by 7e-7 on a model with xi'(1) = 7.7), so it may not count.
+    zeta = _steps_zeta(x, q)
+    best = _tap_on(_orig_solution(model, q, zeta, config, a_max), mu)
+    # prefer fewer atoms when the value is within 1e-9: greedily merge the
+    # closest pair of atoms into their weighted mean as long as it is free;
+    # a pair holding the atom at q merges there, keeping q in the support
+    # (near an RS minimizer the optimizer leaves s_1 a hair above q)
+    atoms = list(zeta.measure.atoms)
+    while len(atoms) > 1:
+        gaps = [atoms[i + 1][0] - atoms[i][0] for i in range(len(atoms) - 1)]
+        i = int(np.argmin(gaps))
+        (x0, w0), (x1, w1) = atoms[i], atoms[i + 1]
+        loc = x0 if x0 <= q else (x0 * w0 + x1 * w1) / (w0 + w1)
+        # a lone atom holds all the mass, which w0 + w1 can miss by an ulp
+        merged = atoms[:i] + [(loc, w0 + w1 if len(atoms) > 2 else 1.0)] \
+            + atoms[i + 2:]
+        cand = OrderParameter.from_atoms((q, 1.0), merged)
+        trial = _tap_on(_orig_solution(model, q, cand, config, a_max), mu)
+        if not trial[0] <= best[0] + 1e-9:
+            break
+        zeta, atoms, best = cand, merged, trial
+    return zeta, best, info
+
+
 def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
                    config: SolverConfig = DEFAULT_CONFIG,
                    seed: int | None = None,
@@ -432,16 +509,25 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
                    with_certificate: bool = True) -> TapResult:
     """Minimize zeta -> TAP(mu, zeta) over r-atom order parameters on [q, 1].
 
-    Levels and nodes are optimized together (see `_optimize`); seed None
-    starts from evenly spread levels and nodes, an integer from random
-    ones. Only the optimizer evaluates through `_evaluate`; the value and
-    the merge candidates take plain solves (`_orig_solution`), and the
-    certificate reuses the solve of the returned zeta. `diagnostics["stop"]`
-    names the stopping rule.
-    `converged` needs tol or ftol and a certificate `first_residual` of at
-    most CERTIFICATE_TOL, when computed: tied levels can stop at tol short
-    of a minimizer. Also cross-evaluates the band representation
-    inf P_bar_mu^{v_zeta}(0, zeta) at the found minimizer and reports the
+    RS first: when Gamma''(0) and sup Gamma_mu are both at most
+    -rs.RS_TOLERANCE (`_rs_certified`), the paper's RS theorem gives the
+    minimizer delta_q, whose value is the classical correction; it is
+    returned from one plain solve with `stop` "rs" and no optimizer
+    evaluation. Near that margin, and whenever Gamma''(0) > -RS_TOLERANCE
+    (then the curve is not computed), the optimizer runs (see `_optimize`):
+    levels and nodes together, seed None from evenly spread levels and
+    nodes, an integer from random ones, then greedy merges of atoms that
+    cost at most 1e-9. Only the optimizer evaluates through `_evaluate`; the
+    value and the merge candidates take plain solves (`_orig_solution`), and
+    the certificate reuses the solve of the returned zeta.
+
+    `diagnostics`: `stop` names the stopping rule ("rs" for the shortcut),
+    `level_evals` counts optimizer evaluations, `rs` holds the
+    `rs.RsDiagnostics` when the curve was computed. `converged` needs rs,
+    tol or ftol and a certificate `first_residual` of at most
+    CERTIFICATE_TOL, when computed: tied levels can stop at tol short of a
+    minimizer. Also cross-evaluates the band representation
+    inf P_bar_mu^{v_zeta}(0, zeta) at the returned minimizer and reports the
     gap.
 
     The correction does not depend on the model's external field h: the
@@ -456,44 +542,22 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
         trivial = OrderParameter.delta_at(1.0, (1.0, 1.0))
         return TapResult(value=0.0, minimizer_zeta=trivial, q=1.0,
                          diagnostics={"trivial": True, "converged": True})
-    if seed is None:
-        nodes = q + (1.0 - q) * np.arange(1, r) / r
-        levels = np.linspace(1.0 / r, 1.0, r)
-    else:
-        rng = np.random.default_rng(seed)
-        nodes = q + (1.0 - q) * np.sort(rng.uniform(0.05, 0.95, size=r - 1))
-        levels = np.sort(rng.uniform(0.0, 1.0, size=r))
-    x, info = _optimize(model, mu, np.concatenate([levels, nodes]), q, config)
     a_max = _inner_a_max(mu)
-    # The value is TAP at the returned zeta, solved on its atoms alone: a
-    # node between equal levels splits a layer and moves the discretized
-    # value (by 7e-7 on a model with xi'(1) = 7.7), so it may not count.
-    zeta = _steps_zeta(x, q)
-    val, sol, starts = _tap_on(_orig_solution(model, q, zeta, config, a_max), mu)
-    # prefer fewer atoms when the value is within 1e-9: greedily merge the
-    # closest pair of atoms into their weighted mean as long as it is free;
-    # a pair holding the atom at q merges there, keeping q in the support
-    # (near an RS minimizer the optimizer leaves s_1 a hair above q)
-    atoms = list(zeta.measure.atoms)
-    while len(atoms) > 1:
-        gaps = [atoms[i + 1][0] - atoms[i][0] for i in range(len(atoms) - 1)]
-        i = int(np.argmin(gaps))
-        (x0, w0), (x1, w1) = atoms[i], atoms[i + 1]
-        loc = x0 if x0 <= q else (x0 * w0 + x1 * w1) / (w0 + w1)
-        merged = atoms[:i] + [(loc, w0 + w1)] + atoms[i + 2:]
-        cand = OrderParameter.from_atoms((q, 1.0), merged)
-        trial = _tap_on(_orig_solution(model, q, cand, config, a_max), mu)
-        if not trial[0] <= val + 1e-9:
-            break
-        zeta, atoms, (val, sol, starts) = cand, merged, trial
-
-    diagnostics = {
-        "converged": info["stop"] in ("tol", "ftol"),
-        "stop": info["stop"],
-        "projected_grad": info["projected_grad"],
-        "level_evals": info["n_eval"],
-        "trivial": False,
-    }
+    certified, rs_diag = _rs_certified(model, mu, q)
+    if certified:
+        zeta = OrderParameter.delta_at(q, (q, 1.0))
+        sol = _orig_solution(model, q, zeta, config, a_max)
+        val, sol, starts = _tap_on(sol, mu)
+        diagnostics = {"stop": "rs", "level_evals": 0}
+    else:
+        zeta, (val, sol, starts), info = _minimize(model, mu, q, r, config,
+                                                   seed, a_max)
+        diagnostics = {"stop": info["stop"], "level_evals": info["n_eval"],
+                       "projected_grad": info["projected_grad"]}
+    diagnostics["converged"] = diagnostics["stop"] in ("rs", "tol", "ftol")
+    diagnostics["trivial"] = False
+    if rs_diag is not None:
+        diagnostics["rs"] = rs_diag
     if with_certificate:
         # original coordinates: the control diffusion starts at psi_bar(q, a),
         # and the boundary atoms, whose slope u is 1, count as their mass

@@ -42,6 +42,51 @@ def test_correction_rs_instance_and_rerun_identical(tmp_path, model_spec):
     assert data["rs"]["is_rs"] is True
 
 
+@pytest.mark.parametrize("coeffs, stop", [
+    ([0.0, 0.125], "rs"),       # Gamma < 0: tap_correction's diagnostic
+    ([0.0, 1.0], "tol"),        # Gamma''(0) > 0: the curve is left to the CLI
+])
+def test_correction_computes_the_rs_diagnostic_once(tmp_path, monkeypatch,
+                                                    coeffs, stop):
+    from gtap import rs
+    from gtap.measures import DiscreteMeasure
+    from gtap.model import MixedModel
+    model = write(tmp_path, "m.json", {"coeffs_sq": coeffs, "h": 0.0})
+    mu = write(tmp_path, "mu.json", {"interval": [0, 1], "atoms": [[0.0, 1.0]]})
+    calls = []
+    diagnose = rs.is_replica_symmetric
+
+    def counting(*args):
+        calls.append(1)
+        return diagnose(*args)
+
+    monkeypatch.setattr(rs, "is_replica_symmetric", counting)
+    out = tmp_path / "out"
+    assert main(["correction", "--model", model, "--mu", mu, "--out", str(out),
+                 "--r-atoms", "1"]) == 0
+    assert len(calls) == 1
+    data = json.loads((out / "correction.json").read_text())
+    diag = diagnose(MixedModel(coeffs_sq=tuple(coeffs)).shift(0.0),
+                    DiscreteMeasure.delta(0.0))
+    assert data["rs"] == {
+        "is_rs": diag.is_rs, "sup_gamma": diag.sup_gamma,
+        "gamma_second_deriv_at_0": diag.gamma_second_deriv_at_0,
+        "plefka_lhs": diag.plefka_lhs}
+    assert data["rs"]["is_rs"] == (stop == "rs")
+
+
+def test_tap_solve_ascent_from_a_start_outside_the_cube(tmp_path):
+    # q = 0.370: U(-1/2, 1/2)^10 scaled onto the sphere has an entry beyond 1
+    # at this seed, which made grad_tap refuse the start and the command
+    # exit 1 without ascent.csv
+    model = write(tmp_path, "m.json", {"coeffs_sq": [0, 0.5], "h": 0.8})
+    out = tmp_path / "solve"
+    assert main(["tap-solve", "--model", model, "--N", "10", "--seed", "4",
+                 "--out", str(out)]) == 0
+    rows = (out / "ascent.csv").read_text().splitlines()
+    assert rows[0] == "step,objective" and len(rows) > 2
+
+
 def test_correction_seed_moves_start_not_value(tmp_path):
     # RSB instance: different starts end at different points of the same
     # minimum, so the outputs differ in bytes but the values agree

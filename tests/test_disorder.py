@@ -279,6 +279,38 @@ def test_tap_ascent_monotone():
     assert "free_energy" in out
 
 
+def test_tap_ascent_stays_on_sphere_and_cube():
+    # this run used to stop after 6 of 10 steps: each step rescaled onto the
+    # sphere and then clipped, so m_0 sat at the clip bound off the sphere
+    # (m.m/N = 0.2837) and every later step was rejected
+    from gtap.disorder import ASCENT_BOUND
+    N, q = 10, 0.3
+    s = sample(N, sk_model(1.2, h=0.3), seed=3)
+    out = tap_ascent(s, q=q, steps=10, r_atoms=1, seed=1)
+    assert len(out["trajectory"]) == 11 or out["converged"]
+    points = [row["m"] for row in out["trajectory"]] + [out["m"]]
+    for m in points:
+        assert abs(float(m @ m) / N - q) <= 1e-12
+        assert np.max(np.abs(m)) <= ASCENT_BOUND
+    # the bound is reached on the way, so the clip is exercised
+    assert max(np.max(np.abs(m)) for m in points) == ASCENT_BOUND
+    assert out["converged"] == (out["grad_norm"] <= 1e-6)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.6, 0.9])
+def test_tap_ascent_start_lies_in_the_cube(q):
+    # U(-1/2, 1/2)^N scaled onto the sphere leaves the cube for most seeds
+    # at q >= 0.5; grad_tap then refused the start
+    from gtap.disorder import _onto_sphere_cube, ASCENT_BOUND
+    N = 10
+    for seed in range(20):
+        start = np.random.default_rng(seed).uniform(-0.5, 0.5, size=N)
+        m = _onto_sphere_cube(start, q)
+        assert abs(float(m @ m) / N - q) <= 1e-12
+        assert np.max(np.abs(m)) <= ASCENT_BOUND
+        assert np.array_equal(np.sign(m), np.sign(start))
+
+
 def test_tap_ascent_zero_model():
     z = sample(6, MixedModel(coeffs_sq=(0.0,)), seed=2)
     out = tap_ascent(z, q=0.2, steps=3, r_atoms=1, seed=5)
@@ -324,10 +356,11 @@ def _tap_solve_point(model, N, seed):
 
 def test_grad_tap_reuses_the_minimizer_solve(monkeypatch):
     # the gradient reads psi_bar off tap_correction's solve of the minimizer
-    # instead of solving it again: one solve fewer, the same bits
+    # instead of solving it again: no solve beyond tap_correction's own on
+    # the same input, and the same bits as a fresh solve
     from gtap import pde
-    from gtap.measures import restrict_zeta
-    from gtap.tap import _orig_solution
+    from gtap.measures import empirical, restrict_zeta
+    from gtap.tap import _orig_solution, tap_correction
     model = sk_model(0.3, h=0.6, convention="half")
     N = 10
     m = _tap_solve_point(model, N, seed=6)
@@ -339,9 +372,13 @@ def test_grad_tap_reuses_the_minimizer_solve(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(pde.PDESolution, "__init__", counting)
+    tap_correction(model, empirical(m, fold=True), r_atoms=2,
+                   with_representation=False, with_certificate=False)
+    alone = len(solves)
+    assert alone >= 1
+    solves.clear()
     grad, res = grad_tap(model, m, r_atoms=2)
-    assert len(solves) == 9
-    assert res.diagnostics["level_evals"] == 7
+    assert len(solves) == alone
     monkeypatch.setattr(pde.PDESolution, "__init__", init)
     # the former path: a fresh solve of the minimizer
     q = float(m @ m) / N

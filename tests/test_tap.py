@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gtap import pde, tap
 from gtap.measures import (DiscreteMeasure, OrderParameter, band_coords, d1,
                            empirical, restrict_zeta)
 from gtap.model import MixedModel, sk_model
@@ -13,7 +14,7 @@ from gtap.tap import (EffectiveField, _evaluate, _gradient, _unpack,
                       effective_field, lambda_conj, optimality_check, psi,
                       psi_bar, tap_correction, tap_with_zeta)
 
-from conftest import random_mu, random_zeta
+from conftest import random_model, random_mu, random_zeta
 
 
 def test_lambda_at_zero_slope(mixed_23):
@@ -548,3 +549,112 @@ def test_swept_and_plain_solves_give_the_same_value(mixed_23):
     assert zq.levels[0] == 0.0
     val = _evaluate(mixed_23, mu, zq.nodes, zq.levels, SolverConfig())[0]
     assert val == tap_with_zeta(mixed_23, mu, zeta)
+
+
+def _count_solves(monkeypatch):
+    built = []
+    init = pde.PDESolution.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(pde.PDESolution, "__init__", counting)
+    return built
+
+
+def test_lambda_at_boundary_atom_solves_nothing(monkeypatch):
+    # the closed form (1/2) int_q^1 xi'' zeta reads no grid: without `sol`
+    # it equals, bit for bit, the value read off a solve, and builds none
+    model, q = sk_model(1.0), 0.3
+    zeta = OrderParameter.from_atoms((q, 1.0), [(0.5, 0.5), (1.0, 0.5)])
+    sol = solve(model, zeta)
+    built = _count_solves(monkeypatch)
+    for a in (1.0 - 5e-10, 1.0, -1.0):
+        lam, x_star = lambda_conj(model, q, a, zeta)
+        assert (lam, x_star) == lambda_conj(model, q, a, zeta, sol=sol)
+        assert x_star == math.copysign(math.inf, a)
+    assert built == []
+
+
+def test_psi_bar_follows_the_conjugate_boundary_rule(monkeypatch):
+    # at 1 - 5e-10 Phi_x = a is ill-conditioned (it gave 11.50): psi_bar
+    # takes the same signed-inf limit as lambda_conj, without a solve
+    model, q = sk_model(1.0), 0.3
+    zeta = OrderParameter.from_atoms((q, 1.0), [(0.5, 0.5), (1.0, 0.5)])
+    built = _count_solves(monkeypatch)
+    for a in (1.0 - 5e-10, -(1.0 - 5e-10)):
+        assert psi_bar(model, q, a, zeta) == lambda_conj(model, q, a, zeta)[1]
+        assert psi_bar(model, q, a, zeta) == math.copysign(math.inf, a)
+    assert built == []
+    with pytest.raises(ValueError, match="psi_bar"):
+        psi_bar(model, q, 1.0, zeta)
+
+
+def _rs_draws(rng, n):
+    """n (model, law) pairs the shortcut certifies RS; every third law has
+    a fifth of its mass at 1."""
+    draws = []
+    while len(draws) < n:
+        model = random_model(rng)
+        mu = random_mu(rng, int(rng.integers(1, 5)))
+        if len(draws) % 3 == 0:
+            mu = DiscreteMeasure(mu.interval, tuple(
+                (x, 0.8 * w) for x, w in mu.atoms) + ((1.0, 0.2),))
+        if tap._rs_certified(model, mu, mu.moment(2))[0]:
+            draws.append((model, mu))
+    return draws
+
+
+def test_rs_shortcut_matches_the_optimizer_bit_for_bit(monkeypatch):
+    # the optimizer, forced by switching the RS check off, ends on the same
+    # plain solve of delta_q: same value bits, same minimizer
+    draws = _rs_draws(np.random.default_rng(1107), 20)
+    short = [tap_correction(model, mu, r_atoms=2, with_representation=False,
+                            with_certificate=False) for model, mu in draws]
+    monkeypatch.setattr(tap, "_rs_certified", lambda *args: (False, None))
+    for (model, mu), res in zip(draws, short):
+        full = tap_correction(model, mu, r_atoms=2, with_representation=False,
+                              with_certificate=False)
+        assert res.diagnostics["stop"] == "rs"
+        assert res.diagnostics["level_evals"] == 0
+        assert res.diagnostics["rs"].sup_gamma <= -1e-6
+        assert full.diagnostics["level_evals"] > 0
+        assert res.value == full.value
+        assert res.minimizer_zeta == full.minimizer_zeta
+        assert res.minimizer_zeta.measure.atoms == ((res.q, 1.0),)
+    assert sum(mu.atoms[-1][0] == 1.0 for _, mu in draws) >= 5
+
+
+def test_rs_shortcut_reports_certificate_and_representation():
+    model = sk_model(0.5, convention="half")
+    mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.1, 0.6), (0.4, 0.4)))
+    res = tap_correction(model, mu, r_atoms=2)
+    assert res.diagnostics["stop"] == "rs"
+    assert res.diagnostics["converged"]
+    diag = is_replica_symmetric(model.shift(res.q), mu)
+    assert res.diagnostics["rs"] == diag
+    assert res.diagnostics["certificate"]["first_residual"] < 1e-7
+    assert res.diagnostics["representation_gap"] < 1e-6
+
+
+@pytest.mark.parametrize("coeffs, mu, has_curve", [
+    # sup Gamma = -3.5e-10, inside (-1e-6, 1e-6], with Gamma''(0) = -0.245
+    (tuple(1.069238886 * c for c in (0.0, 0.2, 0.0, 1.0)),
+     DiscreteMeasure.delta(0.0), True),
+    # Gamma''(0) = 0 exactly (xi''(0) = 1 at mu = delta_0): no curve
+    ((0.0, 0.5), DiscreteMeasure.delta(0.0), False),
+])
+def test_rs_margin_goes_through_the_optimizer(coeffs, mu, has_curve):
+    model = MixedModel(coeffs_sq=coeffs)
+    diag = is_replica_symmetric(model.shift(0.0), mu)
+    if has_curve:
+        assert -1e-6 < diag.sup_gamma <= 1e-6
+        assert diag.gamma_second_deriv_at_0 < -1e-6
+    else:
+        assert -1e-6 < diag.gamma_second_deriv_at_0 <= 0.0
+    res = tap_correction(model, mu, r_atoms=2, with_representation=False,
+                         with_certificate=False)
+    assert res.diagnostics["stop"] != "rs"
+    assert res.diagnostics["level_evals"] > 0
+    assert ("rs" in res.diagnostics) == has_curve
