@@ -223,13 +223,17 @@ def concentration_bound(model: MixedModel, N: int, n: int, eps: float,
 def concentration_experiment(model: MixedModel, N: int, band: BandSpec,
                              n_draws: int, seed: int = 0,
                              thresholds=(0.05, 0.1)) -> dict:
-    """Empirical tails of TAP_{N,n} over n_draws >= 2 draws vs the theory bound."""
+    """Empirical tails of TAP_{N,n} over n_draws >= 2 draws vs the theory
+    bound; ValueError for a band whose every draw is -inf (`tap_Nn`)."""
     if n_draws < 2:
         raise ValueError(f"need at least 2 draws, got {n_draws}")
     vals = np.empty(n_draws)
     for k in range(n_draws):
         smpl = sample(N, model, seed=seed + k)
         vals[k] = tap_Nn(smpl, band)
+        if vals[k] == -math.inf:
+            raise ValueError("band holds no configuration, or no pair inside "
+                             "the overlap window")
     mean = float(np.mean(vals))
     rows = []
     for t in thresholds:
@@ -271,16 +275,12 @@ def solve_tap_equations(smpl: DisorderSample, q: float, zeta: OrderParameter,
                         config: SolverConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, float, dict]:
     """Damped iteration of the generalized TAP equations at fixed q.
 
-    Update m <- (1-g) m + g Phi_x(q, grad H(m)_i - m_i xi''(q) int_q^1 zeta),
-    renormalized to ||m||^2 = N q after every step. Returns the final point,
-    the sup-norm residual of the fixed-point equation, and iteration info.
+    Update m <- (1-g) m + g Phi_x(q, grad H(m)_i - m_i xi''(q) int_q^1 zeta);
+    the start and every iterate are put on sphere and cube by
+    `_onto_sphere_cube`. Returns the final point, the sup-norm residual of
+    the fixed-point equation, and iteration info.
     """
-    N = smpl.N
-    m = np.asarray(m_init, dtype=float).copy()
-    if q > 0:
-        m *= math.sqrt(N * q) / np.linalg.norm(m)
-    else:
-        m[:] = 0.0
+    m = _onto_sphere_cube(np.asarray(m_init, dtype=float), q)
     zq = restrict_zeta(zeta, q)
     int_zeta = zq.integral()
     onsager = smpl.model.xi_double_prime(q) * int_zeta
@@ -297,13 +297,7 @@ def solve_tap_equations(smpl: DisorderSample, q: float, zeta: OrderParameter,
     for it in range(GENERALIZED_MAX_ITER):
         if res < GENERALIZED_TOL:
             break
-        m_new = (1.0 - damping) * m + damping * tgt
-        nrm = np.linalg.norm(m_new)
-        if q > 0 and nrm > 0:
-            m_new *= math.sqrt(N * q) / nrm
-        elif q == 0:
-            m_new[:] = 0.0
-        m = np.clip(m_new, -1 + 1e-12, 1 - 1e-12)
+        m = _onto_sphere_cube((1.0 - damping) * m + damping * tgt, q)
         need = float(np.max(np.abs(smpl.gradient(m)))) + 3.0
         if need > reach:
             reach = need + 2.0
@@ -350,10 +344,17 @@ def _onto_sphere_cube(m: np.ndarray, q: float) -> np.ndarray:
     """A point of {||m||^2 = N q} with every |m_i| <= ASCENT_BOUND: scale m
     onto the sphere, then clip and rescale the unclipped coordinates until
     none exceeds the bound. Each round clips at least one more coordinate,
-    so N rounds suffice when q <= ASCENT_BOUND^2."""
+    so N rounds suffice. ValueError for q outside [0, ASCENT_BOUND^2] and
+    for m = 0 when q > 0, which has no direction to scale."""
     N = m.size
+    if not 0.0 <= q <= ASCENT_BOUND ** 2:
+        raise ValueError(f"sphere radius q={q} outside "
+                         f"[0, {ASCENT_BOUND ** 2}]")
     if q == 0.0:
         return np.zeros(N)
+    if not np.any(m):
+        raise ValueError("a zero point has no direction onto the sphere "
+                         f"of radius q={q}")
     m = m * (math.sqrt(N * q) / np.linalg.norm(m))
     for _ in range(N):
         if np.max(np.abs(m)) <= ASCENT_BOUND:
@@ -381,9 +382,6 @@ def tap_ascent(smpl: DisorderSample, q: float, steps: int = 30,
     comparison is a report, not an assertion).
     """
     N = smpl.N
-    if not 0.0 <= q <= ASCENT_BOUND ** 2:
-        raise ValueError(f"sphere radius q={q} outside "
-                         f"[0, {ASCENT_BOUND ** 2}]")
     rng = np.random.default_rng(seed)
     m = _onto_sphere_cube(rng.uniform(-0.5, 0.5, size=N), q)
 

@@ -208,11 +208,9 @@ def _interp_grid(x0: float, dx: float, f: np.ndarray, xq) -> np.ndarray:
 
 def _gibbs_step(upper: Frame, layer: _Layer | None) -> Frame:
     """One Cole-Hopf layer backwards: the frame below the upper frame.
-    A layer of zero width (`layer` None) copies the upper frame."""
+    A layer of zero width (`layer` None) shares the upper frame."""
     if layer is None:
-        return Frame(upper.x0, upper.dx, upper.phi.copy(),
-                     upper.phi_x.copy(), upper.phi_xx.copy(),
-                     upper.phi_xxx.copy())
+        return upper
     st, level = layer.stencil, layer.level
     Px = st.hermite(upper.phi_x, upper.phi_xx)
     Pxx = st.hermite(upper.phi_xx, upper.phi_xxx)
@@ -277,8 +275,6 @@ class PDESolution:
 
     def _level_at(self, t: float) -> float:
         """CDF value governing the layer [t, next node)."""
-        if t >= self.t1 - 1e-13:
-            return float(self.levels[-1])
         idx = int(np.searchsorted(self.nodes, t + 1e-13, side="right")) - 1
         idx = min(max(idx, 0), len(self.levels) - 1)
         return float(self.levels[idx])
@@ -295,7 +291,10 @@ class PDESolution:
         return upper, _Layer(upper, sigma, level, self.x_grid, self.config)
 
     def _off_node_layer(self, t: float) -> tuple[Frame, _Layer | None]:
-        """Frame at the first node at or above t and the kernel down to t."""
+        """Frame at the first node at or above t and the kernel down to t;
+        ValueError for t outside [t0, t1]."""
+        if not self.t0 - 1e-12 <= t <= self.t1 + 1e-12:
+            raise ValueError(f"time {t} outside [{self.t0}, {self.t1}]")
         idx = int(np.searchsorted(self.nodes, t + 1e-13, side="left"))
         t_up = float(self.nodes[min(idx, len(self.nodes) - 1)])
         return self._layer(t_up, float(t), self._level_at(t))
@@ -337,8 +336,6 @@ class PDESolution:
         key = self._key(t)
         if key in self._frames:
             return self._frames[key]
-        if not self.t0 - 1e-12 <= t <= self.t1 + 1e-12:
-            raise ValueError(f"time {t} outside [{self.t0}, {self.t1}]")
         upper, layer = self._off_node_layer(t)
         self._frames[key] = _gibbs_step(upper, layer)
         return self._frames[key]
@@ -451,6 +448,7 @@ class PDESolution:
 
         Cheaper than frame_at for the many drift evaluations of the SDE
         simulator; exact same Gibbs-weighted recursion, first moment only.
+        Like frame_at, refuses t outside [t0, t1].
         """
         key = self._key(t)
         if key in self._frames:

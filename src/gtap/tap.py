@@ -121,11 +121,7 @@ def psi_bar(model: MixedModel, q: float, a: float, zeta: OrderParameter,
     boundary, as in `lambda_conj`."""
     if abs(a) >= 1.0:
         raise ValueError("psi_bar requires |a| < 1")
-    if _at_boundary(a):
-        return math.copysign(math.inf, a)
-    if sol is None:
-        sol = _orig_solution(model, q, zeta, config, a_max=abs(a))
-    return sol.inverse_phi_x(sol.t0, a)
+    return lambda_conj(model, q, a, zeta, config, sol)[1]
 
 
 def psi(model: MixedModel, q: float, a: float, zeta: OrderParameter,
@@ -134,11 +130,13 @@ def psi(model: MixedModel, q: float, a: float, zeta: OrderParameter,
     """psi_bar(q, a, zeta) + a int_q^1 xi''(s) zeta(s) ds.
 
     Coincides with the band effective field v at the shifted order
-    parameter: psi(q, a, zeta) = v_{theta_q zeta}(a).
+    parameter: psi(q, a, zeta) = v_{theta_q zeta}(a). +-inf at the
+    boundary, where it solves nothing.
     """
-    if sol is None:
+    if sol is None and not _at_boundary(a):
         sol = _orig_solution(model, q, zeta, config, a_max=abs(a))
-    return psi_bar(model, q, a, zeta, config, sol) + a * sol.int_xi_pp_zeta()
+    x = psi_bar(model, q, a, zeta, config, sol)
+    return x if math.isinf(x) else x + a * sol.int_xi_pp_zeta()
 
 
 class EffectiveField:
@@ -235,11 +233,8 @@ def band_functional(shifted: ShiftedModel, mu: DiscreteMeasure, v, lam: float,
     """
     locs, wts, _ = split_boundary(fold_law(mu))
     ev = field if field is not None else EffectiveField(shifted, zeta_band, config)
-    total = 0.0
-    for a, w in zip(locs, wts):
-        x = lam * a + float(v(a))
-        sol = ev.solution_for(a, x_reach=abs(x))
-        total += w * float(sol.phi(0.0, x))
+    runs = _band_runs(ev, lambda a: lam * a + float(v(a)), locs, wts)
+    total = sum(float(w[0] * sol.phi(0.0, x[0])) for sol, x, w in runs)
     # theta_q is the antiderivative of s xi_q''(s)
     return float(total - 0.5 * zeta_band.integral_against(shifted.theta_q))
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gtap import disorder
 from gtap.disorder import (BandSpec, all_configs, all_energies, chain_values,
                            classical_tap_iteration, concentration_bound,
                            concentration_experiment, free_energy, grad_tap,
@@ -224,6 +225,31 @@ def test_tap_fixed_point_and_stationarity():
     grad, tres = grad_tap(model, m, r_atoms=2)
     stat = s.gradient(m) / N + grad
     assert float(np.max(np.abs(stat))) < 1e-4
+
+
+def test_tap_equations_stay_on_sphere_and_cube(monkeypatch):
+    # the old rescale-then-clip left the sphere in 118 of these 120 runs
+    # (m . m / N = 0.703 at q = 0.8); at a fixed radius that is not the
+    # self-consistent one the iteration runs to its cap, which is lowered
+    # here to keep the test short (the cap-2000 runs leave it as often)
+    monkeypatch.setattr(disorder, "GENERALIZED_MAX_ITER", 100)
+    model, N = sk_model(0.8, h=0.5), 8
+    for q in (0.6, 0.8, 0.9):
+        zeta = OrderParameter.delta_at(q, (q, 1.0))
+        for seed in range(40):
+            m0 = np.random.default_rng(seed).uniform(-1.0, 1.0, N)
+            m, _, _ = solve_tap_equations(sample(N, model, seed), q, zeta, m0)
+            assert abs(float(m @ m) / N - q) <= 1e-12
+            assert np.max(np.abs(m)) <= disorder.ASCENT_BOUND
+
+
+def test_tap_equations_refuse_a_zero_start():
+    # a zero start has no direction on the sphere: it ran 2,000 iterations
+    # and returned an all-NaN m
+    s = sample(6, sk_model(0.5, h=0.3), seed=2)
+    zeta = OrderParameter.delta_at(0.3, (0.3, 1.0))
+    with pytest.raises(ValueError, match="zero point"):
+        solve_tap_equations(s, 0.3, zeta, np.zeros(6))
 
 
 def test_generalized_iteration_from_perturbed_start():
@@ -463,3 +489,15 @@ def test_concentration_single_draw_is_refused():
     band = BandSpec((0.0,) * 8, eps=0.2, delta=0.2, n=2)
     with pytest.raises(ValueError, match="2 draws"):
         concentration_experiment(sk_model(1.0), 8, band, n_draws=1)
+
+
+@pytest.mark.parametrize("band", [
+    BandSpec((0.5,) * 8, eps=1e-6, delta=0.2, n=2),    # no configuration
+    BandSpec((0.3,) * 8, eps=0.2, delta=1e-9, n=2),    # no pair: R != 0.09
+])
+def test_concentration_empty_band_is_refused(band):
+    # every draw is -inf, which gave mean -inf, std NaN and tails "ok"; the
+    # band and the window do not depend on the disorder
+    assert tap_Nn(sample(8, sk_model(1.0), seed=0), band) == -math.inf
+    with pytest.raises(ValueError, match="no configuration"):
+        concentration_experiment(sk_model(1.0), 8, band, n_draws=3)

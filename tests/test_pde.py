@@ -364,6 +364,17 @@ def test_phi_x_table_matches_frame_at_off_node(mixed_23, t):
     np.testing.assert_allclose(table, frame.phi_x, rtol=0, atol=1e-13)
 
 
+def test_phi_x_table_refuses_times_outside_the_solve():
+    # it extrapolated a table at t = 0.1 where frame_at refused
+    zeta = OrderParameter.from_atoms((0.2, 1.0), [(0.5, 0.5), (1.0, 0.5)])
+    sol = solve(MixedModel(coeffs_sq=(0.0, 1.0)), zeta)
+    for t in (0.1, 1.1):
+        for read in (sol.phi_x_table, sol.frame_at):
+            with pytest.raises(ValueError, match=rf"time {t} outside "
+                               r"\[0.2, 1.0\]"):
+                read(t)
+
+
 def test_level_gradients_match_finite_differences(mixed_23):
     # pieces: a level-0 slot, a zero-width piece, then two positive levels
     nodes = [0.2, 0.3, 0.3, 0.6, 1.0]

@@ -591,6 +591,17 @@ def test_psi_bar_follows_the_conjugate_boundary_rule(monkeypatch):
         psi_bar(model, q, 1.0, zeta)
 
 
+def test_psi_at_boundary_atom_solves_nothing(monkeypatch):
+    # psi = psi_bar + a int xi'' zeta is +-inf at the boundary, as psi_bar
+    # is, so it needs no grid (it built a 2,869-point solve)
+    model, q = sk_model(1.0), 0.3
+    zeta = OrderParameter.from_atoms((q, 1.0), [(0.5, 0.5), (1.0, 0.5)])
+    built = _count_solves(monkeypatch)
+    for a in (1.0 - 5e-10, -(1.0 - 5e-10)):
+        assert psi(model, q, a, zeta) == math.copysign(math.inf, a)
+    assert built == []
+
+
 def _rs_draws(rng, n):
     """n (model, law) pairs the shortcut certifies RS; every third law has
     a fifth of its mass at 1."""
