@@ -19,6 +19,7 @@ import numpy as np
 from . import cascades, disorder, rs, tap
 from .measures import DiscreteMeasure, OrderParameter, empirical, fold_law
 from .model import MixedModel, sk_model
+from .numerics import logsumexp
 from .pde import MAX_GRID_STEP, SolverConfig, parisi_functional, \
     parisi_measure, second_derivative_identity, solve
 
@@ -211,7 +212,9 @@ def cmd_mc_verify(args) -> int:
         band = disorder.BandSpec(tuple(m), eps=0.25, delta=0.25, n=2)
         ch = disorder.chain_values(smpl, band)
         worst = min(worst, ch["chain_1"], ch["chain_2"])
-        ok_chain &= ch["chain_1"] >= 0 and ch["chain_2"] >= 0
+        # chain_2 = +inf when the band holds no pair inside the window
+        ok_chain &= bool(np.isfinite(ch["chain_2"])) and ch["chain_1"] >= 0 \
+            and ch["chain_2"] >= 0
     checks.append({"check": "band_chain_inequality", "pass": bool(ok_chain),
                    "worst_slack": worst})
 
@@ -312,10 +315,22 @@ def cmd_check(args) -> int:
            res.diagnostics["stop"] == "rs"
            and abs(res.value - classical) < 1e-9,
            stop=res.diagnostics["stop"], error=abs(res.value - classical))
-    smpl = disorder.sample(8, model, seed=11)
-    band = disorder.BandSpec((0.0,) * 8, eps=0.3, delta=0.3, n=2)
+    # off center (q = 0.49 > delta): the overlap window 1 - d/4 in
+    # (0.19, 0.79) holds d = 1, 2, 3 only, so a mirrored window shows
+    N = 8
+    smpl = disorder.sample(N, model, seed=11)
+    m = 0.7 * np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
+    band = disorder.BandSpec(tuple(m), eps=0.3, delta=0.3, n=2)
     ch = disorder.chain_values(smpl, band)
-    record("band_chain", ch["chain_1"] >= 0 and ch["chain_2"] >= 0)
+    record("band_chain", np.isfinite(ch["chain_2"]) and ch["chain_1"] >= 0
+           and ch["chain_2"] >= 0)
+    S = disorder.all_configs(N)
+    inside = S[np.abs(S @ m - float(m @ m)) / N < band.eps]
+    Eb = np.array([smpl.energy(s) for s in inside]) - smpl.energy(m)
+    pairs = np.abs(inside @ inside.T / N - float(m @ m) / N) < band.delta
+    direct = float(logsumexp((Eb[:, None] + Eb[None, :])[pairs])) / (2 * N)
+    record("pair_stage", abs(ch["tap_n2"] - direct) < 1e-12,
+           tap_n2=ch["tap_n2"], direct=direct)
     # Plefka's condition is necessary for RS: a law violating it has
     # sup Gamma > 0 and a correction strictly below the classical value
     mixed = MixedModel(coeffs_sq=(0.0, 0.6, 0.2))
@@ -340,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="generalized TAP free energy toolkit")
     sub = p.add_subparsers(dest="command", required=True)
     count, positive = _bounded(int, 1), _bounded(float, 0.0, open_lo=True)
-    n_band = _bounded(int, 1, 14)   # tap_Nn's n = 2 band: 2^(2N) <= 2^28 pairs
+    n_band = _bounded(int, 1, 14)   # tap_Nn's n = 2 band: 2N <= 28 spins
 
     def common(sp, seed=0):
         sp.add_argument("--model", required=True, help="model spec JSON")
@@ -369,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--paths", type=_bounded(int, 3), default=20000)
     sp.add_argument("--reps", type=_bounded(int, 2), default=120)
-    sp.add_argument("--N", type=n_band, default=10)
+    # from N = 4 its random bands hold pairs inside the 0.25 overlap window
+    sp.add_argument("--N", type=_bounded(int, 4, 14), default=10)
     sp.set_defaults(func=cmd_mc_verify)
 
     sp = sub.add_parser("tap-solve", help="TAP fixed points on sampled disorder")

@@ -4,13 +4,15 @@ The Hamiltonian is assembled from independent standard Gaussian coefficient
 tensors, one array of N^p entries per active p, scaled by beta_p N^{-(p-1)/2}
 (no symmetrization), so that E H(m) H(m') = N xi(m.m'/N) exactly. At small N
 everything downstream is exact: free energies by enumeration over {-1,1}^N,
-replicated band free energies by nested enumeration with overlap filters,
-TAP fixed points by damped iteration of the generalized TAP equations, and
-gradient ascent on H(m)/N + TAP(mu_m) over a sphere of fixed self-overlap.
+replicated band free energies by Hamming-shell sums over the index cube
+(O(N (d_max + 1) 2^N) additions for pairs), TAP fixed points by damped
+iteration of the generalized TAP equations, and gradient ascent on
+H(m)/N + TAP(mu_m) over a sphere of fixed self-overlap.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +34,6 @@ __all__ = [
 N_MAX = 20                   # largest N that `sample` accepts
 TENSOR_BUDGET = 1 << 26      # total coefficient entries
 ENERGY_CHUNK = 4096          # configurations per block of all_energies
-PAIR_BLOCK = 1024            # row block for pair enumeration
 CLASSICAL_MAX_ITER = 5000    # iteration cap of classical_tap_iteration
 CLASSICAL_TOL = 1e-12        # its sup-norm residual tolerance
 GENERALIZED_MAX_ITER = 2000  # iteration cap of solve_tap_equations
@@ -96,11 +97,15 @@ def sample(N: int, model: MixedModel, seed: int) -> DisorderSample:
     return DisorderSample(N=N, model=model, seed=seed, tensors=tensors)
 
 
+@functools.lru_cache(maxsize=1)
 def all_configs(N: int) -> np.ndarray:
-    """All 2^N sign vectors, shape (2^N, N), entries +-1.0."""
+    """All 2^N sign vectors, shape (2^N, N), entries +-1.0; row i has spin j
+    = bit j of i. Built once per N (the last N is cached) and read-only."""
     idx = np.arange(1 << N, dtype=np.uint32)
     bits = (idx[:, None] >> np.arange(N, dtype=np.uint32)[None, :]) & 1
-    return bits.astype(np.float64) * 2.0 - 1.0
+    S = bits.astype(np.float64) * 2.0 - 1.0
+    S.flags.writeable = False
+    return S
 
 
 def all_energies(smpl: DisorderSample) -> np.ndarray:
@@ -154,11 +159,14 @@ def _band_mask(S: np.ndarray, m: np.ndarray, eps: float) -> np.ndarray:
 
 def tap_Nn(smpl: DisorderSample, band: BandSpec,
            energies: np.ndarray | None = None) -> float:
-    """Replicated band free energy increment, exactly by enumeration.
+    """Replicated band free energy increment, exactly.
 
     (1/(nN)) log sum over B_n(m, eps, delta) of exp sum_i [H(sigma^i) - H(m)];
-    -inf when the constrained set is empty. n <= 2 (the pair stage already
-    enumerates |B|^2 tuples).
+    -inf when the constrained set is empty. n <= 2. For pairs, with
+    f = exp(H - H(m) - shift) on B and 0 off it, G_d(sigma) sums f over the
+    tau at Hamming distance d (overlap 1 - 2d/N), built bit by bit over the
+    index cube: O(N (d_max + 1) 2^N) additions of positive terms, for the
+    largest distance d_max inside the window.
     """
     if band.n not in (1, 2):
         raise ValueError("replica counts beyond n = 2 exceed the enumeration budget")
@@ -176,21 +184,27 @@ def tap_Nn(smpl: DisorderSample, band: BandSpec,
     Eb = E[mask] - smpl.energy(m)
     if band.n == 1:
         return float(logsumexp(Eb)) / N
-    Sb = S[mask]
-    q = float(m @ m) / N
+    d = np.arange(N + 1)
+    window = np.abs((N - 2.0 * d) / N - float(m @ m) / N) < band.delta
+    if not np.any(window):
+        return -math.inf
+    d_max = int(d[window][-1])
     shift = float(np.max(Eb))
-    total = 0.0
-    any_pair = False
-    for lo in range(0, Sb.shape[0], PAIR_BLOCK):
-        R = (Sb[lo:lo + PAIR_BLOCK] @ Sb.T) / N
-        ok = np.abs(R - q) < band.delta
-        if not np.any(ok):
-            continue
-        any_pair = True
-        block = np.exp(Eb[lo:lo + PAIR_BLOCK, None] - shift) \
-            * (np.exp(Eb[None, :] - shift) * ok)
-        total += float(block.sum())
-    if not any_pair:
+    f = np.zeros(1 << N)
+    f[mask] = np.exp(Eb - shift)
+    G = np.zeros((d_max + 1, 1 << N))
+    G[0] = f
+    for j in range(N):
+        # tau gains bit j as one more differing spin: G_d += G_{d-1}(sigma ^ 2^j)
+        shells = G.reshape(d_max + 1, -1, 2, 1 << j)
+        shells[1:] += shells[:-1, :, ::-1]
+    total = float(f @ G[window[:d_max + 1]].sum(axis=0))
+    if total == 0.0:
+        # f >= 2^-511 on B keeps every product f(sigma) f(tau) normal, so
+        # 0 means no pair; below that a pair's product may have underflowed
+        if shift - float(np.min(Eb)) > 511.0 * math.log(2.0):
+            raise ValueError("pair sum underflows: band energies spread "
+                             "too far")
         return -math.inf
     return (math.log(total) + 2.0 * shift) / (2.0 * N)
 
@@ -285,24 +299,25 @@ def solve_tap_equations(smpl: DisorderSample, q: float, zeta: OrderParameter,
     int_zeta = zq.integral()
     onsager = smpl.model.xi_double_prime(q) * int_zeta
 
-    def residual_and_target(mv, sol):
-        fields = smpl.gradient(mv) - mv * onsager
-        tgt = sol.phi_x(sol.t0, fields)
+    def residual_and_target(mv, grad, sol):
+        tgt = sol.phi_x(sol.t0, grad - mv * onsager)
         return float(np.max(np.abs(tgt - mv))), tgt
 
-    reach = float(np.max(np.abs(smpl.gradient(m)))) + 3.0
+    grad = smpl.gradient(m)
+    reach = float(np.max(np.abs(grad))) + 3.0
     sol = _orig_solution(smpl.model, q, zq, config.with_pad(reach))
     res_hist = []
-    res, tgt = residual_and_target(m, sol)
+    res, tgt = residual_and_target(m, grad, sol)
     for it in range(GENERALIZED_MAX_ITER):
         if res < GENERALIZED_TOL:
             break
         m = _onto_sphere_cube((1.0 - damping) * m + damping * tgt, q)
-        need = float(np.max(np.abs(smpl.gradient(m)))) + 3.0
+        grad = smpl.gradient(m)
+        need = float(np.max(np.abs(grad))) + 3.0
         if need > reach:
             reach = need + 2.0
             sol = _orig_solution(smpl.model, q, zq, config.with_pad(reach))
-        res, tgt = residual_and_target(m, sol)
+        res, tgt = residual_and_target(m, grad, sol)
         res_hist.append(res)
         if len(res_hist) > 20 and res_hist[-1] > 10.0 * res_hist[-21]:
             return m, res, {"iterations": it + 1, "converged": False,

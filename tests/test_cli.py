@@ -354,3 +354,35 @@ def test_tap_solve_zero_ascent_steps(tmp_path):
                  "--N", "6", "--steps", "0"]) == 0
     rows = (out / "ascent.csv").read_text().splitlines()
     assert rows[0] == "step,objective" and len(rows) == 2
+
+
+@pytest.mark.parametrize("n", ["1", "2", "3"])
+def test_mc_verify_refuses_sizes_without_pairs(tmp_path, model_spec, n):
+    # at N <= 3 its random bands often hold no pair inside the 0.25 overlap
+    # window (at N = 1 never: the overlaps are +-1)
+    out = tmp_path / "o"
+    rc = main(["mc-verify", "--model", model_spec, "--out", str(out),
+               "--N", n])
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_mc_verify_chain_check_needs_finite_values(tmp_path, model_spec,
+                                                   monkeypatch):
+    # a band with no pair in the window gives chain_2 = +inf, which is
+    # >= 0 but no evidence for the inequality
+    from gtap import disorder
+    chain_values = disorder.chain_values
+
+    def no_pairs(smpl, band):
+        ch = chain_values(smpl, band)
+        return {**ch, "tap_n2": float("-inf"), "chain_2": float("inf")}
+
+    monkeypatch.setattr(disorder, "chain_values", no_pairs)
+    out = tmp_path / "mc"
+    rc = main(["mc-verify", "--model", model_spec, "--out", str(out),
+               "--paths", "4", "--reps", "3", "--N", "4", "--seed", "1"])
+    data = json.loads((out / "mc_verify.json").read_text())
+    verdict = {c["check"]: c["pass"] for c in data["checks"]}
+    assert verdict["band_chain_inequality"] is False
+    assert rc == 1

@@ -364,6 +364,125 @@ def test_tap_n2_matches_double_loop():
         assert tap_Nn(s, band) == pytest.approx(expect, abs=1e-12)
 
 
+def _blocked_pair_tap(smpl, band, energies):
+    """The pair stage as it was before the Hamming-shell recursion: overlap
+    matrices of 1024-row blocks of the band against the whole band."""
+    N = smpl.N
+    m = np.asarray(band.m)
+    S = all_configs(N)
+    mask = np.abs(S @ m - float(m @ m)) / N < band.eps
+    if not np.any(mask):
+        return -math.inf
+    Eb = energies[mask] - smpl.energy(m)
+    Sb = S[mask]
+    q = float(m @ m) / N
+    shift = float(np.max(Eb))
+    total = 0.0
+    any_pair = False
+    for lo in range(0, Sb.shape[0], 1024):
+        R = (Sb[lo:lo + 1024] @ Sb.T) / N
+        ok = np.abs(R - q) < band.delta
+        if not np.any(ok):
+            continue
+        any_pair = True
+        block = np.exp(Eb[lo:lo + 1024, None] - shift) \
+            * (np.exp(Eb[None, :] - shift) * ok)
+        total += float(block.sum())
+    if not any_pair:
+        return -math.inf
+    return (math.log(total) + 2.0 * shift) / (2.0 * N)
+
+
+SIGNS_12 = np.where(np.random.default_rng(5).random(12) < 0.5, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("scale, eps, delta, finite", [
+    # q = 0.64: window R = 1 - d/6 in (0.44, 0.84) holds d = 1, 2, 3 only,
+    # asymmetric in R, without d = 0 and with d_max = 3 < N
+    (0.8, 0.2, 0.2, True),
+    # q = 0.9025: d = 0 and 1
+    (0.95, 0.2, 0.2, True),
+    # every distance, d_max = N
+    (0.3, 0.2, 2.5, True),
+    # one configuration, paired with itself (eps = 0.2 always admits its
+    # one-flip neighbours at N = 12, since |m_i| - m_i^2 >= 0)
+    (0.95, 0.1, 0.2, True),
+    # q = 0.09: no overlap value 1 - d/6 lies in (0.04, 0.14)
+    (0.3, 0.2, 0.05, False),
+    # the band is the shell at distance 1 from sign(m), whose pairs sit at
+    # d = 0 and 2, while the window holds d = 1 only
+    (0.911, 0.075, 0.05, False),
+])
+def test_tap_n2_matches_blocked_pair_loop(scale, eps, delta, finite):
+    # oracle: the blocked pair loop, at the benchmark's N = 12
+    s = sample(12, sk_model(1.0, convention="half"), seed=21)
+    E = all_energies(s)
+    band = BandSpec(tuple(scale * SIGNS_12), eps=eps, delta=delta, n=2)
+    expect = _blocked_pair_tap(s, band, E)
+    got = tap_Nn(s, band, energies=E)
+    assert math.isfinite(expect) == finite
+    if finite:
+        assert got == pytest.approx(expect, rel=0, abs=1e-13)
+    else:
+        assert got == -math.inf
+
+
+def test_tap_n2_matches_blocked_pair_loop_at_random_centers():
+    s = sample(12, sk_model(1.0, convention="half"), seed=22)
+    E = all_energies(s)
+    centers = np.random.default_rng(1010)
+    for _ in range(6):
+        band = BandSpec(tuple(centers.uniform(-0.9, 0.9, 12)), eps=0.2,
+                        delta=0.2, n=2)
+        assert tap_Nn(s, band, energies=E) == pytest.approx(
+            _blocked_pair_tap(s, band, E), rel=0, abs=1e-13)
+
+
+def test_tap_n2_refuses_an_underflowed_pair_sum():
+    # window d = 1 only: the pairs are (sign(m), a one-flip neighbour). With
+    # the center 800 above its neighbours every such product underflows, so
+    # a zero sum would not mean "no pair"
+    s = sample(12, MixedModel(coeffs_sq=(0.0,)), seed=0)
+    band = BandSpec((0.9,) * 12, eps=0.2, delta=0.1, n=2)
+    E = np.zeros(1 << 12)
+    E[-1] = 800.0
+    with pytest.raises(ValueError, match="underflow"):
+        tap_Nn(s, band, energies=E)
+    E[-1] = 300.0
+    assert tap_Nn(s, band, energies=E) == pytest.approx(
+        _blocked_pair_tap(s, band, E), rel=0, abs=1e-13)
+
+
+def test_all_configs_is_built_once_and_read_only():
+    S = all_configs(7)
+    assert all_configs(7) is S
+    assert not S.flags.writeable
+    with pytest.raises(ValueError):
+        S[0, 0] = 1.0
+    idx = np.arange(1 << 7)
+    assert np.array_equal(S, np.where((idx[:, None] >> np.arange(7)) & 1,
+                                      1.0, -1.0))
+
+
+def test_tap_equations_take_one_gradient_per_iterate(monkeypatch):
+    calls = []
+    gradient = disorder.DisorderSample.gradient
+
+    def counted(self, m):
+        calls.append(1)
+        return gradient(self, m)
+
+    monkeypatch.setattr(disorder.DisorderSample, "gradient", counted)
+    monkeypatch.setattr(disorder, "GENERALIZED_MAX_ITER", 50)
+    q = 0.8
+    zeta = OrderParameter.delta_at(q, (q, 1.0))
+    m0 = np.random.default_rng(4).uniform(-0.5, 0.5, 8)
+    _, _, info = solve_tap_equations(sample(8, sk_model(0.8, h=0.5), 3), q,
+                                     zeta, m0)
+    assert info["iterations"] == 50
+    assert len(calls) == info["iterations"] + 1
+
+
 def test_sample_rejects_empty_system():
     model = MixedModel(coeffs_sq=(0.0, 0.5))
     for N in (0, -3):
