@@ -9,6 +9,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @lru_cache(maxsize=32)
@@ -115,6 +116,52 @@ class GridStencil:
         f1 *= self.t
         f0 += f1
         return self._shaped(f0)
+
+
+class ShiftStencil(GridStencil):
+    """The shared-fraction form of `GridStencil` for the points x_k + shift_j,
+    every grid point x_k (k < size) moved by every shift, shape (size, m).
+
+    All points of one shift share the cell offset floor(shift_j / dx) and the
+    fraction, so the cubic weights are one number per shift, and the cell
+    ends of a shift are one contiguous slice of the grid function. That
+    function is padded on both sides by its edge continuation (the edge
+    slope for Hermite, the edge value for linear), which cubic Hermite
+    reproduces, so no point needs a tail mask. Agrees with the per-point
+    form to rounding. The values are computed one shift per row and returned
+    as the transposed view.
+    """
+
+    def __init__(self, dx: float, size: int, shifts):
+        u = np.asarray(shifts, dtype=float) / dx
+        off = np.floor(u)
+        self.t = (u - off)[:, None]
+        off = off.astype(np.int64)
+        # the cell k + off_j and its right end lie in the padded function
+        self.pad = int(max(-off.min(), off.max() + 1, 0))
+        self.rows = off + self.pad
+        self.size = size
+        self.dx = dx
+        self.tails = []
+
+    def _ends(self, f: np.ndarray):
+        # f is padded: row j of its windows is f at x_k + off_j dx
+        windows = sliding_window_view(f, self.size)
+        return windows[self.rows], windows[self.rows + 1]
+
+    def _shaped(self, out: np.ndarray):
+        return out.T
+
+    def hermite(self, f: np.ndarray, d: np.ndarray):
+        ramp = self.dx * np.arange(1, self.pad + 1)
+        edge = np.ones(self.pad)
+        return super().hermite(
+            np.concatenate([f[0] - d[0] * ramp[::-1], f, f[-1] + d[-1] * ramp]),
+            np.concatenate([d[0] * edge, d, d[-1] * edge]))
+
+    def linear(self, f: np.ndarray):
+        edge = np.ones(self.pad)
+        return super().linear(np.concatenate([f[0] * edge, f, f[-1] * edge]))
 
 
 def hermite_eval(x0: float, dx: float, f: np.ndarray, d: np.ndarray,

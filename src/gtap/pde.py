@@ -21,9 +21,12 @@ A layer is evaluated through one `numerics.GridStencil` of its quadrature
 points x_k + sigma g_j: their cells, cubic Hermite weights and the points
 beyond the grid are found once when the layer is made, and Phi and its three
 derivatives there (hence the Doob weights and the next frame), the pulled-back
-sensitivities and phi_x_table are gathers and weighted sums over it. A
-`solve_steps` solve pulls its level and node sensitivities through each layer
-while it builds it, so the gradients need no second sweep.
+sensitivities are gathers and weighted sums over it. A `solve_steps` solve
+pulls its level and node sensitivities through each layer while it builds it,
+so the gradients need no second sweep. The drift table phi_x_table reads its
+off-node layer through the shared-fraction form `numerics.ShiftStencil`: the
+points x_k + sigma g_j of one node g_j share a cell offset and a fraction, so
+its weights are one row per node.
 
 The same Gibbs weights give a deterministic propagator for expectations
 E f(X_s) of the optimal-control diffusion
@@ -32,7 +35,9 @@ E f(X_s) of the optimal-control diffusion
 
 which is the Doob transform of the time-changed Brownian motion by
 exp(z Phi). An antithetic Euler-Maruyama simulator of the same SDE is
-provided for Monte-Carlo cross-checks.
+provided for Monte-Carlo cross-checks; it reads the drift from phi_x_table,
+interpolated linearly at the paths, and only on steps where the drift
+coefficient xi''(s) zeta(s) is not 0.
 """
 
 from __future__ import annotations
@@ -45,8 +50,8 @@ import numpy as np
 
 from .measures import DiscreteMeasure, OrderParameter
 from .model import MixedModel, ShiftedModel
-from .numerics import (GridStencil, gauss_hermite, grid_derivative,
-                       hermite_eval, linear_eval, log2cosh)
+from .numerics import (GridStencil, ShiftStencil, gauss_hermite,
+                       grid_derivative, hermite_eval, log2cosh)
 
 __all__ = [
     "SolverConfig", "PDESolution", "solve", "solve_steps", "solve_band",
@@ -126,7 +131,8 @@ def _exp_tail(y: np.ndarray) -> np.ndarray:
 class _Layer:
     """Transition kernel of one layer below an upper frame.
 
-    Holds the stencil of the quadrature points X = x + sigma g and the
+    Holds the stencil of the quadrature points X = x + sigma g (`shared`:
+    its shared-fraction form, which rounds differently) and the
     normalized Doob weights exp(level Phi_upper(X)) (plain Gauss-Hermite
     weights at level 0), so that `mean` averages values at X over the layer
     and `pull` averages a grid function.
@@ -138,13 +144,16 @@ class _Layer:
     """
 
     def __init__(self, upper: Frame, sigma: float, level: float,
-                 x: np.ndarray, config: SolverConfig):
+                 x: np.ndarray, config: SolverConfig, shared: bool = False):
         g, self.w = gauss_hermite(config.gh_order)
         self.upper = upper
         self.level = level
         self.dx = config.dx
-        self.stencil = GridStencil(float(x[0]), config.dx, x.size,
-                                   x[:, None] + sigma * g[None, :])
+        if shared:
+            self.stencil = ShiftStencil(config.dx, x.size, sigma * g)
+        else:
+            self.stencil = GridStencil(float(x[0]), config.dx, x.size,
+                                       x[:, None] + sigma * g[None, :])
         if level > 0.0:
             self._small = level * (self.P.max() - self.P.min()) < 0.1
             if self._small:
@@ -279,8 +288,8 @@ class PDESolution:
         idx = min(max(idx, 0), len(self.levels) - 1)
         return float(self.levels[idx])
 
-    def _layer(self, t_hi: float, t_lo: float,
-               level: float) -> tuple[Frame, _Layer | None]:
+    def _layer(self, t_hi: float, t_lo: float, level: float,
+               shared: bool = False) -> tuple[Frame, _Layer | None]:
         """Solved frame at t_hi and the kernel of the layer down to t_lo
         (None when the layer has no width)."""
         upper = self._frames[self._key(t_hi)]
@@ -288,16 +297,18 @@ class PDESolution:
         sigma = math.sqrt(max(sp(t_hi) - sp(t_lo), 0.0))
         if sigma <= 1e-14:
             return upper, None
-        return upper, _Layer(upper, sigma, level, self.x_grid, self.config)
+        return upper, _Layer(upper, sigma, level, self.x_grid, self.config,
+                             shared)
 
-    def _off_node_layer(self, t: float) -> tuple[Frame, _Layer | None]:
+    def _off_node_layer(self, t: float,
+                        shared: bool = False) -> tuple[Frame, _Layer | None]:
         """Frame at the first node at or above t and the kernel down to t;
         ValueError for t outside [t0, t1]."""
         if not self.t0 - 1e-12 <= t <= self.t1 + 1e-12:
             raise ValueError(f"time {t} outside [{self.t0}, {self.t1}]")
         idx = int(np.searchsorted(self.nodes, t + 1e-13, side="left"))
         t_up = float(self.nodes[min(idx, len(self.nodes) - 1)])
-        return self._layer(t_up, float(t), self._level_at(t))
+        return self._layer(t_up, float(t), self._level_at(t), shared)
 
     def _solve(self, with_gradients: bool) -> None:
         """Frames from t1 down to t0; `with_gradients` also pulls the rows of
@@ -447,13 +458,15 @@ class PDESolution:
         """Phi_x on the grid at time t, without derivative bookkeeping.
 
         Cheaper than frame_at for the many drift evaluations of the SDE
-        simulator; exact same Gibbs-weighted recursion, first moment only.
-        Like frame_at, refuses t outside [t0, t1].
+        simulator: the same Gibbs-weighted recursion, first moment only, on
+        the shared-fraction stencil (`numerics.ShiftStencil`), so an off-node
+        table agrees with frame_at's to rounding, not bit for bit. Like
+        frame_at, refuses t outside [t0, t1].
         """
         key = self._key(t)
         if key in self._frames:
             return self._frames[key].phi_x
-        upper, layer = self._off_node_layer(t)
+        upper, layer = self._off_node_layer(t, shared=True)
         if layer is None:
             return upper.phi_x
         return layer.mean(layer.stencil.hermite(upper.phi_x, upper.phi_xx))
@@ -517,8 +530,19 @@ def simulate_control(sol: PDESolution, x0: float, n_paths: int,
     an even count). At the requested times (default: the nodes of zeta)
     returns the pair averages of u(s)^2 = Phi_x(s, X_s)^2, `pairs_u2`, and
     their mean and standard error. Diffusion increments use the exact
-    variance xi'(t + dt) - xi'(t); the drift is explicit Euler, O(dt) bias.
+    variance xi'(t + dt) - xi'(t); the drift is explicit Euler, O(dt) bias,
+    with phi_x_table interpolated linearly at the paths. ValueError for
+    n_paths < 3 (fewer than two pairs), a non-finite x0, or |x0| beyond the
+    escape limit x_grid[-1] - 0.5; RuntimeError when a path crosses it.
     """
+    x0 = float(x0)
+    xlim = float(sol.x_grid[-1]) - 0.5
+    if not math.isfinite(x0) or abs(x0) > xlim:
+        raise ValueError(f"start x0 = {x0} must be finite with |x0| <= "
+                         f"{xlim:g}, the escape limit of the solver grid")
+    if n_paths < 3:
+        raise ValueError(f"n_paths = {n_paths}: need n_paths >= 3, two "
+                         "antithetic pairs for a standard error")
     n_steps = n_steps or SDE_STEPS
     if times is None:
         times = [float(t) for t in sol.nodes]
@@ -528,7 +552,7 @@ def simulate_control(sol: PDESolution, x0: float, n_paths: int,
          np.asarray(sorted(times_set), dtype=float)]))
     rng = np.random.default_rng(seed)
     half = (n_paths + 1) // 2
-    X = np.full(2 * half, float(x0))
+    X = np.full(2 * half, x0)
 
     pairs_u2: dict[float, np.ndarray] = {}
 
@@ -539,19 +563,43 @@ def simulate_control(sol: PDESolution, x0: float, n_paths: int,
 
     if PDESolution._key(grid[0]) in times_set:
         measure(float(grid[0]), X)
-    xlim = float(sol.x_grid[-1]) - 0.5
     x0g, dxg = float(sol.x_grid[0]), sol.config.dx
     sp, spp = sol.mixture.xi_prime, sol.mixture.xi_double_prime
+    # the steps work in place on buffers made once: with glibc's default
+    # thresholds each fresh path-sized array is mapped anew, and its page
+    # faults cost more than its arithmetic
+    frac, drift, buf = np.empty_like(X), np.empty_like(X), np.empty_like(X)
+    cell = np.empty(X.size, dtype=np.intp)
+    z = np.empty(half)
     for k in range(len(grid) - 1):
         t, t_next = float(grid[k]), float(grid[k + 1])
         dt = t_next - t    # > 0: the grid is strictly increasing
-        slope = linear_eval(x0g, dxg, sol.phi_x_table(t), X)
-        drift = spp(t) * sol._level_at(t) * slope
-        sig = math.sqrt(max(sp(t_next) - sp(t), 0.0))
-        z = rng.standard_normal(half)
-        z = np.concatenate([z, -z])
-        X = X + drift * dt + sig * z
-        if np.any(np.abs(X) > xlim):
+        coef = spp(t) * sol._level_at(t)
+        if coef != 0.0:
+            # linear interpolation of the table at the paths: every path is
+            # at least 0.5 inside the grid (start and escape checks), so the
+            # truncated position is the cell and the cell has a right end
+            table = sol.phi_x_table(t)
+            np.subtract(X, x0g, out=frac)
+            frac /= dxg
+            np.trunc(frac, out=buf)
+            np.copyto(cell, buf, casting="unsafe")
+            frac -= buf
+            # mode "clip" writes straight into out (the cells are in range)
+            table.take(cell, out=drift, mode="clip")
+            np.subtract(1.0, frac, out=buf)
+            drift *= buf
+            table[1:].take(cell, out=buf, mode="clip")
+            frac *= buf
+            drift += frac
+            drift *= coef
+            drift *= dt
+            X += drift
+        rng.standard_normal(out=z)
+        z *= math.sqrt(max(sp(t_next) - sp(t), 0.0))
+        X[:half] += z
+        X[half:] -= z
+        if X.max() > xlim or X.min() < -xlim:
             raise RuntimeError("SDE path escaped the solver grid; enlarge x_max")
         if PDESolution._key(t_next) in times_set:
             measure(t_next, X)

@@ -5,8 +5,8 @@ import pytest
 
 from gtap.measures import OrderParameter, band_coords, d1
 from gtap.model import MixedModel, sk_model
-from gtap.numerics import (GridStencil, gauss_hermite, hermite_eval,
-                           linear_eval)
+from gtap.numerics import (GridStencil, ShiftStencil, gauss_hermite,
+                           hermite_eval, linear_eval)
 from gtap.pde import (SolverConfig, parisi_functional, parisi_measure,
                       second_derivative_identity, simulate_control, solve,
                       solve_band, solve_steps, unify)
@@ -238,6 +238,68 @@ def test_second_derivative_identity_mc(sk_full):
     assert out["n_sigma"] <= 3.0
 
 
+@pytest.fixture(scope="module")
+def sk_two_atoms():
+    zeta = OrderParameter.from_atoms((0.2, 1.0), [(0.2, 0.4), (0.6, 0.6)])
+    return solve(sk_model(1.0, convention="full"), zeta)
+
+
+SDE_CHECKS = [simulate_control, second_derivative_identity]
+
+
+@pytest.mark.parametrize("check", SDE_CHECKS)
+def test_sde_refuses_nonfinite_start(sk_two_atoms, check):
+    # x0 = NaN gave lhs = rhs = se = NaN and n_sigma = inf
+    with pytest.raises(ValueError, match="finite"):
+        check(sk_two_atoms, math.nan, n_paths=1000, n_steps=16)
+
+
+@pytest.mark.parametrize("check", SDE_CHECKS)
+def test_sde_refuses_start_beyond_escape_limit(sk_two_atoms, check):
+    # x0 = 50 failed at the first step's escape check, a RuntimeError
+    assert 50.0 > sk_two_atoms.x_grid[-1] - 0.5
+    with pytest.raises(ValueError, match="escape limit"):
+        check(sk_two_atoms, 50.0, n_paths=1000, n_steps=16)
+
+
+@pytest.mark.parametrize("check", SDE_CHECKS)
+@pytest.mark.parametrize("n_paths", [0, 1, 2])
+def test_sde_refuses_fewer_than_two_pairs(sk_two_atoms, check, n_paths):
+    # one antithetic pair gave se = NaN and n_sigma = inf
+    with pytest.raises(ValueError, match="n_paths >= 3"):
+        check(sk_two_atoms, 0.5, n_paths=n_paths, n_steps=16)
+
+
+def test_simulate_control_matches_plain_euler_loop(mixed_23):
+    # a plain Euler loop: drift xi'' zeta np.interp(frame_at(t).phi_x), the
+    # same antithetic normals; level 0 on [0.25, 0.484375), then 0.5. The
+    # nodes are grid times exactly (multiples of 3/256 from 0.25), so both
+    # loops step on the same times
+    zeta = OrderParameter.from_atoms((0.25, 1.0), [(0.484375, 0.5),
+                                                   (1.0, 0.5)])
+    sol = solve(mixed_23, zeta)
+    x0, n_paths, n_steps, seed = 0.3, 2000, 64, 7
+    times = [0.484375, 0.8125, 1.0]
+    out = simulate_control(sol, x0, n_paths, n_steps=n_steps, seed=seed,
+                           times=times)
+    rng = np.random.default_rng(seed)
+    half = n_paths // 2
+    X = np.full(n_paths, x0)
+    grid = np.linspace(0.25, 1.0, n_steps + 1)
+    assert set(times) <= set(grid)
+    for t, t_next in zip(grid[:-1], grid[1:]):
+        slope = np.interp(X, sol.x_grid, sol.frame_at(t).phi_x)
+        drift = mixed_23.xi_double_prime(t) * zeta.cdf(t) * slope
+        sig = math.sqrt(mixed_23.xi_prime(t_next) - mixed_23.xi_prime(t))
+        z = rng.standard_normal(half)
+        X = X + drift * (t_next - t) + sig * np.concatenate([z, -z])
+        if t_next in times:
+            u2 = sol.phi_x(t_next, X) ** 2
+            np.testing.assert_allclose(out["pairs_u2"][t_next],
+                                       0.5 * (u2[:half] + u2[half:]),
+                                       rtol=0, atol=1e-10)
+
+
 def test_second_derivative_identity_quadrature(mixed_23, rng):
     # deterministic version of the same identity, tighter tolerance
     q = 0.15
@@ -320,7 +382,7 @@ def _linear_reference(x0, dx, f, xq):
     return (1.0 - t) * f[i] + t * f[i + 1]
 
 
-@pytest.mark.parametrize("dx, half_width, shifts", [
+SHIFT_CASES = [
     # sigma < dx: every point in a cell next to its grid point
     (1.0 / 16, 3.0, 0.05 * gauss_hermite(40)[0]),
     # sigma g_j beyond twice the half-width: whole columns past both edges
@@ -329,7 +391,10 @@ def _linear_reference(x0, dx, f, xq):
     # shifts of whole cells: every point on a cell boundary
     (1.0 / 16, 2.0, np.array([-5.0, -1.0, 0.0, 2.0, 7.0, 70.0]) / 16),
     (1.0 / 16, 2.0, 1.7 * gauss_hermite(12)[0]),
-])
+]
+
+
+@pytest.mark.parametrize("dx, half_width, shifts", SHIFT_CASES)
 def test_stencil_matches_point_interpolation(dx, half_width, shifts):
     # a layer's stencil at x_k + shift_j, and the point interpolators, against
     # the point-by-point formulas: the same arithmetic, so the same bits
@@ -351,6 +416,25 @@ def test_stencil_matches_point_interpolation(dx, half_width, shifts):
     point = hermite_eval(x[0], dx, f, d, pts[0, 0])
     assert np.ndim(point) == 0
     assert point == _hermite_reference(x[0], dx, f, d, pts[0, 0])
+
+
+@pytest.mark.parametrize("dx, half_width, shifts", SHIFT_CASES)
+def test_shift_stencil_matches_point_interpolation(dx, half_width, shifts):
+    # the shared-fraction form rounds its fractions and edge continuations
+    # differently from the per-point formulas, so it agrees to rounding
+    rng = np.random.default_rng(41)
+    n = int(round(half_width / dx))
+    x = dx * np.arange(-n, n + 1)
+    f, d, d2, d3 = _smooth_grid_function(rng, x)
+    pts = x[:, None] + shifts[None, :]
+    st = ShiftStencil(dx, x.size, shifts)
+    for vals, ders in ((f, d), (d, d2), (d2, d3)):
+        ref = _hermite_reference(x[0], dx, vals, ders, pts)
+        np.testing.assert_allclose(st.hermite(vals, ders), ref, rtol=0,
+                                   atol=1e-13 * np.abs(ref).max())
+    ref = _linear_reference(x[0], dx, d3, pts)
+    np.testing.assert_allclose(st.linear(d3), ref, rtol=0,
+                               atol=1e-13 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("t", [0.3, 0.55])
