@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,9 +20,9 @@ import numpy as np
 from . import cascades, disorder, rs, tap
 from .measures import DiscreteMeasure, OrderParameter, empirical, fold_law
 from .model import MixedModel, sk_model
-from .numerics import logsumexp
-from .pde import MAX_GRID_STEP, SolverConfig, parisi_functional, \
-    parisi_measure, second_derivative_identity, solve
+from .numerics import gauss_hermite, log2cosh, logsumexp
+from .pde import MAX_GRID_STEP, GridBudgetError, SolverConfig, \
+    parisi_functional, parisi_measure, second_derivative_identity, solve
 
 
 class ConfigError(Exception):
@@ -273,8 +274,6 @@ def cmd_tap_solve(args) -> int:
 
 def cmd_parisi(args) -> int:
     model = _load_model(args.model)
-    if model.external_field_h != 0.0:
-        raise ConfigError("parisi needs a model without external field h")
     cfg = SolverConfig(dx=args.grid_step)
     zeta, info = parisi_measure(model, r_atoms=args.r_atoms, config=cfg,
                                 seed=args.seed)
@@ -344,6 +343,17 @@ def cmd_check(args) -> int:
            diag.plefka_lhs > 1.0 and not diag.is_rs and gap < -5e-6,
            plefka_lhs=diag.plefka_lhs, sup_gamma=diag.sup_gamma,
            tap_minus_classical=gap)
+    # SK with a field above the AT line: r = 2 (the slot at 0 and one atom)
+    # gives the RS value log 2 + E log cosh(beta sqrt(q) g + h)
+    # + beta^2 (1 - q)^2 / 4 at the RS fixed point q
+    beta, h = 0.8, 0.5
+    value = parisi_measure(sk_model(beta, h=h), r_atoms=2)[1]["value"]
+    q = rs.at_line_scan(beta, h)["q"]
+    g, w = gauss_hermite(rs.AT_GH_ORDER)
+    closed = float(w @ log2cosh(beta * math.sqrt(q) * g + h)) \
+        + beta ** 2 * (1.0 - q) ** 2 / 4.0
+    record("parisi_field_rs", abs(value - closed) < 1e-9, value=value,
+           rs_formula=closed)
     print(json.dumps({"checks": verdicts,
                       "pass": all(v["pass"] for v in verdicts)},
                      sort_keys=True, default=_jsonify))
@@ -417,7 +427,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, GridBudgetError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (RuntimeError, ValueError) as e:

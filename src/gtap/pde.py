@@ -38,6 +38,12 @@ exp(z Phi). An antithetic Euler-Maruyama simulator of the same SDE is
 provided for Monte-Carlo cross-checks; it reads the drift from phi_x_table,
 interpolated linearly at the paths, and only on steps where the drift
 coefficient xi''(s) zeta(s) is not 0.
+
+The Parisi functional Phi_zeta(0, h) - (1/2) int s xi'' zeta at the model's
+external field h is one read-out of a solve (`_parisi_on`);
+`parisi_measure` minimizes it with the TAP correction's optimizer. A grid
+over MAX_GRID_POINTS points (a tiny dx or a huge h) is refused before it
+is allocated.
 """
 
 from __future__ import annotations
@@ -48,14 +54,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .measures import DiscreteMeasure, OrderParameter
+from .measures import OrderParameter
 from .model import MixedModel, ShiftedModel
 from .numerics import (GridStencil, ShiftStencil, gauss_hermite,
                        grid_derivative, hermite_eval, log2cosh)
 
 __all__ = [
-    "SolverConfig", "PDESolution", "solve", "solve_steps", "solve_band",
-    "unify", "simulate_control", "second_derivative_identity",
+    "SolverConfig", "GridBudgetError", "PDESolution", "solve", "solve_steps",
+    "solve_band", "unify", "simulate_control", "second_derivative_identity",
     "parisi_functional", "parisi_measure",
 ]
 
@@ -64,6 +70,16 @@ __all__ = [
 # a value is off by ~1e-5 (xi = s^2 / 8); at dx = 1 by ~2e-3, and at
 # dx = 1e300 the grid has three points and the value is off by 0.12.
 MAX_GRID_STEP = 0.25
+# Most points of one solve's x grid. A layer holds n x gh_order temporaries,
+# so the grid is sized before anything is allocated: dx = 1e-7 would ask for
+# ~1e8 points, and so would an external field h = 1e6 at the default dx. The
+# finest grid of the test suite has 5,703 points (dx = 1/256).
+MAX_GRID_POINTS = 2 ** 16
+
+
+class GridBudgetError(ValueError):
+    """A solve whose x grid would exceed MAX_GRID_POINTS: a configuration
+    error (the grid step, the field or the pad), refused before allocation."""
 
 
 @dataclass(frozen=True)
@@ -270,7 +286,14 @@ class PDESolution:
             x_max = config.x_max + config.x_pad
         else:
             x_max = 6.0 + 4.0 * math.sqrt(var_total) + abs(a) + config.x_pad
-        n = int(math.ceil(x_max / config.dx))
+        half = x_max / config.dx
+        # 2 ceil(half) + 1 < 2 half + 3; an overflowed ratio (inf) fails too
+        if not 2.0 * half + 3.0 <= MAX_GRID_POINTS:
+            raise GridBudgetError(
+                f"x grid of {2.0 * half + 1.0:.4g} points (half-width "
+                f"{x_max:g}, dx = {config.dx:g}) exceeds the budget of "
+                f"{MAX_GRID_POINTS} points")
+        n = int(math.ceil(half))
         self.x_grid = config.dx * np.arange(-n, n + 1)
         self._frames: dict[float, Frame] = {}
         self._level_grads: np.ndarray | None = None
@@ -490,7 +513,7 @@ def solve(model: MixedModel, zeta: OrderParameter,
 def solve_steps(model: MixedModel, interval, nodes, levels,
                 config: SolverConfig = DEFAULT_CONFIG) -> PDESolution:
     """Original-boundary solve from an explicit CDF step function, for the
-    TAP optimizer alone (`tap._evaluate`). Unlike `solve`, it keeps zero-mass
+    optimizer alone (`tap._evaluate`). Unlike `solve`, it keeps zero-mass
     pieces, the slots the optimizer moves, and it sweeps `level_gradients`
     while it builds each layer, so the optimizer never builds one twice."""
     return PDESolution(model, interval, nodes, levels, 0.0, config,
@@ -650,6 +673,14 @@ def second_derivative_identity(sol: PDESolution, x0: float,
             "n_sigma": n_sigma}
 
 
+def _parisi_on(h: float):
+    """Read-out of Phi(t0, h) - (1/2) int s xi'' zeta: start h, weight 1."""
+    def read(sol: PDESolution):
+        return (float(sol.phi(sol.t0, h)) - 0.5 * sol.int_s_xi_pp_zeta(), sol,
+                np.array([h]), np.ones(1), 0.0)
+    return read
+
+
 def parisi_functional(model: MixedModel, zeta: OrderParameter,
                       config: SolverConfig = DEFAULT_CONFIG) -> float:
     """P(zeta) = Phi_zeta(0, h) - (1/2) int_0^1 s xi''(s) zeta(s) ds, with h
@@ -658,25 +689,30 @@ def parisi_functional(model: MixedModel, zeta: OrderParameter,
     if abs(t0) > 1e-12 or abs(t1 - 1.0) > 1e-12:
         raise ValueError("the Parisi functional needs zeta on [0, 1]")
     h = model.external_field_h
-    sol = solve(model, zeta, config.with_pad(abs(h)))
-    return float(sol.phi(0.0, h)) - 0.5 * sol.int_s_xi_pp_zeta()
+    return _parisi_on(h)(solve(model, zeta, config.with_pad(abs(h))))[0]
 
 
 def parisi_measure(model: MixedModel, r_atoms: int = 3,
                    config: SolverConfig = DEFAULT_CONFIG,
                    seed: int | None = None):
-    """Minimize the Parisi functional over r-atom order parameters on [0, 1].
+    """Minimize `parisi_functional` over r-atom order parameters on [0, 1]:
+    `tap._minimize` on the read-out `_parisi_on(h)`, grid padded by |h|, and
+    no RS shortcut (Gamma_mu is the TAP correction's criterion). Returns
+    (zeta_star, info), info the `value` and `tap_correction`'s diagnostics.
 
-    Delegates to the TAP variational machinery at mu = delta_0, for which
-    the two functionals coincide when the external field h is 0; a model
-    with h != 0 is rejected. Returns (zeta_star, info).
+    r counts the optimizer's slot at 0. With h != 0 the Parisi measure
+    starts at q_min > 0, so r = 2 holds only an RS measure delta_q, and
+    1RSB needs r = 3. Below the AT line r = 2 still stops, `converged`, at
+    the best RS point, with certificate `second_slacks` above 0 (for SK the
+    AT value minus 1); best r-atom points of FRSB models read above 0 too
+    (SK beta = 1.4, h = 0: 0.008 at r = 3), so they do not gate `converged`.
     """
-    from .tap import tap_correction
+    from .tap import _certify, _minimize   # tap builds on this module
 
-    if model.external_field_h != 0.0:
-        raise ValueError("parisi_measure needs external field h = 0: "
-                         "its mu = delta_0 TAP form holds only there")
-    mu0 = DiscreteMeasure.delta(0.0, interval=(0.0, 1.0))
-    res = tap_correction(model, mu0, r_atoms=r_atoms, config=config, seed=seed)
-    info = {"value": res.value, "diagnostics": res.diagnostics}
-    return res.minimizer_zeta, info
+    h, r = model.external_field_h, int(r_atoms)
+    if r < 1:
+        raise ValueError(f"r_atoms must be at least 1, got {r_atoms}")
+    zeta, best, diagnostics = _minimize(model, _parisi_on(h), 0.0, r,
+                                        config.with_pad(abs(h)), seed)
+    _certify(diagnostics, model, zeta, best)
+    return zeta, {"value": best[0], "diagnostics": diagnostics}

@@ -16,7 +16,11 @@ strictly negative on the band, the minimizer is delta_q and no optimizer
 runs. Otherwise it is one projected-gradient loop over r-atom order
 parameters, on the CDF levels and the node locations together, with BFGS
 steps on the active face; the exact gradient comes from one backward sweep
-of the solver (`PDESolution.level_gradients`).
+of the solver (`PDESolution.level_gradients`). The loop minimizes a
+read-out of a solve: value, start points and weights of the control
+diffusion, boundary mass. TAP's read-out (`_tap_on`) starts at psi_bar(q, a)
+for mu's atoms; `pde.parisi_measure` runs the same loop on the Parisi
+functional's (`pde._parisi_on`), one start at the field h.
 """
 
 from __future__ import annotations
@@ -188,25 +192,25 @@ def _inner_a_max(mu: DiscreteMeasure) -> float:
     return float(np.max(split_boundary(mu)[0], initial=0.0))
 
 
-def _tap_on(sol: PDESolution, mu: DiscreteMeasure):
-    """(TAP(mu, zeta), sol, starts psi_bar(q, a) of mu's atoms below the
-    boundary), read off the solve `sol` of zeta from q = sol.t0."""
+def _tap_on(mu: DiscreteMeasure):
+    """Read-out of TAP(mu, zeta): a solve from q -> (value, solve, starts
+    psi_bar(q, a) and weights of atoms below the boundary, boundary mass)."""
     locs, wts, edge = split_boundary(mu)
-    conj = [_conj(sol, a) for a in locs]
-    total = sum(w * lam for w, (lam, _) in zip(wts, conj))
-    total += edge * _conj(sol, 1.0)[0]
-    return (float(total - 0.5 * sol.int_s_xi_pp_zeta()), sol,
-            np.array([x for _, x in conj]))
+
+    def read(sol: PDESolution):
+        conj = [_conj(sol, a) for a in locs]
+        total = sum(w * lam for w, (lam, _) in zip(wts, conj))
+        total += edge * _conj(sol, 1.0)[0]
+        return (float(total - 0.5 * sol.int_s_xi_pp_zeta()), sol,
+                np.array([x for _, x in conj]), wts, edge)
+    return read
 
 
-def _evaluate(model: MixedModel, mu: DiscreteMeasure, nodes, levels,
-              config: SolverConfig) -> tuple[float, PDESolution, np.ndarray]:
-    """TAP(mu, zeta), the solution and the starts psi_bar(q, a), for a folded
-    law mu and the CDF `levels` on the pieces between `nodes` (q = nodes[0]).
+def _evaluate(model: MixedModel, read, nodes, levels, config: SolverConfig):
+    """The read-out `read` of the solve of the CDF `levels` between `nodes`.
     Only this, the optimizer's evaluation, sweeps `level_gradients`."""
-    cfg = config.with_pad(_grid_pad_for(_inner_a_max(mu)))
-    return _tap_on(solve_steps(model, (float(nodes[0]), float(nodes[-1])),
-                               nodes, levels, cfg), mu)
+    return read(solve_steps(model, (float(nodes[0]), float(nodes[-1])),
+                            nodes, levels, config))
 
 
 def tap_with_zeta(model: MixedModel, mu: DiscreteMeasure,
@@ -218,7 +222,8 @@ def tap_with_zeta(model: MixedModel, mu: DiscreteMeasure,
     q = mu.moment(2)
     if q >= 1.0 - 1e-12:
         return 0.0
-    return _tap_on(_orig_solution(model, q, zeta, config, _inner_a_max(mu)), mu)[0]
+    return _tap_on(mu)(_orig_solution(model, q, zeta, config,
+                                      _inner_a_max(mu)))[0]
 
 
 def band_functional(shifted: ShiftedModel, mu: DiscreteMeasure, v, lam: float,
@@ -258,11 +263,10 @@ def _steps_zeta(x: np.ndarray, q: float) -> OrderParameter:
     return OrderParameter.from_atoms((q, 1.0), atoms or [(1.0, 1.0)])
 
 
-def _gradient(sol: PDESolution, mu: DiscreteMeasure,
-              starts: np.ndarray) -> np.ndarray:
-    """Gradient of TAP(mu, zeta) in the optimizer variables, from the
-    solution and the psi_bar starts that `_evaluate` returned for them."""
-    _, wts, edge = split_boundary(mu)
+def _gradient(evaluation) -> np.ndarray:
+    """Gradient of the value in the optimizer variables, from the
+    (value, solution, starts, weights, boundary mass) of `_evaluate`."""
+    _, sol, starts, wts, edge = evaluation
     levels, nodes = sol.levels, sol.nodes
     # d/dx of Phi(q, x) - a x vanishes at psi_bar, so the mu-integral of the
     # solver's sensitivities at psi_bar is the gradient of the Lambda term
@@ -308,10 +312,10 @@ def _bfgs_update(B, dx: np.ndarray, dg: np.ndarray):
     return B + np.outer(dg, dg) / curv - np.outer(Bdx, Bdx) / (dx @ Bdx)
 
 
-def _optimize(model, mu, x: np.ndarray, q: float,
+def _optimize(model, read, x: np.ndarray, q: float,
               config) -> tuple[np.ndarray, dict]:
-    """Minimize TAP(mu, .) over x (see `_unpack`): levels monotone in
-    [0, 1], interior nodes monotone in [q, 1].
+    """Minimize the value of the read-out `read` over x (see `_unpack`):
+    levels monotone in [0, 1], interior nodes monotone in [q, 1].
 
     Projected-gradient steps (length x1.6 after a success, x0.3 after a
     failure) go with backtracking BFGS steps on the current face, tried
@@ -332,9 +336,9 @@ def _optimize(model, mu, x: np.ndarray, q: float,
         nonlocal n_eval, stalls
         n_eval += 1
         levels, nodes = _unpack(x_t, q)
-        v_t, sol, starts = _evaluate(model, mu, nodes, levels, config)
-        stalls = stalls + 1 if abs(v_t - val) < OPT_FTOL else 0
-        return v_t, _gradient(sol, mu, starts)
+        ev = _evaluate(model, read, nodes, levels, config)
+        stalls = stalls + 1 if abs(ev[0] - val) < OPT_FTOL else 0
+        return ev[0], _gradient(ev)
 
     def bfgs_step(face):
         """First point along the BFGS direction on the face that lowers
@@ -383,7 +387,7 @@ def _optimize(model, mu, x: np.ndarray, q: float,
         B = _bfgs_update(B, new[0] - x, new[2] - grad)
         x, val, grad = new
         step, fresh = min(step * 1.6, 64.0), B is not None
-    return x, {"n_eval": n_eval, "projected_grad": pg, "stop": stop}
+    return x, {"stop": stop, "level_evals": n_eval, "projected_grad": pg}
 
 
 @dataclass(frozen=True)
@@ -458,11 +462,12 @@ def _rs_certified(model: MixedModel, mu: DiscreteMeasure,
     return diag.sup_gamma <= -rs.RS_TOLERANCE, diag
 
 
-def _minimize(model: MixedModel, mu: DiscreteMeasure, q: float, r: int,
-              config: SolverConfig, seed: int | None, a_max: float):
-    """The optimizer path of `tap_correction`: `_optimize` from evenly
-    spread (seed None) or random levels and nodes, then greedy atom merges.
-    Returns (zeta, (value, solution, psi_bar starts), optimizer info)."""
+def _minimize(model: MixedModel, read, q: float, r: int,
+              config: SolverConfig, seed: int | None):
+    """Minimize the read-out `read` (`_tap_on`, `pde._parisi_on`) over
+    r-atom order parameters on [q, 1], first node at q: `_optimize` from
+    evenly spread (seed None) or random levels and nodes, then greedy atom
+    merges. Returns (zeta, the read-out of its plain solve, diagnostics)."""
     if seed is None:
         nodes = q + (1.0 - q) * np.arange(1, r) / r
         levels = np.linspace(1.0 / r, 1.0, r)
@@ -470,12 +475,12 @@ def _minimize(model: MixedModel, mu: DiscreteMeasure, q: float, r: int,
         rng = np.random.default_rng(seed)
         nodes = q + (1.0 - q) * np.sort(rng.uniform(0.05, 0.95, size=r - 1))
         levels = np.sort(rng.uniform(0.0, 1.0, size=r))
-    x, info = _optimize(model, mu, np.concatenate([levels, nodes]), q, config)
-    # The value is TAP at the returned zeta, solved on its atoms alone: a
+    x, info = _optimize(model, read, np.concatenate([levels, nodes]), q, config)
+    # The value is read at the returned zeta, solved on its atoms alone: a
     # node between equal levels splits a layer and moves the discretized
     # value (by 7e-7 on a model with xi'(1) = 7.7), so it may not count.
     zeta = _steps_zeta(x, q)
-    best = _tap_on(_orig_solution(model, q, zeta, config, a_max), mu)
+    best = read(_orig_solution(model, q, zeta, config))
     # prefer fewer atoms when the value is within 1e-9: greedily merge the
     # closest pair of atoms into their weighted mean as long as it is free;
     # a pair holding the atom at q merges there, keeping q in the support
@@ -490,11 +495,24 @@ def _minimize(model: MixedModel, mu: DiscreteMeasure, q: float, r: int,
         merged = atoms[:i] + [(loc, w0 + w1 if len(atoms) > 2 else 1.0)] \
             + atoms[i + 2:]
         cand = OrderParameter.from_atoms((q, 1.0), merged)
-        trial = _tap_on(_orig_solution(model, q, cand, config, a_max), mu)
+        trial = read(_orig_solution(model, q, cand, config))
         if not trial[0] <= best[0] + 1e-9:
             break
         zeta, atoms, best = cand, merged, trial
     return zeta, best, info
+
+
+def _certify(diagnostics: dict, model, zeta, evaluation) -> None:
+    """`converged`: stop rs, tol or ftol (tied levels can stop at tol short
+    of a minimizer) and, given the read-out `evaluation` of zeta's solve, a
+    stationarity `certificate` with `first_residual` <= CERTIFICATE_TOL, for
+    the control diffusion from its starts, boundary atoms (u = 1) as mass."""
+    diagnostics["converged"] = diagnostics["stop"] in ("rs", "tol", "ftol")
+    if evaluation is not None:
+        _, sol, starts, wts, edge = evaluation
+        cert = diagnostics["certificate"] = _stationarity(
+            [(sol, starts, wts)], zeta, model.xi_double_prime, edge)
+        diagnostics["converged"] &= cert["first_residual"] <= CERTIFICATE_TOL
 
 
 def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
@@ -509,21 +527,15 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
     minimizer delta_q, whose value is the classical correction; it is
     returned from one plain solve with `stop` "rs" and no optimizer
     evaluation. Near that margin, and whenever Gamma''(0) > -RS_TOLERANCE
-    (then the curve is not computed), the optimizer runs (see `_optimize`):
-    levels and nodes together, seed None from evenly spread levels and
-    nodes, an integer from random ones, then greedy merges of atoms that
-    cost at most 1e-9. Only the optimizer evaluates through `_evaluate`; the
-    value and the merge candidates take plain solves (`_orig_solution`), and
-    the certificate reuses the solve of the returned zeta.
+    (then the curve is not computed), `_minimize` runs on the read-out
+    `_tap_on(mu)`, with every solve padded once for mu's largest atom.
 
     `diagnostics`: `stop` names the stopping rule ("rs" for the shortcut),
     `level_evals` counts optimizer evaluations, `rs` holds the
-    `rs.RsDiagnostics` when the curve was computed. `converged` needs rs,
-    tol or ftol and a certificate `first_residual` of at most
-    CERTIFICATE_TOL, when computed: tied levels can stop at tol short of a
-    minimizer. Also cross-evaluates the band representation
-    inf P_bar_mu^{v_zeta}(0, zeta) at the returned minimizer and reports the
-    gap.
+    `rs.RsDiagnostics` when the curve was computed; `converged` and the
+    `certificate` come from `_certify`. Also cross-evaluates the band
+    representation inf P_bar_mu^{v_zeta}(0, zeta) at the returned minimizer
+    and reports the gap.
 
     The correction does not depend on the model's external field h: the
     field enters the TAP free energy only through the energy H(m).
@@ -537,30 +549,18 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
         trivial = OrderParameter.delta_at(1.0, (1.0, 1.0))
         return TapResult(value=0.0, minimizer_zeta=trivial, q=1.0,
                          diagnostics={"trivial": True, "converged": True})
-    a_max = _inner_a_max(mu)
+    read, cfg = _tap_on(mu), config.with_pad(_grid_pad_for(_inner_a_max(mu)))
     certified, rs_diag = _rs_certified(model, mu, q)
     if certified:
         zeta = OrderParameter.delta_at(q, (q, 1.0))
-        sol = _orig_solution(model, q, zeta, config, a_max)
-        val, sol, starts = _tap_on(sol, mu)
+        best = read(_orig_solution(model, q, zeta, cfg))
         diagnostics = {"stop": "rs", "level_evals": 0}
     else:
-        zeta, (val, sol, starts), info = _minimize(model, mu, q, r, config,
-                                                   seed, a_max)
-        diagnostics = {"stop": info["stop"], "level_evals": info["n_eval"],
-                       "projected_grad": info["projected_grad"]}
-    diagnostics["converged"] = diagnostics["stop"] in ("rs", "tol", "ftol")
+        zeta, best, diagnostics = _minimize(model, read, q, r, cfg, seed)
+    _certify(diagnostics, model, zeta, best if with_certificate else None)
     diagnostics["trivial"] = False
     if rs_diag is not None:
         diagnostics["rs"] = rs_diag
-    if with_certificate:
-        # original coordinates: the control diffusion starts at psi_bar(q, a),
-        # and the boundary atoms, whose slope u is 1, count as their mass
-        _, wts, edge = split_boundary(mu)
-        diagnostics["certificate"] = _stationarity(
-            [(sol, starts, wts)], zeta, model.xi_double_prime, edge)
-        if diagnostics["certificate"]["first_residual"] > CERTIFICATE_TOL:
-            diagnostics["converged"] = False
     if with_representation:
         shifted = model.shift(q)
         zb = band_coords(zeta)
@@ -568,9 +568,9 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
         pbar = band_functional(shifted, mu, field, 0.0, zb, config,
                                field=field)
         diagnostics["pbar_value"] = pbar
-        diagnostics["representation_gap"] = abs(pbar - val)
-    return TapResult(value=float(val), minimizer_zeta=zeta, q=q,
-                     diagnostics=diagnostics, solution=sol)
+        diagnostics["representation_gap"] = abs(pbar - best[0])
+    return TapResult(value=best[0], minimizer_zeta=zeta, q=q,
+                     diagnostics=diagnostics, solution=best[1])
 
 
 # ---------------------------------------------------------------------------

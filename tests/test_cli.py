@@ -231,10 +231,31 @@ def test_tap_solve_fixed_q_flag_is_gone(tmp_path, model_spec):
     assert not out.exists()
 
 
-def test_parisi_with_field_exits_2(tmp_path):
+def test_parisi_with_field(tmp_path):
     spec = write(tmp_path, "field.json", {"coeffs_sq": [0.0, 0.5], "h": 0.3})
-    rc = main(["parisi", "--model", spec, "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    rc = main(["parisi", "--model", spec, "--out", str(out)])
+    assert rc == 0
+    data = json.loads((out / "parisi.json").read_text())
+    assert data["value"] == pytest.approx(data["functional_at_measure"],
+                                          abs=1e-9)
+
+
+@pytest.mark.parametrize("command, model, flags", [
+    *[(command, {"coeffs_sq": [0.0, 0.125]}, ["--grid-step", "1e-7"])
+      for command in ("correction", "mc-verify", "tap-solve", "parisi")],
+    ("parisi", {"coeffs_sq": [0.0, 0.5], "h": 1e6}, []),
+])
+def test_oversized_grid_exits_2(tmp_path, command, model, flags):
+    # a grid over pde.MAX_GRID_POINTS is a configuration error, refused
+    # before it is allocated; the field pads the Parisi grid by |h|
+    spec = write(tmp_path, "model.json", model)
+    mu = write(tmp_path, "mu.json", {"interval": [0, 1], "atoms": [[0.3, 1.0]]})
+    extra = ["--mu", mu] if command == "correction" else []
+    out = tmp_path / "o"
+    rc = main([command, "--model", spec, *extra, "--out", str(out), *flags])
     assert rc == 2
+    assert not out.exists()
 
 
 def test_parisi_command(tmp_path, model_spec):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from gtap.measures import OrderParameter, band_coords, d1
 from gtap.model import MixedModel, sk_model
 from gtap.numerics import (GridStencil, ShiftStencil, gauss_hermite,
                            hermite_eval, linear_eval)
-from gtap.pde import (SolverConfig, parisi_functional, parisi_measure,
-                      second_derivative_identity, simulate_control, solve,
-                      solve_band, solve_steps, unify)
+from gtap.pde import (GridBudgetError, SolverConfig, parisi_functional,
+                      parisi_measure, second_derivative_identity,
+                      simulate_control, solve, solve_band, solve_steps, unify)
+from gtap.rs import AT_GH_ORDER, at_line_scan
 
 from conftest import random_model, random_zeta
 
@@ -170,6 +172,22 @@ def test_grid_too_small_raises(mixed_23):
 def test_nonpositive_grid_step_rejected(dx):
     with pytest.raises(ValueError, match="dx"):
         SolverConfig(dx=dx)
+
+
+@pytest.mark.parametrize("dx, points", [(1e-7, "2.273e+08"), (5e-324, "inf")])
+def test_oversized_grid_refused(mixed_23, dx, points):
+    # the point count is checked before the grid is made: dx = 1e-7 asks
+    # for 2e8 points, and at 5e-324 the count overflows
+    zeta = OrderParameter.delta_at(0.0, (0.0, 1.0))
+    with pytest.raises(GridBudgetError, match=re.escape(f"grid of {points} points")):
+        solve(mixed_23, zeta, SolverConfig(dx=dx))
+
+
+def test_parisi_functional_at_a_huge_field_refused():
+    # the grid is padded by |h|: h = 1e6 would make 1.28e8 points (1 GB)
+    zeta = OrderParameter.delta_at(0.5, (0.0, 1.0))
+    with pytest.raises(GridBudgetError, match="grid of 1.28e"):
+        parisi_functional(sk_model(1.0, h=1e6), zeta)
 
 
 def test_step_integrals_vs_midpoint_rule(mixed_23):
@@ -343,9 +361,68 @@ def test_parisi_functional_with_field_rs_closed_form():
         assert parisi_functional(model, zeta) == pytest.approx(closed, abs=5e-8)
 
 
-def test_parisi_measure_rejects_field():
-    with pytest.raises(ValueError):
-        parisi_measure(sk_model(1.0, h=0.3, convention="half"), r_atoms=1)
+def sk_rs_value(beta, h, q):
+    """SK (xi = beta^2 s^2 / 2) Parisi functional at zeta = delta_q:
+    log 2 + E log cosh(beta sqrt(q) g + h) + beta^2 (1 - q)^2 / 4."""
+    g, w = gauss_hermite(200)
+    return math.log(2.0) \
+        + float(np.sum(w * np.log(np.cosh(beta * math.sqrt(q) * g + h)))) \
+        + beta ** 2 * (1.0 - q) ** 2 / 4.0
+
+
+@pytest.mark.parametrize("beta, h", [(0.8, 0.5), (1.2, 0.3), (1.2, 0.8)])
+def test_parisi_measure_with_field_above_at_line_is_rs(beta, h):
+    # above the AT line the Parisi measure is delta at the RS fixed point q
+    # of at_line_scan (a separate fixed-point iteration); r = 2 holds it,
+    # since r counts the optimizer's slot at 0
+    zeta, info = parisi_measure(sk_model(beta, h=h), r_atoms=2)
+    at = at_line_scan(beta, h)
+    assert at["at_ok"]
+    assert len(zeta.measure.atoms) == 1
+    assert zeta.measure.atoms[0][0] == pytest.approx(at["q"], abs=1e-6)
+    assert info["value"] == pytest.approx(sk_rs_value(beta, h, at["q"]),
+                                          abs=1e-9)
+    assert info["diagnostics"]["converged"]
+
+
+@pytest.mark.parametrize("beta, h", [(1.5, 0.2), (2.0, 0.3)])
+def test_parisi_measure_with_field_below_at_line_breaks_rs(beta, h):
+    # below the AT line r = 3 finds two atoms, the first above 0 (q_min > 0
+    # with a field), and a value strictly below the RS formula
+    zeta, info = parisi_measure(sk_model(beta, h=h), r_atoms=3)
+    at = at_line_scan(beta, h)
+    assert not at["at_ok"]
+    atoms = zeta.measure.atoms
+    assert len(atoms) == 2
+    assert atoms[0][0] > 0.0
+    assert info["value"] < sk_rs_value(beta, h, at["q"])
+    assert info["value"] == pytest.approx(
+        parisi_functional(sk_model(beta, h=h), zeta), abs=1e-12)
+
+
+def test_parisi_measure_is_even_in_the_field():
+    values = [parisi_measure(sk_model(1.2, h=h), r_atoms=2)[1]["value"]
+              for h in (0.3, -0.3)]
+    assert values[0] == pytest.approx(values[1], abs=1e-12)
+
+
+@pytest.mark.parametrize("beta, h", [(0.8, 0.5), (1.5, 0.2)])
+def test_parisi_second_slack_is_the_at_value(beta, h):
+    # at an RS measure delta_q, xi''(q) E Phi_xx(q, X_q)^2 - 1 is
+    # beta^2 E sech^4(beta sqrt(q) g + h) - 1, the AT value less 1, on both
+    # sides of the AT line; at_line_scan's Gauss-Hermite order, since the
+    # solver's default of 40 points is off by 4e-6 at beta = 1.5. Below the
+    # line r = 2 still stops at the best RS point, `converged`: best r-atom
+    # points of FRSB models read second slacks above 0 too
+    cfg = SolverConfig(gh_order=AT_GH_ORDER)
+    zeta, info = parisi_measure(sk_model(beta, h=h), r_atoms=2, config=cfg)
+    at = at_line_scan(beta, h)
+    cert = info["diagnostics"]["certificate"]
+    assert len(zeta.measure.atoms) == 1
+    assert cert["second_slacks"][0] == pytest.approx(at["at_value"] - 1.0,
+                                                     abs=1e-6)
+    assert (cert["second_slacks"][0] > 0.0) == (not at["at_ok"])
+    assert info["diagnostics"]["converged"]
 
 
 def _smooth_grid_function(rng, x):

@@ -9,7 +9,7 @@ from gtap.measures import (DiscreteMeasure, OrderParameter, band_coords, d1,
 from gtap.model import MixedModel, sk_model
 from gtap.pde import SolverConfig, parisi_functional, solve
 from gtap.rs import big_gamma, classical_tap, is_replica_symmetric, v_rs
-from gtap.tap import (EffectiveField, _evaluate, _gradient, _unpack,
+from gtap.tap import (EffectiveField, _evaluate, _gradient, _tap_on, _unpack,
                       band_functional, directional_derivative,
                       effective_field, lambda_conj, optimality_check, psi,
                       psi_bar, tap_correction, tap_with_zeta)
@@ -412,10 +412,9 @@ def test_boundary_atom_gradient_matches_finite_differences():
 
     def evaluate(x):
         levels, nodes = _unpack(x, q)
-        return _evaluate(model, mu, nodes, levels, SolverConfig())
+        return _evaluate(model, _tap_on(mu), nodes, levels, SolverConfig())
 
-    _, sol, starts = evaluate(x)
-    grad = _gradient(sol, mu, starts)
+    grad = _gradient(evaluate(x))
     h = 1e-6
     fd = [(evaluate(x + h * e)[0] - evaluate(x - h * e)[0]) / (2.0 * h)
           for e in np.eye(x.size)]
@@ -438,8 +437,7 @@ def test_evaluation_builds_each_layer_once(mixed_23, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(pde._Layer, "__init__", counting)
-    _, sol, starts = _evaluate(mixed_23, mu, nodes, levels, SolverConfig())
-    _gradient(sol, mu, starts)
+    _gradient(_evaluate(mixed_23, _tap_on(mu), nodes, levels, SolverConfig()))
     assert len(built) == 3
 
 
@@ -547,7 +545,8 @@ def test_swept_and_plain_solves_give_the_same_value(mixed_23):
     zeta = OrderParameter.from_atoms((0.0, 1.0), [(0.7, 0.6), (1.0, 0.4)])
     zq = restrict_zeta(zeta, mu.moment(2))
     assert zq.levels[0] == 0.0
-    val = _evaluate(mixed_23, mu, zq.nodes, zq.levels, SolverConfig())[0]
+    val = _evaluate(mixed_23, _tap_on(mu), zq.nodes, zq.levels,
+                    SolverConfig())[0]
     assert val == tap_with_zeta(mixed_23, mu, zeta)
 
 
