@@ -323,13 +323,18 @@ def cmd_check(args) -> int:
     ch = disorder.chain_values(smpl, band)
     record("band_chain", np.isfinite(ch["chain_2"]) and ch["chain_1"] >= 0
            and ch["chain_2"] >= 0)
+    # every reader of the sample's kept energies against a direct loop
     S = disorder.all_configs(N)
-    inside = S[np.abs(S @ m - float(m @ m)) / N < band.eps]
-    Eb = np.array([smpl.energy(s) for s in inside]) - smpl.energy(m)
-    pairs = np.abs(inside @ inside.T / N - float(m @ m) / N) < band.delta
-    direct = float(logsumexp((Eb[:, None] + Eb[None, :])[pairs])) / (2 * N)
-    record("pair_stage", abs(ch["tap_n2"] - direct) < 1e-12,
-           tap_n2=ch["tap_n2"], direct=direct)
+    E = np.array([smpl.energy(s) for s in S])
+    inside = np.abs(S @ m - float(m @ m)) / N < band.eps
+    Eb = E[inside] - smpl.energy(m)
+    pairs = np.abs(S[inside] @ S[inside].T / N - float(m @ m) / N) < band.delta
+    direct = {"free_energy": float(logsumexp(E)) / N,
+              "tap_n1": float(logsumexp(Eb)) / N,
+              "tap_n2": float(logsumexp((Eb[:, None] + Eb[None, :])[pairs]))
+              / (2 * N)}
+    error = max(abs(ch[k] - v) for k, v in direct.items())
+    record("pair_stage", error < 1e-12, error=error, direct=direct)
     # Plefka's condition is necessary for RS: a law violating it has
     # sup Gamma > 0 and a correction strictly below the classical value
     mixed = MixedModel(coeffs_sq=(0.0, 0.6, 0.2))
@@ -365,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="generalized TAP free energy toolkit")
     sub = p.add_subparsers(dest="command", required=True)
     count, positive = _bounded(int, 1), _bounded(float, 0.0, open_lo=True)
-    n_band = _bounded(int, 1, 14)   # tap_Nn's n = 2 band: 2N <= 28 spins
+    n_pair = disorder.ENUM_SPINS // 2   # tap_Nn's n = 2 band spans 2N spins
 
     def common(sp, seed=0):
         sp.add_argument("--model", required=True, help="model spec JSON")
@@ -395,12 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--paths", type=_bounded(int, 3), default=20000)
     sp.add_argument("--reps", type=_bounded(int, 2), default=120)
     # from N = 4 its random bands hold pairs inside the 0.25 overlap window
-    sp.add_argument("--N", type=_bounded(int, 4, 14), default=10)
+    sp.add_argument("--N", type=_bounded(int, 4, n_pair), default=10)
     sp.set_defaults(func=cmd_mc_verify)
 
     sp = sub.add_parser("tap-solve", help="TAP fixed points on sampled disorder")
     common(sp)
-    sp.add_argument("--N", type=n_band, default=8)
+    sp.add_argument("--N", type=_bounded(int, 1, n_pair), default=8)
     sp.add_argument("--eps", type=positive, default=0.2)
     sp.add_argument("--delta", type=positive, default=0.2)
     sp.add_argument("--damping", type=_bounded(float, 0.0, 1.0, open_lo=True),

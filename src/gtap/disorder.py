@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 N_MAX = 20                   # largest N that `sample` accepts
+ENUM_SPINS = 28              # n N spins at most in a replicated band sum
 TENSOR_BUDGET = 1 << 26      # total coefficient entries
 ENERGY_CHUNK = 4096          # configurations per block of all_energies
 CLASSICAL_MAX_ITER = 5000    # iteration cap of classical_tap_iteration
@@ -45,12 +46,20 @@ ASCENT_GTOL = 1e-6           # its converged tangent-gradient norm
 
 @dataclass(frozen=True)
 class DisorderSample:
-    """One draw of the Gaussian coefficient tensors."""
+    """One draw of the Gaussian coefficient tensors, read-only from `sample`."""
 
     N: int
     model: MixedModel
     seed: int
     tensors: dict = field(repr=False)
+
+    @functools.cached_property
+    def energies(self) -> np.ndarray:
+        """`all_energies`: H over all 2^N configurations, computed on first
+        read and kept, read-only, for the sample's lifetime."""
+        E = all_energies(self)
+        E.flags.writeable = False
+        return E
 
     def energy(self, m) -> float:
         """Multilinear evaluation of H at any point of [-1, 1]^N."""
@@ -94,6 +103,8 @@ def sample(N: int, model: MixedModel, seed: int) -> DisorderSample:
         raise ValueError(f"tensor budget exceeded: {budget} entries")
     rng = np.random.default_rng(seed)
     tensors = {p: rng.standard_normal((N,) * p) for p in active}
+    for g in tensors.values():
+        g.flags.writeable = False    # the kept energies cannot go stale
     return DisorderSample(N=N, model=model, seed=seed, tensors=tensors)
 
 
@@ -130,7 +141,7 @@ def all_energies(smpl: DisorderSample) -> np.ndarray:
 
 def free_energy(smpl: DisorderSample) -> float:
     """(1/N) log sum over {-1,1}^N of exp H (stable log-sum-exp)."""
-    return float(logsumexp(all_energies(smpl))) / smpl.N
+    return float(logsumexp(smpl.energies)) / smpl.N
 
 
 @dataclass(frozen=True)
@@ -146,6 +157,8 @@ class BandSpec:
         m = tuple(float(x) for x in self.m)
         if any(abs(x) > 1.0 for x in m):
             raise ValueError("band center must lie in [-1, 1]^N")
+        if self.n not in (1, 2):
+            raise ValueError(f"replica count n={self.n} outside {{1, 2}}")
         if self.eps <= 0 or (self.n > 1 and self.delta <= 0):
             raise ValueError("eps (and delta for n > 1) must be positive")
         object.__setattr__(self, "m", m)
@@ -157,31 +170,26 @@ def _band_mask(S: np.ndarray, m: np.ndarray, eps: float) -> np.ndarray:
     return np.abs(S @ m - float(m @ m)) / N < eps
 
 
-def tap_Nn(smpl: DisorderSample, band: BandSpec,
-           energies: np.ndarray | None = None) -> float:
+def tap_Nn(smpl: DisorderSample, band: BandSpec) -> float:
     """Replicated band free energy increment, exactly.
 
     (1/(nN)) log sum over B_n(m, eps, delta) of exp sum_i [H(sigma^i) - H(m)];
-    -inf when the constrained set is empty. n <= 2. For pairs, with
+    -inf when the constrained set is empty. For pairs, with
     f = exp(H - H(m) - shift) on B and 0 off it, G_d(sigma) sums f over the
     tau at Hamming distance d (overlap 1 - 2d/N), built bit by bit over the
     index cube: O(N (d_max + 1) 2^N) additions of positive terms, for the
     largest distance d_max inside the window.
     """
-    if band.n not in (1, 2):
-        raise ValueError("replica counts beyond n = 2 exceed the enumeration budget")
     N = smpl.N
     m = np.asarray(band.m, dtype=float)
     if m.size != N:
         raise ValueError("band center dimension mismatch")
-    if band.n * N > 28:
-        raise ValueError("enumeration budget 2^28 exceeded")
-    S = all_configs(N)
-    E = all_energies(smpl) if energies is None else energies
-    mask = _band_mask(S, m, band.eps)
+    if band.n * N > ENUM_SPINS:
+        raise ValueError(f"enumeration budget 2^{ENUM_SPINS} exceeded")
+    mask = _band_mask(all_configs(N), m, band.eps)
     if not np.any(mask):
         return -math.inf
-    Eb = E[mask] - smpl.energy(m)
+    Eb = smpl.energies[mask] - smpl.energy(m)
     if band.n == 1:
         return float(logsumexp(Eb)) / N
     d = np.arange(N + 1)
@@ -210,12 +218,14 @@ def tap_Nn(smpl: DisorderSample, band: BandSpec,
 
 
 def chain_values(smpl: DisorderSample, band: BandSpec) -> dict:
-    """F_N and the band chain H(m)/N + TAP_{N,1} >= ... + TAP_{N,2}."""
-    E = all_energies(smpl)
-    f_n = float(logsumexp(E)) / smpl.N
+    """F_N and the band chain H(m)/N + TAP_{N,1} >= ... + TAP_{N,2};
+    ValueError for a band that holds no configuration."""
+    f_n = free_energy(smpl)
     hm = smpl.energy(np.asarray(band.m)) / smpl.N
-    t1 = tap_Nn(smpl, BandSpec(band.m, band.eps, band.delta, 1), energies=E)
-    t2 = tap_Nn(smpl, BandSpec(band.m, band.eps, band.delta, 2), energies=E)
+    t1 = tap_Nn(smpl, BandSpec(band.m, band.eps, band.delta, 1))
+    if t1 == -math.inf:
+        raise ValueError("band holds no configuration")
+    t2 = tap_Nn(smpl, BandSpec(band.m, band.eps, band.delta, 2))
     return {"free_energy": f_n, "h_m": hm, "tap_n1": t1, "tap_n2": t2,
             "chain_1": f_n - (hm + t1), "chain_2": t1 - t2}
 

@@ -368,6 +368,15 @@ def test_flag_outside_its_domain_exits_2(tmp_path, model_spec, command, flags):
     assert not out.exists()
 
 
+def test_tap_solve_empty_band_exits_1(tmp_path):
+    # eps = 1e-6 admits no configuration, so the band chain has no value
+    model = write(tmp_path, "m.json", {"coeffs_sq": [0, 0.5], "h": 0.5})
+    out = tmp_path / "solve"
+    assert main(["tap-solve", "--model", model, "--out", str(out),
+                 "--N", "8", "--eps", "1e-6", "--steps", "1"]) == 1
+    assert not out.exists()
+
+
 def test_tap_solve_zero_ascent_steps(tmp_path):
     model = write(tmp_path, "m.json", {"coeffs_sq": [0.0, 0.045], "h": 0.6})
     out = tmp_path / "solve"

@@ -161,6 +161,48 @@ def test_empty_band_reports_minus_inf():
     assert tap_Nn(s, band) == -math.inf
 
 
+def test_chain_values_refuses_an_empty_band():
+    # oracle: the band's own mask over all configurations counts none, so
+    # chain_2 would be -inf - (-inf)
+    model = MixedModel(coeffs_sq=(0.0, 0.5), external_field_h=0.5)
+    s = sample(8, model, seed=2)
+    m = np.full(8, 0.95)
+    S = all_configs(8)
+    assert np.count_nonzero(np.abs(S @ m - float(m @ m)) / 8 < 1e-6) == 0
+    with pytest.raises(ValueError, match="no configuration"):
+        chain_values(s, BandSpec(tuple(m), eps=1e-6, delta=0.2, n=2))
+
+
+@pytest.mark.parametrize("n", [0, -1, 3])
+def test_band_spec_refuses_replica_counts_outside_1_2(n):
+    with pytest.raises(ValueError, match=f"n={n}"):
+        BandSpec((0.5,) * 4, eps=0.2, delta=0.2, n=n)
+
+
+def test_energies_are_contracted_once_and_kept_read_only(monkeypatch):
+    calls = []
+    contract = disorder.all_energies
+
+    def counted(smpl):
+        calls.append(smpl.seed)
+        return contract(smpl)
+
+    monkeypatch.setattr(disorder, "all_energies", counted)
+    s = sample(8, MixedModel(coeffs_sq=(0.2, 0.5, 0.3)), seed=4)
+    assert calls == []
+    band = BandSpec(tuple(np.linspace(-0.7, 0.7, 8)), eps=0.3, delta=0.3, n=2)
+    free_energy(s)
+    tap_Nn(s, BandSpec(band.m, band.eps, band.delta, 1))
+    tap_Nn(s, band)
+    chain_values(s, band)
+    assert calls == [4]
+    with pytest.raises(ValueError):
+        s.energies[0] = 0.0
+    for g in s.tensors.values():
+        with pytest.raises(ValueError):
+            g.flat[0] = 0.0
+
+
 def test_enumeration_budget_guard():
     model = MixedModel(coeffs_sq=(0.0, 0.5))
     s = sample(16, model, seed=2)
@@ -419,7 +461,7 @@ def test_tap_n2_matches_blocked_pair_loop(scale, eps, delta, finite):
     E = all_energies(s)
     band = BandSpec(tuple(scale * SIGNS_12), eps=eps, delta=delta, n=2)
     expect = _blocked_pair_tap(s, band, E)
-    got = tap_Nn(s, band, energies=E)
+    got = tap_Nn(s, band)
     assert math.isfinite(expect) == finite
     if finite:
         assert got == pytest.approx(expect, rel=0, abs=1e-13)
@@ -434,23 +476,24 @@ def test_tap_n2_matches_blocked_pair_loop_at_random_centers():
     for _ in range(6):
         band = BandSpec(tuple(centers.uniform(-0.9, 0.9, 12)), eps=0.2,
                         delta=0.2, n=2)
-        assert tap_Nn(s, band, energies=E) == pytest.approx(
+        assert tap_Nn(s, band) == pytest.approx(
             _blocked_pair_tap(s, band, E), rel=0, abs=1e-13)
 
 
 def test_tap_n2_refuses_an_underflowed_pair_sum():
-    # window d = 1 only: the pairs are (sign(m), a one-flip neighbour). With
-    # the center 800 above its neighbours every such product underflows, so
-    # a zero sum would not mean "no pair"
-    s = sample(12, MixedModel(coeffs_sq=(0.0,)), seed=0)
+    # the field alone, H = h sum sigma: the band is the all-plus center and
+    # its 12 one-flip neighbours, 2h below it, and the window d = 1 holds
+    # only the pairs (center, neighbour). At h = 400 every such product
+    # underflows, so a zero sum would not mean "no pair"
     band = BandSpec((0.9,) * 12, eps=0.2, delta=0.1, n=2)
-    E = np.zeros(1 << 12)
-    E[-1] = 800.0
+    s = sample(12, MixedModel(coeffs_sq=(0.0,), external_field_h=400.0),
+               seed=0)
     with pytest.raises(ValueError, match="underflow"):
-        tap_Nn(s, band, energies=E)
-    E[-1] = 300.0
-    assert tap_Nn(s, band, energies=E) == pytest.approx(
-        _blocked_pair_tap(s, band, E), rel=0, abs=1e-13)
+        tap_Nn(s, band)
+    s = sample(12, MixedModel(coeffs_sq=(0.0,), external_field_h=150.0),
+               seed=0)
+    assert tap_Nn(s, band) == pytest.approx(
+        _blocked_pair_tap(s, band, s.energies), rel=0, abs=1e-13)
 
 
 def test_all_configs_is_built_once_and_read_only():
