@@ -12,7 +12,8 @@ Gamma_mu, and skips the optimizer when the curve certifies it.
 
 import numpy as np
 
-from gtap import DiscreteMeasure, sk_model, tap_correction
+from gtap import (DiscreteMeasure, band_representation, sk_model,
+                  tap_correction)
 from gtap.rs import classical_tap
 
 model = sk_model(0.75, convention="half")     # xi = 0.28125 s^2
@@ -33,8 +34,9 @@ print("  first residuals:", [f"{r:.2e}" for r in
                              diag["certificate"]["first_residuals"]])
 print("  second slacks:  ", [f"{r:.2e}" for r in
                              diag["certificate"]["second_slacks"]])
-print(f"band-representation value = {diag['pbar_value']:.10f}")
-print(f"representation gap        = {diag['representation_gap']:.2e}")
+pbar = band_representation(model, mu, res)
+print(f"band-representation value = {pbar:.10f}")
+print(f"representation gap        = {abs(pbar - res.value):.2e}")
 
 rs_diag = diag["rs"]
 print(f"\nRS certificate: sup Gamma = {rs_diag.sup_gamma:.3e}, "
@@ -45,7 +47,7 @@ print(f"stop = {diag['stop']!r} after {diag['level_evals']} optimizer "
 
 # push the coupling up: the correction departs from the classical value
 strong = sk_model(1.6, convention="half")
-res2 = tap_correction(strong, mu, r_atoms=3, with_certificate=False)
+res2 = tap_correction(strong, mu, r_atoms=3)
 print(f"\nat beta = 1.6: TAP(mu) = {res2.value:.6f}  vs  classical "
       f"{classical_tap(strong, mu):.6f}")
 print("minimizer atoms:", [(round(x, 4), round(w, 4))

@@ -8,7 +8,7 @@ from .pde import (PDESolution, SolverConfig, parisi_functional, parisi_measure,
 from .rs import (RsDiagnostics, at_line_scan, big_gamma, classical_tap,
                  gamma_mu, is_replica_symmetric, plefka, v_rs)
 from .tap import (EffectiveField, TapResult, band_functional,
-                  directional_derivative, effective_field, lambda_conj,
+                  band_representation, directional_derivative, effective_field, lambda_conj,
                   optimality_check, psi, psi_bar, tap_correction,
                   tap_with_zeta)
 
@@ -22,7 +22,7 @@ __all__ = [
     "unify",
     "RsDiagnostics", "at_line_scan", "big_gamma", "classical_tap", "gamma_mu",
     "is_replica_symmetric", "plefka", "v_rs",
-    "EffectiveField", "TapResult", "band_functional",
+    "EffectiveField", "TapResult", "band_functional", "band_representation",
     "directional_derivative", "effective_field", "lambda_conj",
     "optimality_check", "psi", "psi_bar", "tap_correction", "tap_with_zeta",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cascades, disorder, rs, tap
 from .measures import DiscreteMeasure, OrderParameter, empirical, fold_law
-from .model import MixedModel, sk_model
+from .model import MixedModel, pure_p_model, sk_model
 from .numerics import gauss_hermite, log2cosh, logsumexp
 from .pde import MAX_GRID_STEP, GridBudgetError, SolverConfig, \
     parisi_functional, parisi_measure, second_derivative_identity, solve
@@ -109,13 +109,15 @@ def cmd_correction(args) -> int:
     cfg = SolverConfig(dx=args.grid_step)
     res = tap.tap_correction(model, mu, r_atoms=args.r_atoms, config=cfg,
                              seed=args.seed)
+    gap = None if res.diagnostics["trivial"] else abs(  # no band at delta_1
+        tap.band_representation(model, mu, res, cfg) - res.value)
     out = {
         "value": res.value,
         "converged": res.diagnostics["converged"],
         "q": res.q,
         "minimizer": _zeta_json(res.minimizer_zeta),
         "certificate": res.diagnostics.get("certificate"),
-        "representation_gap": res.diagnostics.get("representation_gap"),
+        "representation_gap": gap,
         "classical_tap": rs.classical_tap(model, mu),
     }
     if res.q < 1.0 - 1e-9:
@@ -278,7 +280,9 @@ def cmd_parisi(args) -> int:
     zeta, info = parisi_measure(model, r_atoms=args.r_atoms, config=cfg,
                                 seed=args.seed)
     out = {"value": info["value"], "measure": _zeta_json(zeta),
-           "functional_at_measure": parisi_functional(model, zeta, cfg)}
+           "functional_at_measure": parisi_functional(model, zeta, cfg),
+           "converged": info["diagnostics"]["converged"],
+           "certificate": info["diagnostics"]["certificate"]}
     _write_json(Path(args.out) / "parisi.json", out)
     return 0
 
@@ -341,13 +345,34 @@ def cmd_check(args) -> int:
     law = empirical(np.random.default_rng(15).uniform(-0.6, 0.6, 6),
                     fold=True)
     diag = rs.is_replica_symmetric(mixed.shift(law.moment(2)), law)
-    res = tap.tap_correction(mixed, law, r_atoms=2, with_representation=False,
-                             with_certificate=False)
+    res = tap.tap_correction(mixed, law, r_atoms=2)
     gap = res.value - rs.classical_tap(mixed, law)
     record("plefka_violation_breaks_rs",
            diag.plefka_lhs > 1.0 and not diag.is_rs and gap < -5e-6,
            plefka_lhs=diag.plefka_lhs, sup_gamma=diag.sup_gamma,
            tap_minus_classical=gap)
+    # the same at the EA point of the 1RSB xi = 2.5 s^3: of two laws with
+    # int a^2 dmu = q_EA, the one with Gamma''(0) > 0 is not RS, so delta_q,
+    # which r = 2 returns there, may not pass as converged
+    pure3, q_ea = pure_p_model(3, 2.5), 0.914131
+
+    def ea_law(p):
+        return DiscreteMeasure(interval=(0.0, 1.0), atoms=(
+            (0.0, p), (math.sqrt(q_ea / (1.0 - p)), 1.0 - p)))
+    plefka = tap.tap_correction(pure3, ea_law(0.05), r_atoms=2)
+    law = ea_law(0.08)
+    res = tap.tap_correction(pure3, law, r_atoms=2)
+    curvature = rs.gamma_second_derivative(pure3.shift(res.q), law)
+    witness = OrderParameter.from_atoms(
+        (res.q, 1.0), [(res.q, 0.334033), (0.918705, 0.665967)])
+    gap = tap.tap_with_zeta(pure3, law, witness) - rs.classical_tap(pure3, law)
+    record("ea_point_verdicts",
+           plefka.diagnostics["stop"] == "rs"
+           and not res.diagnostics["converged"] and curvature > 0.0
+           and gap < -1e-6,
+           stop=plefka.diagnostics["stop"],
+           converged=res.diagnostics["converged"],
+           gamma_second_deriv_at_0=curvature, witness_minus_classical=gap)
     # SK with a field above the AT line: r = 2 (the slot at 0 and one atom)
     # gives the RS value log 2 + E log cosh(beta sqrt(q) g + h)
     # + beta^2 (1 - q)^2 / 4 at the RS fixed point q

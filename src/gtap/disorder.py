@@ -46,12 +46,21 @@ ASCENT_GTOL = 1e-6           # its converged tangent-gradient norm
 
 @dataclass(frozen=True)
 class DisorderSample:
-    """One draw of the Gaussian coefficient tensors, read-only from `sample`."""
+    """One draw of the Gaussian coefficient tensors, kept read-only: a
+    tensor still writable when the sample is built, or a view of memory it
+    does not own, is copied first, so the kept energies cannot go stale."""
 
     N: int
     model: MixedModel
     seed: int
     tensors: dict = field(repr=False)
+
+    def __post_init__(self):
+        tensors = {p: g if g.flags.owndata and not g.flags.writeable
+                   else np.array(g) for p, g in self.tensors.items()}
+        for g in tensors.values():
+            g.flags.writeable = False
+        object.__setattr__(self, "tensors", tensors)
 
     @functools.cached_property
     def energies(self) -> np.ndarray:
@@ -104,7 +113,7 @@ def sample(N: int, model: MixedModel, seed: int) -> DisorderSample:
     rng = np.random.default_rng(seed)
     tensors = {p: rng.standard_normal((N,) * p) for p in active}
     for g in tensors.values():
-        g.flags.writeable = False    # the kept energies cannot go stale
+        g.flags.writeable = False    # so the sample need not copy them
     return DisorderSample(N=N, model=model, seed=seed, tensors=tensors)
 
 
@@ -236,7 +245,11 @@ def concentration_bound(model: MixedModel, N: int, n: int, eps: float,
 
     The constant comes from the variance bound
     (1/N) Var <= 4 n xi(1) + n(n-1) xi'(1)(delta + 2 eps) <= c^{-1} n^2 (1/n + delta + eps) / 2.
+    It holds for the replica counts n = 1, 2 of `BandSpec`; ValueError for
+    any other n.
     """
+    if n not in (1, 2):
+        raise ValueError(f"replica count n={n} outside {{1, 2}}")
     denom = max(8.0 * model.xi(1.0), 4.0 * model.xi_prime(1.0))
     if denom == 0.0:
         return 0.0 if t > 0 else 2.0      # zero model never fluctuates
@@ -350,8 +363,7 @@ def grad_tap(model: MixedModel, m, r_atoms: int = 2,
         raise ValueError("grad_tap needs m in the open cube (-1, 1)^N")
     N = m.size
     mu = empirical(m, fold=True)
-    result = tap_correction(model, mu, r_atoms=r_atoms, config=config,
-                            with_representation=False, with_certificate=False)
+    result = tap_correction(model, mu, r_atoms=r_atoms, config=config)
     # the solve's q, the second moment of mu: m . m / N can differ in the
     # last bit
     q, zeta_m = result.q, result.minimizer_zeta

@@ -171,11 +171,6 @@ def hermite_eval(x0: float, dx: float, f: np.ndarray, d: np.ndarray,
     return GridStencil(x0, dx, f.shape[0], xq).hermite(f, d)
 
 
-def linear_eval(x0: float, dx: float, f: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """Linear interpolation on a uniform grid, constant continuation."""
-    return GridStencil(x0, dx, f.shape[0], xq).linear(f)
-
-
 def grid_derivative(f: np.ndarray, dx: float) -> np.ndarray:
     """Fourth-order central differences (one-sided at the edges)."""
     d = np.empty_like(f)

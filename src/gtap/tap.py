@@ -41,7 +41,7 @@ from .pde import (DEFAULT_CONFIG, PDESolution, SolverConfig, _interp_grid,
 __all__ = [
     "TapResult", "EffectiveField", "lambda_conj", "psi_bar", "psi",
     "effective_field", "tap_with_zeta", "tap_correction", "band_functional",
-    "directional_derivative", "optimality_check",
+    "band_representation", "directional_derivative", "optimality_check",
 ]
 
 OPT_TOL = 1e-7             # projected-gradient tolerance of _optimize
@@ -507,19 +507,16 @@ def _certify(diagnostics: dict, model, zeta, evaluation) -> None:
     of a minimizer) and, given the read-out `evaluation` of zeta's solve, a
     stationarity `certificate` with `first_residual` <= CERTIFICATE_TOL, for
     the control diffusion from its starts, boundary atoms (u = 1) as mass."""
-    diagnostics["converged"] = diagnostics["stop"] in ("rs", "tol", "ftol")
-    if evaluation is not None:
-        _, sol, starts, wts, edge = evaluation
-        cert = diagnostics["certificate"] = _stationarity(
-            [(sol, starts, wts)], zeta, model.xi_double_prime, edge)
-        diagnostics["converged"] &= cert["first_residual"] <= CERTIFICATE_TOL
+    _, sol, starts, wts, edge = evaluation
+    cert = diagnostics["certificate"] = _stationarity(
+        [(sol, starts, wts)], zeta, model.xi_double_prime, edge)
+    diagnostics["converged"] = (diagnostics["stop"] in ("rs", "tol", "ftol")
+                                and cert["first_residual"] <= CERTIFICATE_TOL)
 
 
 def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
                    config: SolverConfig = DEFAULT_CONFIG,
-                   seed: int | None = None,
-                   with_representation: bool = True,
-                   with_certificate: bool = True) -> TapResult:
+                   seed: int | None = None) -> TapResult:
     """Minimize zeta -> TAP(mu, zeta) over r-atom order parameters on [q, 1].
 
     RS first: when Gamma''(0) and sup Gamma_mu are both at most
@@ -533,9 +530,11 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
     `diagnostics`: `stop` names the stopping rule ("rs" for the shortcut),
     `level_evals` counts optimizer evaluations, `rs` holds the
     `rs.RsDiagnostics` when the curve was computed; `converged` and the
-    `certificate` come from `_certify`. Also cross-evaluates the band
-    representation inf P_bar_mu^{v_zeta}(0, zeta) at the returned minimizer
-    and reports the gap.
+    `certificate` come from `_certify`. A returned delta_q is not
+    `converged` when Gamma''(0) > RS_TOLERANCE: Plefka's condition fails,
+    so by the paper's theorem delta_q is no minimizer, whatever the
+    first-order residual reads. `band_representation` cross-evaluates the
+    result.
 
     The correction does not depend on the model's external field h: the
     field enters the TAP free energy only through the energy H(m).
@@ -557,20 +556,26 @@ def tap_correction(model: MixedModel, mu: DiscreteMeasure, r_atoms: int = 4,
         diagnostics = {"stop": "rs", "level_evals": 0}
     else:
         zeta, best, diagnostics = _minimize(model, read, q, r, cfg, seed)
-    _certify(diagnostics, model, zeta, best if with_certificate else None)
+    _certify(diagnostics, model, zeta, best)
+    if [x for x, _ in zeta.measure.atoms] == [q] and \
+            rs.gamma_second_derivative(model.shift(q), mu) > rs.RS_TOLERANCE:
+        diagnostics["converged"] = False
     diagnostics["trivial"] = False
     if rs_diag is not None:
         diagnostics["rs"] = rs_diag
-    if with_representation:
-        shifted = model.shift(q)
-        zb = band_coords(zeta)
-        field = EffectiveField(shifted, zb, config)
-        pbar = band_functional(shifted, mu, field, 0.0, zb, config,
-                               field=field)
-        diagnostics["pbar_value"] = pbar
-        diagnostics["representation_gap"] = abs(pbar - best[0])
     return TapResult(value=best[0], minimizer_zeta=zeta, q=q,
                      diagnostics=diagnostics, solution=best[1])
+
+
+def band_representation(model: MixedModel, mu: DiscreteMeasure,
+                        result: TapResult,
+                        config: SolverConfig = DEFAULT_CONFIG) -> float:
+    """P_bar_mu^{v_zeta}(0, zeta) at `result`'s minimizer zeta, in band
+    coordinates: TAP(mu) at a minimizer, read off band solves alone (one per
+    atom of mu below the boundary), so it cross-checks `result.value`."""
+    shifted, zb = model.shift(result.q), band_coords(result.minimizer_zeta)
+    field = EffectiveField(shifted, zb, config)
+    return band_functional(shifted, mu, field, 0.0, zb, config, field=field)
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +625,7 @@ def directional_derivative(shifted: ShiftedModel, mu: DiscreteMeasure,
 
 def optimality_check(shifted: ShiftedModel, mu: DiscreteMeasure,
                      zeta_band: OrderParameter,
-                     config: SolverConfig = DEFAULT_CONFIG,
-                     field: EffectiveField | None = None) -> dict:
+                     config: SolverConfig = DEFAULT_CONFIG) -> dict:
     """Certificate at (v_zeta, zeta) in band coordinates.
 
     At a true minimizer, for every s in supp(zeta):
@@ -630,6 +634,6 @@ def optimality_check(shifted: ShiftedModel, mu: DiscreteMeasure,
     with X started at v_zeta(a) and the mu-integral over [0, 1).
     """
     locs, wts, _ = split_boundary(fold_law(mu))
-    ev = field if field is not None else EffectiveField(shifted, zeta_band, config)
+    ev = EffectiveField(shifted, zeta_band, config)
     return _stationarity(_band_runs(ev, ev, locs, wts), zeta_band,
                          shifted.xi_q_double_prime)

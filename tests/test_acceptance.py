@@ -14,8 +14,8 @@ from gtap import cascades, disorder, rs
 from gtap.measures import DiscreteMeasure, OrderParameter, band_coords, d1
 from gtap.model import MixedModel, sk_model
 from gtap.pde import (second_derivative_identity, solve, solve_band, unify)
-from gtap.tap import (band_functional, effective_field, lambda_conj,
-                      tap_correction)
+from gtap.tap import (band_functional, band_representation, effective_field,
+                      lambda_conj, tap_correction)
 
 from conftest import random_model, random_mu, random_zeta
 
@@ -133,7 +133,7 @@ def test_criterion_05_rs_equivalence():
         grid = sh.horizon * np.linspace(0.15, 1.0, 16)
         curve = rs.big_gamma_curve(sh, mu, grid)
         assert np.max(curve) <= -1e-3, "instance not certified RS"
-        res = tap_correction(model, mu, r_atoms=2, with_representation=False)
+        res = tap_correction(model, mu, r_atoms=2)
         gap = abs(res.value - rs.classical_tap(model, mu))
         dd = d1(res.minimizer_zeta.measure,
                 DiscreteMeasure.delta(q, interval=(q, 1.0)))
@@ -185,9 +185,8 @@ def test_criterion_07_gradient_theorem():
         eps = 1e-3
 
         def tap_value(mv):
-            return tap_correction(model, empirical(mv, fold=True), r_atoms=2,
-                                  with_representation=False,
-                                  with_certificate=False).value
+            return tap_correction(model, empirical(mv, fold=True),
+                                  r_atoms=2).value
 
         fd = (tap_value(m + eps * v) - tap_value(m - eps * v)) / (2 * eps)
         an = float(g @ v)
@@ -275,7 +274,6 @@ def test_criterion_10_small_n_exact_chain():
     worst_slack = math.inf
     for draw in range(50):
         smpl = disorder.sample(N, model, seed=5000 + draw)
-        E = disorder.all_energies(smpl)
         for _ in range(10):
             m = rng.uniform(-0.9, 0.9, N)
             band = disorder.BandSpec(tuple(m), eps=0.2, delta=0.2, n=2)
@@ -337,10 +335,9 @@ def test_criterion_13_representation_equivalence():
     for _ in range(5):
         mu = random_mu(rng, int(rng.integers(2, 5)))
         res = tap_correction(model, mu, r_atoms=2, seed=None)
-        worst_gap = max(worst_gap, res.diagnostics["representation_gap"])
-        runs = [tap_correction(model, mu, r_atoms=2, seed=s,
-                               with_representation=False,
-                               with_certificate=False)
+        worst_gap = max(worst_gap,
+                        abs(band_representation(model, mu, res) - res.value))
+        runs = [tap_correction(model, mu, r_atoms=2, seed=s)
                 for s in (rng.integers(2 ** 30), rng.integers(2 ** 30))]
         worst_dval = max(worst_dval, abs(runs[0].value - runs[1].value))
         worst_d1v = max(worst_d1v, d1(runs[0].minimizer_zeta.measure,

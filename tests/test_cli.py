@@ -258,6 +258,33 @@ def test_oversized_grid_exits_2(tmp_path, command, model, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model, converged", [
+    ({"coeffs_sq": [0.0, 0.0, 1.5], "h": 0.0}, False),
+    ({"coeffs_sq": [0.0, 0.32], "h": 0.5}, True),
+])
+def test_parisi_writes_its_verdict(tmp_path, model, converged):
+    # r = 2 on the 1RSB xi = 1.5 s^3 stops at an atom at 1, above the 2-atom
+    # point 0.846262 delta_0 + 0.153738 delta_0.857039 that r = 3 finds; SK
+    # beta = 0.8, h = 0.5 lies above the AT line, where r = 2 is the minimum
+    from gtap.measures import OrderParameter
+    from gtap.model import MixedModel
+    from gtap.pde import parisi_functional
+    spec = write(tmp_path, "model.json", model)
+    out = tmp_path / "o"
+    assert main(["parisi", "--model", spec, "--out", str(out),
+                 "--r-atoms", "2"]) == 0
+    data = json.loads((out / "parisi.json").read_text())
+    assert data["converged"] is converged
+    assert (data["certificate"]["first_residual"] <= 1e-4) is converged
+    if not converged:
+        witness = OrderParameter.from_atoms(
+            (0.0, 1.0), [(0.0, 0.846262), (0.857039, 0.153738)])
+        below = parisi_functional(MixedModel(coeffs_sq=(0.0, 0.0, 1.5)),
+                                  witness)
+        assert below == pytest.approx(1.4350282617, abs=1e-9)
+        assert data["value"] > below + 2e-3
+
+
 def test_parisi_command(tmp_path, model_spec):
     out = tmp_path / "parisi"
     rc = main(["parisi", "--model", model_spec, "--out", str(out),

@@ -560,8 +560,7 @@ def test_grad_tap_reuses_the_minimizer_solve(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(pde.PDESolution, "__init__", counting)
-    tap_correction(model, empirical(m, fold=True), r_atoms=2,
-                   with_representation=False, with_certificate=False)
+    tap_correction(model, empirical(m, fold=True), r_atoms=2)
     alone = len(solves)
     assert alone >= 1
     solves.clear()
@@ -663,3 +662,58 @@ def test_concentration_empty_band_is_refused(band):
     assert tap_Nn(sample(8, sk_model(1.0), seed=0), band) == -math.inf
     with pytest.raises(ValueError, match="no configuration"):
         concentration_experiment(sk_model(1.0), 8, band, n_draws=3)
+
+
+@pytest.mark.parametrize("n", [0, -1, 3])
+def test_concentration_bound_refuses_replica_counts_outside_1_2(n):
+    # n = -1 gave a tail "probability" of 2.10 and n = 0 divided by zero
+    with pytest.raises(ValueError, match=f"n={n}"):
+        concentration_bound(sk_model(1.0), 12, n, 0.2, 0.2, 0.1)
+
+
+def test_directly_built_sample_keeps_its_energies():
+    # a writable tensor is copied and frozen: a later write to the caller's
+    # array cannot leave the kept energies stale. Oracle: a fresh contraction
+    model = MixedModel(coeffs_sq=(0.0, 0.5))
+    g = np.random.default_rng(8).standard_normal((6, 6))
+    s = disorder.DisorderSample(N=6, model=model, seed=0, tensors={2: g})
+    f = free_energy(s)
+    g[0, 1] += 5.0
+    assert free_energy(s) == f
+    assert f == float(logsumexp(all_energies(s))) / 6
+    with pytest.raises(ValueError):
+        s.tensors[2][0, 1] = 0.0
+    # so is a read-only view of writable memory
+    view = g.view()
+    view.flags.writeable = False
+    s = disorder.DisorderSample(N=6, model=model, seed=0, tensors={2: view})
+    f = free_energy(s)
+    g[0, 1] += 5.0
+    assert free_energy(s) == f
+    # a read-only tensor that owns its memory, as `sample` passes it, is
+    # kept without a copy
+    g.flags.writeable = False
+    assert disorder.DisorderSample(N=6, model=model, seed=0,
+                                   tensors={2: g}).tensors[2] is g
+
+
+@pytest.mark.parametrize("zeros, N, converged", [(1, 20, True), (2, 25, False)])
+def test_grad_tap_result_carries_the_one_verdict(zeros, N, converged):
+    # the TapResult behind the gradient is certified like any other: on the
+    # 1RSB xi = 2.5 s^3 at q_EA, the law with 5% of its mass at 0 is RS,
+    # and at 8% (Gamma''(0) > 0) a returned delta_q is not converged
+    from gtap import rs
+    from gtap.measures import empirical
+    from gtap.tap import CERTIFICATE_TOL
+    model = pure_p_model(3, 2.5)
+    m = np.full(N, math.sqrt(0.914131 * N / (N - zeros)))
+    m[:zeros] = 0.0
+    _, res = grad_tap(model, m, r_atoms=2)
+    d = res.diagnostics
+    mu = empirical(m, fold=True)
+    unstable_delta_q = res.minimizer_zeta.measure.atoms == ((res.q, 1.0),) \
+        and rs.gamma_second_derivative(model.shift(res.q), mu) > rs.RS_TOLERANCE
+    assert d["converged"] == (d["stop"] in ("rs", "tol", "ftol")
+                              and d["certificate"]["first_residual"]
+                              <= CERTIFICATE_TOL and not unstable_delta_q)
+    assert d["converged"] is converged

@@ -7,7 +7,7 @@ import pytest
 from gtap.measures import OrderParameter, band_coords, d1
 from gtap.model import MixedModel, sk_model
 from gtap.numerics import (GridStencil, ShiftStencil, gauss_hermite,
-                           hermite_eval, linear_eval)
+                           hermite_eval)
 from gtap.pde import (GridBudgetError, SolverConfig, parisi_functional,
                       parisi_measure, second_derivative_identity,
                       simulate_control, solve, solve_band, solve_steps, unify)
@@ -488,7 +488,6 @@ def test_stencil_matches_point_interpolation(dx, half_width, shifts):
             hermite_eval(x[0], dx, vals, ders, pts[:, 0]), ref[:, 0])
     ref = _linear_reference(x[0], dx, d3, pts)
     np.testing.assert_array_equal(st.linear(d3), ref)
-    np.testing.assert_array_equal(linear_eval(x[0], dx, d3, pts[0]), ref[0])
     # a scalar point gives a scalar
     point = hermite_eval(x[0], dx, f, d, pts[0, 0])
     assert np.ndim(point) == 0

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from gtap import pde, tap
+from gtap import pde, rs, tap
 from gtap.measures import (DiscreteMeasure, OrderParameter, band_coords, d1,
                            empirical, restrict_zeta)
-from gtap.model import MixedModel, sk_model
+from gtap.model import MixedModel, pure_p_model, sk_model
 from gtap.pde import SolverConfig, parisi_functional, solve
 from gtap.rs import big_gamma, classical_tap, is_replica_symmetric, v_rs
 from gtap.tap import (EffectiveField, _evaluate, _gradient, _tap_on, _unpack,
-                      band_functional, directional_derivative,
+                      band_functional, band_representation,
+                      directional_derivative,
                       effective_field, lambda_conj, optimality_check, psi,
                       psi_bar, tap_correction, tap_with_zeta)
 
@@ -194,7 +195,7 @@ def test_tap_correction_rs_equals_classical():
     # RS minimizer: single atom at q (CDF identically 1)
     delta_q = DiscreteMeasure.delta(res.q, interval=(res.q, 1.0))
     assert d1(res.minimizer_zeta.measure, delta_q) < 1e-8
-    assert res.diagnostics["representation_gap"] < 1e-6
+    assert abs(band_representation(model, mu, res) - res.value) < 1e-6
     cert = res.diagnostics["certificate"]
     assert cert["first_residual"] < 1e-7
     assert cert["second_max"] <= 1e-7
@@ -209,7 +210,7 @@ def test_plefka_violation_gives_rsb_minimizer(mixed_23):
     diag = is_replica_symmetric(mixed_23.shift(q), mu)
     assert diag.plefka_lhs > 1.0
     assert not diag.is_rs
-    res = tap_correction(mixed_23, mu, r_atoms=2, with_representation=False)
+    res = tap_correction(mixed_23, mu, r_atoms=2)
     assert res.value < classical_tap(mixed_23, mu) - 5e-6
     zeta = OrderParameter.from_atoms((q, 1.0), [(q, 0.6007), (0.17623, 0.3993)])
     oracle = tap_with_zeta(mixed_23, mu, zeta,
@@ -222,21 +223,17 @@ def test_plefka_violation_gives_rsb_minimizer(mixed_23):
 def test_tap_correction_zero_in_support(mixed_23, rng):
     for _ in range(2):
         mu = random_mu(rng, 3)
-        res = tap_correction(mixed_23, mu, r_atoms=2,
-                             with_representation=False,
-                             with_certificate=False)
+        res = tap_correction(mixed_23, mu, r_atoms=2)
         assert res.minimizer_zeta.measure.atoms[0][0] <= res.q + 1e-6
 
 
 def test_tap_continuity_under_d1_perturbation(mixed_23):
     mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.2, 0.5), (0.5, 0.5)))
-    res = tap_correction(mixed_23, mu, r_atoms=2, with_representation=False,
-                         with_certificate=False)
+    res = tap_correction(mixed_23, mu, r_atoms=2)
     mu2 = DiscreteMeasure(interval=(0.0, 1.0),
                           atoms=((0.201, 0.5), (0.5, 0.5)))
     assert d1(mu, mu2) < 1e-3 + 1e-12
-    res2 = tap_correction(mixed_23, mu2, r_atoms=2, with_representation=False,
-                          with_certificate=False)
+    res2 = tap_correction(mixed_23, mu2, r_atoms=2)
     assert abs(res.value - res2.value) < 1e-2
 
 
@@ -304,8 +301,7 @@ def test_directional_derivative_rs_is_gamma_integral():
 def test_optimality_check_at_minimizer():
     model = sk_model(0.5, convention="half")
     mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.1, 0.6), (0.4, 0.4)))
-    res = tap_correction(model, mu, r_atoms=2, with_representation=False,
-                         with_certificate=False)
+    res = tap_correction(model, mu, r_atoms=2)
     sh = model.shift(res.q)
     cert = optimality_check(sh, mu, band_coords(res.minimizer_zeta))
     assert cert["first_residual"] < 1e-7
@@ -319,8 +315,7 @@ def test_certificate_matches_band_optimality_check():
     # certificate and the band check follow the same diffusion
     model = MixedModel(coeffs_sq=(0.0, 1.5))
     mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.1, 0.6), (0.3, 0.4)))
-    res = tap_correction(model, mu, r_atoms=2,
-                         with_representation=False)
+    res = tap_correction(model, mu, r_atoms=2)
     assert len(res.minimizer_zeta.measure.atoms) == 2
     cert = res.diagnostics["certificate"]
     band = optimality_check(model.shift(res.q), mu,
@@ -345,8 +340,7 @@ def test_fixed_point_characterization():
     # at zeta_0, the pair (0, zeta_0) minimizes P_bar^{v_{zeta_0}}
     model = sk_model(0.5, convention="half")
     mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.1, 0.6), (0.4, 0.4)))
-    res = tap_correction(model, mu, r_atoms=2, with_representation=False,
-                         with_certificate=False)
+    res = tap_correction(model, mu, r_atoms=2)
     sh = model.shift(res.q)
     zb0 = band_coords(res.minimizer_zeta)
     ev = EffectiveField(sh, zb0)
@@ -363,8 +357,7 @@ def test_fixed_point_characterization():
 def test_tap_correction_is_infimum(mixed_23, rng):
     # the returned value undercuts every order parameter we throw at it
     mu = random_mu(rng, 3)
-    res = tap_correction(mixed_23, mu, r_atoms=2, with_representation=False,
-                         with_certificate=False)
+    res = tap_correction(mixed_23, mu, r_atoms=2)
     for _ in range(5):
         zeta = random_zeta(rng, (res.q, 1.0), int(rng.integers(1, 4)))
         assert res.value <= tap_with_zeta(mixed_23, mu, zeta) + 1e-9
@@ -485,7 +478,7 @@ def test_tap_correction_solution_sweeps_no_gradients(mixed_23):
     # the returned minimizer's solve is a plain solve: only the optimizer's
     # evaluations sweep level gradients
     mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.3, 0.5), (0.6, 0.5)))
-    res = tap_correction(mixed_23, mu, r_atoms=2, with_representation=False)
+    res = tap_correction(mixed_23, mu, r_atoms=2)
     with pytest.raises(ValueError, match="solve_steps"):
         res.solution.level_gradients()
 
@@ -620,12 +613,10 @@ def test_rs_shortcut_matches_the_optimizer_bit_for_bit(monkeypatch):
     # the optimizer, forced by switching the RS check off, ends on the same
     # plain solve of delta_q: same value bits, same minimizer
     draws = _rs_draws(np.random.default_rng(1107), 20)
-    short = [tap_correction(model, mu, r_atoms=2, with_representation=False,
-                            with_certificate=False) for model, mu in draws]
+    short = [tap_correction(model, mu, r_atoms=2) for model, mu in draws]
     monkeypatch.setattr(tap, "_rs_certified", lambda *args: (False, None))
     for (model, mu), res in zip(draws, short):
-        full = tap_correction(model, mu, r_atoms=2, with_representation=False,
-                              with_certificate=False)
+        full = tap_correction(model, mu, r_atoms=2)
         assert res.diagnostics["stop"] == "rs"
         assert res.diagnostics["level_evals"] == 0
         assert res.diagnostics["rs"].sup_gamma <= -1e-6
@@ -645,7 +636,7 @@ def test_rs_shortcut_reports_certificate_and_representation():
     diag = is_replica_symmetric(model.shift(res.q), mu)
     assert res.diagnostics["rs"] == diag
     assert res.diagnostics["certificate"]["first_residual"] < 1e-7
-    assert res.diagnostics["representation_gap"] < 1e-6
+    assert abs(band_representation(model, mu, res) - res.value) < 1e-6
 
 
 @pytest.mark.parametrize("coeffs, mu, has_curve", [
@@ -663,8 +654,44 @@ def test_rs_margin_goes_through_the_optimizer(coeffs, mu, has_curve):
         assert diag.gamma_second_deriv_at_0 < -1e-6
     else:
         assert -1e-6 < diag.gamma_second_deriv_at_0 <= 0.0
-    res = tap_correction(model, mu, r_atoms=2, with_representation=False,
-                         with_certificate=False)
+    res = tap_correction(model, mu, r_atoms=2)
     assert res.diagnostics["stop"] != "rs"
     assert res.diagnostics["level_evals"] > 0
     assert ("rs" in res.diagnostics) == has_curve
+
+
+Q_EA = 0.914131     # Edwards-Anderson parameter of the 1RSB xi = 2.5 s^3
+
+
+def _ea_law(p):
+    """p delta_0 + (1 - p) delta_a with int a^2 dmu = Q_EA."""
+    return DiscreteMeasure(interval=(0.0, 1.0), atoms=(
+        (0.0, p), (math.sqrt(Q_EA / (1.0 - p)), 1.0 - p)))
+
+
+@pytest.mark.parametrize("p, curvature", [(0.05, -4.0564), (0.08, 1.3365)])
+def test_ea_point_laws_and_plefka(p, curvature):
+    # two laws at q_EA: Plefka's condition holds at p = 0.05, and the RS
+    # shortcut returns the classical value; it fails at p = 0.08, where
+    # Gamma''(0) > 0 proves delta_q no minimizer. Oracles: Gamma''(0) in
+    # closed form and, at p = 0.08, a 2-atom witness below the classical
+    # value by the same amount on two grids, so not by grid error
+    model = pure_p_model(3, 2.5)
+    mu = _ea_law(p)
+    res = tap_correction(model, mu, r_atoms=2)
+    assert rs.gamma_second_derivative(model.shift(res.q), mu) \
+        == pytest.approx(curvature, abs=1e-4)
+    classical = classical_tap(model, mu)
+    if curvature < 0.0:
+        assert res.diagnostics["stop"] == "rs"
+        assert res.diagnostics["converged"]
+        assert res.value == pytest.approx(classical, abs=1e-9)
+        return
+    witness = OrderParameter.from_atoms(
+        (res.q, 1.0), [(res.q, 0.334033), (0.918705, 0.665967)])
+    gaps = [tap_with_zeta(model, mu, witness, SolverConfig(dx=dx)) - classical
+            for dx in (1.0 / 64.0, 1.0 / 256.0)]
+    np.testing.assert_allclose(gaps, -1.4528e-6, rtol=0, atol=1e-9)
+    # a result above the witness is no minimizer, so it may not be converged
+    if res.value > classical + gaps[0]:
+        assert not res.diagnostics["converged"]
