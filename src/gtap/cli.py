@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import cascades, disorder, rs, tap
-from .measures import DiscreteMeasure, OrderParameter, empirical, fold_law
+from .measures import (DiscreteMeasure, OrderParameter, band_coords,
+                       empirical, fold_law)
 from .model import MixedModel, pure_p_model, sk_model
 from .numerics import gauss_hermite, log2cosh, logsumexp
 from .pde import MAX_GRID_STEP, GridBudgetError, SolverConfig, \
@@ -373,6 +374,26 @@ def cmd_check(args) -> int:
            stop=plefka.diagnostics["stop"],
            converged=res.diagnostics["converged"],
            gamma_second_deriv_at_0=curvature, witness_minus_classical=gap)
+    # the paper's fixed point at an RSB minimizer zeta_0 (SK beta = 1.5, two
+    # atoms): (0, zeta_0) minimizes P_bar^{v_{zeta_0}}, each P_bar read off
+    # the band solves of its own zeta; P_bar(0, zeta_0) is the band
+    # representation, so it matches the value
+    sk = sk_model(1.5, convention="half")
+    mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.1, 0.6), (0.4, 0.4)))
+    res = tap.tap_correction(sk, mu, r_atoms=2)
+    shifted, zb0 = sk.shift(res.q), band_coords(res.minimizer_zeta)
+    ev = tap.effective_field(shifted, zb0)
+    base = tap.band_functional(shifted, mu, ev, 0.0, zb0)
+    H = shifted.horizon
+    alt = OrderParameter.from_atoms((0.0, H), [(0.0, 0.5), (0.5 * H, 0.5)])
+    gaps = [tap.band_functional(shifted, mu, ev, lam, alt) - base
+            for lam in (0.0, 0.4)]
+    record("band_fixed_point",
+           res.diagnostics["converged"]
+           and len(res.minimizer_zeta.measure.atoms) == 2
+           and abs(base - res.value) <= 1e-8 and min(gaps) >= -1e-8,
+           atoms=len(res.minimizer_zeta.measure.atoms),
+           representation_gap=abs(base - res.value), gaps_above_base=gaps)
     # SK with a field above the AT line: r = 2 (the slot at 0 and one atom)
     # gives the RS value log 2 + E log cosh(beta sqrt(q) g + h)
     # + beta^2 (1 - q)^2 / 4 at the RS fixed point q

@@ -88,13 +88,14 @@ class SolverConfig:
 
     dx: float = 1.0 / 64.0
     gh_order: int = 40
-    x_max: float | None = None     # half-width of the x grid; auto if None
-    x_pad: float = 0.0             # extra half-width on top of the auto rule
+    x_pad: float = 0.0      # added to the half-width 6 + 4 sqrt(var) + |a|
 
     def __post_init__(self):
         if not 0.0 < self.dx <= MAX_GRID_STEP:
             raise ValueError(f"grid step dx must be in (0, {MAX_GRID_STEP}]: "
                              f"{self.dx}")
+        if not 0.0 <= self.x_pad < math.inf:   # a pad only widens the grid
+            raise ValueError(f"x_pad must be finite and >= 0: {self.x_pad}")
 
     def with_pad(self, pad: float) -> "SolverConfig":
         return replace(self, x_pad=max(self.x_pad, pad))
@@ -282,10 +283,7 @@ class PDESolution:
             raise ValueError("levels must lie in [0, 1]")
         sp = mixture.xi_prime
         var_total = max(sp(self.t1) - sp(self.t0), 0.0)
-        if config.x_max is not None:
-            x_max = config.x_max + config.x_pad
-        else:
-            x_max = 6.0 + 4.0 * math.sqrt(var_total) + abs(a) + config.x_pad
+        x_max = 6.0 + 4.0 * math.sqrt(var_total) + abs(a) + config.x_pad
         half = x_max / config.dx
         # 2 ceil(half) + 1 < 2 half + 3; an overflowed ratio (inf) fails too
         if not 2.0 * half + 3.0 <= MAX_GRID_POINTS:
@@ -380,7 +378,7 @@ class PDESolution:
         if np.any(np.abs(x) > self.x_grid[-1] + 1e-12):
             raise ValueError(
                 f"evaluation beyond the solved grid |x| <= {self.x_grid[-1]:g}; "
-                "enlarge x_max or x_pad")
+                "enlarge x_pad")
         return x
 
     def phi(self, t: float, x):
@@ -554,9 +552,10 @@ def simulate_control(sol: PDESolution, x0: float, n_paths: int,
     returns the pair averages of u(s)^2 = Phi_x(s, X_s)^2, `pairs_u2`, and
     their mean and standard error. Diffusion increments use the exact
     variance xi'(t + dt) - xi'(t); the drift is explicit Euler, O(dt) bias,
-    with phi_x_table interpolated linearly at the paths. ValueError for
-    n_paths < 3 (fewer than two pairs), a non-finite x0, or |x0| beyond the
-    escape limit x_grid[-1] - 0.5; RuntimeError when a path crosses it.
+    with phi_x_table interpolated linearly at the paths; n_steps None takes
+    SDE_STEPS. ValueError for n_paths < 3 (fewer than two pairs), n_steps
+    < 1, a non-finite x0, or |x0| beyond the escape limit x_grid[-1] - 0.5;
+    RuntimeError when a path crosses it.
     """
     x0 = float(x0)
     xlim = float(sol.x_grid[-1]) - 0.5
@@ -566,7 +565,9 @@ def simulate_control(sol: PDESolution, x0: float, n_paths: int,
     if n_paths < 3:
         raise ValueError(f"n_paths = {n_paths}: need n_paths >= 3, two "
                          "antithetic pairs for a standard error")
-    n_steps = n_steps or SDE_STEPS
+    n_steps = SDE_STEPS if n_steps is None else n_steps
+    if n_steps < 1:
+        raise ValueError(f"n_steps = {n_steps}: need at least one Euler step")
     if times is None:
         times = [float(t) for t in sol.nodes]
     times_set = {PDESolution._key(t) for t in times}
@@ -623,7 +624,7 @@ def simulate_control(sol: PDESolution, x0: float, n_paths: int,
         X[:half] += z
         X[half:] -= z
         if X.max() > xlim or X.min() < -xlim:
-            raise RuntimeError("SDE path escaped the solver grid; enlarge x_max")
+            raise RuntimeError("SDE path escaped the solver grid; enlarge x_pad")
         if PDESolution._key(t_next) in times_set:
             measure(t_next, X)
 
@@ -650,9 +651,14 @@ def second_derivative_identity(sol: PDESolution, x0: float,
     The measure integral runs over the atoms of zeta (an atom at the right
     endpoint contributes through the boundary derivative), per antithetic
     pair of paths. Returns both sides, the discrepancy, and its standard error.
+    The identity needs the untilted boundary, where Phi_xx = 1 - Phi_x^2: a
+    solve with tilt a != 0 is refused, as are `simulate_control`'s refusals.
     """
     if sol.zeta is None:
         raise ValueError("solution was built without a measure-form zeta")
+    if sol.a != 0.0:
+        raise ValueError("the identity expects an untilted (original-boundary)"
+                         f" solution, not tilt a = {sol.a}")
     atoms = sol.zeta.measure.atoms
     times = [loc for loc, _ in atoms]
     mc = simulate_control(sol, x0, n_paths, n_steps=n_steps, seed=seed,

@@ -97,50 +97,45 @@ def _conj(sol: PDESolution, a: float) -> tuple[float, float]:
 
 
 def lambda_conj(model: MixedModel, q: float, a: float, zeta: OrderParameter,
-                config: SolverConfig = DEFAULT_CONFIG,
-                sol: PDESolution | None = None) -> tuple[float, float]:
+                config: SolverConfig = DEFAULT_CONFIG) -> tuple[float, float]:
     """Concave conjugate Lambda_zeta(q, a) and its minimizer x* (`_conj`),
-    on `sol` or else a plain solve of zeta on [q, 1] (`_orig_solution`).
+    on a plain solve of zeta on [q, 1] (`_orig_solution`).
 
     For |a| = 1 the infimum is the limit (1/2) int_q^1 xi'' zeta ds and the
     minimizer escapes to +-infinity (returned as a signed inf sentinel). That
-    closed form reads no grid, so without `sol` it solves nothing.
+    closed form reads no grid, so there it solves nothing.
     """
     if abs(a) > 1.0 + 1e-12:
         raise ValueError("conjugate argument must lie in [-1, 1]")
-    if sol is None and _at_boundary(a):
+    if _at_boundary(a):
         # the arithmetic of PDESolution.int_xi_pp_zeta, on the same steps
         zq = _restricted(zeta, q)
         return (0.5 * zq.integral_against(model.xi_prime),
                 math.copysign(math.inf, a))
-    if sol is None:
-        sol = _orig_solution(model, q, zeta, config, a_max=abs(a))
-    return _conj(sol, a)
+    return _conj(_orig_solution(model, q, zeta, config, a_max=abs(a)), a)
 
 
 def psi_bar(model: MixedModel, q: float, a: float, zeta: OrderParameter,
-            config: SolverConfig = DEFAULT_CONFIG,
-            sol: PDESolution | None = None) -> float:
+            config: SolverConfig = DEFAULT_CONFIG) -> float:
     """Unique x with d/dx Phi_zeta(q, x) = a (odd in a); +-inf at the
     boundary, as in `lambda_conj`."""
     if abs(a) >= 1.0:
         raise ValueError("psi_bar requires |a| < 1")
-    return lambda_conj(model, q, a, zeta, config, sol)[1]
+    return lambda_conj(model, q, a, zeta, config)[1]
 
 
 def psi(model: MixedModel, q: float, a: float, zeta: OrderParameter,
-        config: SolverConfig = DEFAULT_CONFIG,
-        sol: PDESolution | None = None) -> float:
+        config: SolverConfig = DEFAULT_CONFIG) -> float:
     """psi_bar(q, a, zeta) + a int_q^1 xi''(s) zeta(s) ds.
 
     Coincides with the band effective field v at the shifted order
     parameter: psi(q, a, zeta) = v_{theta_q zeta}(a). +-inf at the
     boundary, where it solves nothing.
     """
-    if sol is None and not _at_boundary(a):
-        sol = _orig_solution(model, q, zeta, config, a_max=abs(a))
-    x = psi_bar(model, q, a, zeta, config, sol)
-    return x if math.isinf(x) else x + a * sol.int_xi_pp_zeta()
+    if _at_boundary(a):
+        return psi_bar(model, q, a, zeta, config)
+    sol = _orig_solution(model, q, zeta, config, a_max=abs(a))
+    return _conj(sol, a)[1] + a * sol.int_xi_pp_zeta()
 
 
 class EffectiveField:
@@ -228,17 +223,15 @@ def tap_with_zeta(model: MixedModel, mu: DiscreteMeasure,
 
 def band_functional(shifted: ShiftedModel, mu: DiscreteMeasure, v, lam: float,
                     zeta_band: OrderParameter,
-                    config: SolverConfig = DEFAULT_CONFIG,
-                    field: EffectiveField | None = None) -> float:
+                    config: SolverConfig = DEFAULT_CONFIG) -> float:
     """P_bar_mu^v(lambda, zeta) = int_[0,1) Phi_{a,zeta}(0, lambda a + v(a)) dmu
     - (1/2) int_0^{1-q} s xi_q''(s) zeta(s) ds.
 
     The mu-integral runs over [0, 1): atoms at 1 are dropped, since the
-    effective field diverges there. `v` is a callable on [0, 1).
+    effective field diverges there. `v` is a callable on [0, 1); the band
+    solves are zeta's own (`_band_runs`).
     """
-    locs, wts, _ = split_boundary(fold_law(mu))
-    ev = field if field is not None else EffectiveField(shifted, zeta_band, config)
-    runs = _band_runs(ev, lambda a: lam * a + float(v(a)), locs, wts)
+    runs = _band_runs(shifted, mu, zeta_band, v, config, lam)
     total = sum(float(w[0] * sol.phi(0.0, x[0])) for sol, x, w in runs)
     # theta_q is the antiderivative of s xi_q''(s)
     return float(total - 0.5 * zeta_band.integral_against(shifted.theta_q))
@@ -403,9 +396,18 @@ class TapResult:
                                                    compare=False)
 
 
-def _band_runs(field: EffectiveField, v, locs, wts):
-    """Runs [(band solution, [v(a)], [w])], one per atom (a, w) of mu."""
-    starts = [float(v(a)) for a in locs]
+def _band_runs(shifted: ShiftedModel, mu: DiscreteMeasure,
+               zeta_band: OrderParameter, v, config: SolverConfig,
+               lam: float = 0.0):
+    """Runs [(band solution of zeta_band, [lam a + v(a)], [w])], one per atom
+    (a, w) of mu below the boundary. The solves are v's own when v is the
+    `EffectiveField` of this shifted model, zeta_band and config, and a fresh
+    field's otherwise: another field's solves are of another band."""
+    locs, wts, _ = split_boundary(fold_law(mu))
+    same = isinstance(v, EffectiveField) and \
+        (v.shifted, v.zeta_band, v.config) == (shifted, zeta_band, config)
+    field = v if same else EffectiveField(shifted, zeta_band, config)
+    starts = [lam * a + float(v(a)) for a in locs]
     return [(field.solution_for(a, x_reach=abs(x0)), np.array([x0]),
              np.array([w])) for a, x0, w in zip(locs, starts, wts)]
 
@@ -574,8 +576,8 @@ def band_representation(model: MixedModel, mu: DiscreteMeasure,
     coordinates: TAP(mu) at a minimizer, read off band solves alone (one per
     atom of mu below the boundary), so it cross-checks `result.value`."""
     shifted, zb = model.shift(result.q), band_coords(result.minimizer_zeta)
-    field = EffectiveField(shifted, zb, config)
-    return band_functional(shifted, mu, field, 0.0, zb, config, field=field)
+    return band_functional(shifted, mu, EffectiveField(shifted, zb, config),
+                           0.0, zb, config)
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +597,7 @@ def directional_derivative(shifted: ShiftedModel, mu: DiscreteMeasure,
     by deterministic propagation; the s-integral is Gauss-Legendre of order
     DERIV_GL_ORDER on each piece where zeta1 - zeta0 is constant.
     """
-    locs, wts, _ = split_boundary(fold_law(mu))
-    runs = _band_runs(EffectiveField(shifted, zeta0, config), v0, locs, wts)
+    runs = _band_runs(shifted, mu, zeta0, v0, config)
 
     # s-integral: (zeta1 - zeta0) is piecewise constant between the union of
     # node sets; integrate the smooth factor with Gauss-Legendre per piece.
@@ -615,11 +616,11 @@ def directional_derivative(shifted: ShiftedModel, mu: DiscreteMeasure,
         term1 += 0.5 * dz * acc * (hi - lo)
 
     term2 = 0.0
-    for a, w, (sol, x0, _) in zip(locs, wts, runs):
-        dv = float(v1(a)) - float(x0[0])
+    for sol, x0, w in runs:     # the tilt of an atom's band solve is the atom
+        dv = float(v1(sol.a)) - float(x0[0])
         if abs(dv) < 1e-15:
             continue
-        term2 += w * dv * float(sol.phi_x(0.0, float(x0[0])))
+        term2 += w[0] * dv * float(sol.phi_x(0.0, float(x0[0])))
     return float(term1 + term2)
 
 
@@ -633,7 +634,6 @@ def optimality_check(shifted: ShiftedModel, mu: DiscreteMeasure,
       xi_q''(s) int E[(Phi_xx(s, X_s))^2] dmu(a) <= 1 (slack <= 0)
     with X started at v_zeta(a) and the mu-integral over [0, 1).
     """
-    locs, wts, _ = split_boundary(fold_law(mu))
     ev = EffectiveField(shifted, zeta_band, config)
-    return _stationarity(_band_runs(ev, ev, locs, wts), zeta_band,
-                         shifted.xi_q_double_prime)
+    return _stationarity(_band_runs(shifted, mu, zeta_band, ev, config),
+                         zeta_band, shifted.xi_q_double_prime)

@@ -74,16 +74,16 @@ def test_criterion_03_conjugacy_suite():
     q = 0.25
     zeta = random_zeta(rng, (q, 1.0), 2)
     sol = solve(model, zeta)
-    err_zero = abs(lambda_conj(model, q, 0.0, zeta, sol=sol)[0]
+    err_zero = abs(lambda_conj(model, q, 0.0, zeta)[0]
                    - float(sol.phi(q, 0.0)))
     # boundary slopes against the independent grid infimum
     err_bd = 0.0
     for a in (-1.0, 1.0):
-        lam, _ = lambda_conj(model, q, a, zeta, sol=sol)
+        lam, _ = lambda_conj(model, q, a, zeta)
         grid_inf = float(np.min(sol.phi(q, sol.x_grid) - a * sol.x_grid))
         err_bd = max(err_bd, abs(grid_inf - lam))
     grid = np.linspace(-0.9, 0.9, 19)
-    vals = np.array([lambda_conj(model, q, float(a), zeta, sol=sol)[0]
+    vals = np.array([lambda_conj(model, q, float(a), zeta)[0]
                      for a in grid])
     err_even = float(np.max(np.abs(vals - vals[::-1])))
     max_second = float(np.max(np.diff(vals, 2)))

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from gtap import pde
 from gtap.measures import OrderParameter, band_coords, d1
 from gtap.model import MixedModel, sk_model
 from gtap.numerics import (GridStencil, ShiftStencil, gauss_hermite,
@@ -162,10 +163,21 @@ def test_non_monotone_zeta_rejected(mixed_23):
         OrderParameter.from_atoms((0.0, 1.0), [(0.2, -0.5), (0.6, 1.5)])
 
 
-def test_grid_too_small_raises(mixed_23):
+def test_grid_too_small_raises(mixed_23, monkeypatch):
+    # a grid never drops below its auto half-width, where the edge curvature
+    # is 1e-9 here; a tolerance under that stands in for a grid too small
+    monkeypatch.setattr(pde, "EDGE_CURVATURE_TOL", 1e-10)
     zeta = OrderParameter.delta_at(0.0, (0.0, 1.0))
-    with pytest.raises(RuntimeError):
-        solve(mixed_23, zeta, SolverConfig(x_max=1.0))
+    with pytest.raises(RuntimeError, match="x grid too small"):
+        solve(mixed_23, zeta)
+
+
+@pytest.mark.parametrize("x_pad", [-7.0, -math.inf, math.inf, math.nan])
+def test_grid_pad_only_widens(x_pad):
+    # x_pad = -7 left a half-width of 3.97 and values 1.8e-6 off, unrefused
+    # by the edge check; -inf raised OverflowError
+    with pytest.raises(ValueError, match="x_pad"):
+        SolverConfig(x_pad=x_pad)
 
 
 @pytest.mark.parametrize("dx", [0.0, -0.01, math.nan, math.inf, 0.5, 1e300])
@@ -286,6 +298,30 @@ def test_sde_refuses_fewer_than_two_pairs(sk_two_atoms, check, n_paths):
     # one antithetic pair gave se = NaN and n_sigma = inf
     with pytest.raises(ValueError, match="n_paths >= 3"):
         check(sk_two_atoms, 0.5, n_paths=n_paths, n_steps=16)
+
+
+@pytest.mark.parametrize("check", SDE_CHECKS)
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_sde_refuses_fewer_than_one_step(sk_two_atoms, check, n_steps):
+    # n_steps = 0 ran the default SDE_STEPS; -1 stepped only between the
+    # measurement times (the identity read n_sigma 13.9)
+    with pytest.raises(ValueError, match="n_steps"):
+        check(sk_two_atoms, 0.5, n_paths=1000, n_steps=n_steps)
+
+
+def test_second_derivative_identity_refuses_a_tilted_solve():
+    # with tilt a the boundary has Phi_xx = 1 - (Phi_x + a)^2, so the
+    # identity does not apply: at a = 0.5 it read lhs 0.737, rhs 0.239
+    # (n_sigma 673); the untilted band solve still checks
+    sh = MixedModel(coeffs_sq=(0.0, 0.5, 0.3)).shift(0.2)
+    zb = OrderParameter.from_atoms((0.0, sh.horizon),
+                                   [(0.0, 0.4), (0.5 * sh.horizon, 0.6)])
+    with pytest.raises(ValueError, match="untilted"):
+        second_derivative_identity(solve_band(sh, 0.5, zb), 0.3,
+                                   n_paths=1000, n_steps=16)
+    out = second_derivative_identity(solve_band(sh, 0.0, zb), 0.3,
+                                     n_paths=20_000, seed=3, n_steps=512)
+    assert out["n_sigma"] <= 3.0
 
 
 def test_simulate_control_matches_plain_euler_loop(mixed_23):

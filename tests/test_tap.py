@@ -46,7 +46,7 @@ def test_lambda_vs_grid_minimization_oracle(sk_full):
     q, a = 0.2, 0.5
     zeta = OrderParameter.delta_at(1.0, (q, 1.0))
     sol = solve(sk_full, zeta)
-    lam, x_star = lambda_conj(sk_full, q, a, zeta, sol=sol)
+    lam, x_star = lambda_conj(sk_full, q, a, zeta)
     xs = np.linspace(-6, 6, 20001)
     dense = np.min(sol.phi(q, xs) - a * xs)
     assert lam == pytest.approx(float(dense), abs=1e-7)
@@ -56,9 +56,8 @@ def test_lambda_vs_grid_minimization_oracle(sk_full):
 def test_lambda_even_and_concave(mixed_23, rng):
     q = 0.3
     zeta = random_zeta(rng, (q, 1.0), 2)
-    sol = solve(mixed_23, zeta)
     grid = np.linspace(-0.9, 0.9, 13)
-    vals = np.array([lambda_conj(mixed_23, q, float(a), zeta, sol=sol)[0]
+    vals = np.array([lambda_conj(mixed_23, q, float(a), zeta)[0]
                      for a in grid])
     assert np.max(np.abs(vals - vals[::-1])) < 1e-10
     assert np.all(np.diff(vals, 2) <= 1e-8)
@@ -72,7 +71,7 @@ def test_lambda_tail_envelope(mixed_23):
     I = sol.int_xi_pp_zeta()
 
     def gap(a):
-        lam, _ = lambda_conj(mixed_23, q, a, zeta, sol=sol)
+        lam, _ = lambda_conj(mixed_23, q, a, zeta)
         return lam - 0.5 * a * a * I
 
     assert gap(0.5) >= -1e-10
@@ -163,7 +162,7 @@ def test_band_functional_matches_tap(mixed_23, rng):
     sh = mixed_23.shift(q)
     zb = band_coords(zeta)
     ev = EffectiveField(sh, zb)
-    lhs = band_functional(sh, mu, ev, 0.0, zb, field=ev)
+    lhs = band_functional(sh, mu, ev, 0.0, zb)
     rhs = tap_with_zeta(mixed_23, mu, zeta)
     assert lhs == pytest.approx(rhs, abs=1e-8)
 
@@ -298,6 +297,24 @@ def test_directional_derivative_rs_is_gamma_integral():
     assert dd == pytest.approx(-0.5 * big_gamma(sh, mu, s1), abs=2e-6)
 
 
+def test_directional_derivative_reads_the_fields_own_solves(monkeypatch):
+    # v0 = zeta0's own field: its band solves are reused, one per atom (a
+    # fresh field built a second one per atom), and the value is a fresh
+    # field's to the bit
+    model = sk_model(0.8, convention="half")
+    mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.15, 0.5), (0.4, 0.5)))
+    sh = model.shift(mu.moment(2))
+    H = sh.horizon
+    z0 = OrderParameter.delta_at(0.0, (0.0, H))
+    z1 = OrderParameter.delta_at(0.6 * H, (0.0, H))
+    ref = EffectiveField(sh, z0)
+    fresh = directional_derivative(sh, mu, lambda a: ref(a), z0, ref, z1)
+    built = _count_solves(monkeypatch)
+    ev = EffectiveField(sh, z0)
+    assert directional_derivative(sh, mu, ev, z0, ev, z1) == fresh
+    assert len(built) == 2
+
+
 def test_optimality_check_at_minimizer():
     model = sk_model(0.5, convention="half")
     mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.1, 0.6), (0.4, 0.4)))
@@ -336,22 +353,25 @@ def test_optimality_check_flags_non_minimizer(mixed_23):
     assert cert["first_residual"] > 1e-3
 
 
-def test_fixed_point_characterization():
-    # at zeta_0, the pair (0, zeta_0) minimizes P_bar^{v_{zeta_0}}
-    model = sk_model(0.5, convention="half")
+@pytest.mark.parametrize("beta", [0.5, 1.5])
+def test_fixed_point_characterization(beta):
+    # at zeta_0, the pair (0, zeta_0) minimizes P_bar^{v_{zeta_0}}: at
+    # beta = 0.5 zeta_0 is RS, at 1.5 it has two atoms; P_bar at zeta reads
+    # zeta's own band solves (zeta_0's read 3 of 9 below base at 1.5)
+    model = sk_model(beta, convention="half")
     mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.1, 0.6), (0.4, 0.4)))
     res = tap_correction(model, mu, r_atoms=2)
+    assert res.diagnostics["converged"]
     sh = model.shift(res.q)
     zb0 = band_coords(res.minimizer_zeta)
     ev = EffectiveField(sh, zb0)
-    base = band_functional(sh, mu, ev, 0.0, zb0, field=ev)
+    base = band_functional(sh, mu, ev, 0.0, zb0)
     H = sh.horizon
     rng = np.random.default_rng(3)
     for lam in (-0.5, 0.0, 0.4):
         for _ in range(3):
             zb = random_zeta(rng, (0.0, H), 2)
-            assert band_functional(sh, mu, ev, lam, zb, field=ev) \
-                >= base - 1e-8
+            assert band_functional(sh, mu, ev, lam, zb) >= base - 1e-8
 
 
 def test_tap_correction_is_infimum(mixed_23, rng):
@@ -556,15 +576,16 @@ def _count_solves(monkeypatch):
 
 
 def test_lambda_at_boundary_atom_solves_nothing(monkeypatch):
-    # the closed form (1/2) int_q^1 xi'' zeta reads no grid: without `sol`
-    # it equals, bit for bit, the value read off a solve, and builds none
+    # the closed form (1/2) int_q^1 xi'' zeta reads no grid: it equals, bit
+    # for bit, the value read off a solve, and builds none
     model, q = sk_model(1.0), 0.3
     zeta = OrderParameter.from_atoms((q, 1.0), [(0.5, 0.5), (1.0, 0.5)])
     sol = solve(model, zeta)
     built = _count_solves(monkeypatch)
     for a in (1.0 - 5e-10, 1.0, -1.0):
         lam, x_star = lambda_conj(model, q, a, zeta)
-        assert (lam, x_star) == lambda_conj(model, q, a, zeta, sol=sol)
+        assert (lam, x_star) == (0.5 * sol.int_xi_pp_zeta(),
+                                 math.copysign(math.inf, a))
         assert x_star == math.copysign(math.inf, a)
     assert built == []
 
