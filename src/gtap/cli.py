@@ -394,6 +394,18 @@ def cmd_check(args) -> int:
            and abs(base - res.value) <= 1e-8 and min(gaps) >= -1e-8,
            atoms=len(res.minimizer_zeta.measure.atoms),
            representation_gap=abs(base - res.value), gaps_above_base=gaps)
+    # grad_tap at an entry on the boundary (1 - 1e-9, where tap_ascent
+    # clips): the minimizer is delta_q, where Phi_x(q, x) = tanh x, so the
+    # entry is -(atanh m + m xi''(q) (1 - q)) / N
+    weak, m = sk_model(0.5), np.array([0.3, -0.5, 1.0 - 1e-9, 0.2])
+    grad, res = disorder.grad_tap(weak, m, r_atoms=2)
+    q = res.q
+    closed = -(math.atanh(m[2]) + m[2] * weak.xi_double_prime(q) * (1.0 - q)) \
+        / m.size
+    record("boundary_gradient",
+           res.minimizer_zeta.measure.atoms == ((q, 1.0),)
+           and abs(grad[2] - closed) <= 1e-12,
+           entry=grad[2], closed_form=closed)
     # SK with a field above the AT line: r = 2 (the slot at 0 and one atom)
     # gives the RS value log 2 + E log cosh(beta sqrt(q) g + h)
     # + beta^2 (1 - q)^2 / 4 at the RS fixed point q

@@ -23,7 +23,7 @@ from .measures import (BOUNDARY_ATOM_TOL, OrderParameter, empirical,
 from .model import MixedModel
 from .numerics import logsumexp
 from .pde import DEFAULT_CONFIG, SolverConfig
-from .tap import TapResult, _orig_solution, tap_correction
+from .tap import TapResult, _at_boundary, _orig_solution, tap_correction
 
 __all__ = [
     "DisorderSample", "BandSpec", "sample", "all_configs", "free_energy",
@@ -357,6 +357,10 @@ def grad_tap(model: MixedModel, m, r_atoms: int = 2,
     with zeta_m the minimizing order parameter of TAP(mu_|m|); psi_bar is odd
     in its magnetization argument, so signed coordinates work directly. It
     comes from the minimizer's solve, re-solved wider for a boundary atom.
+    There, |m_i| >= 1 - BOUNDARY_ATOM_TOL, psi_bar is the finite root of
+    log(1 - Phi_x) = log(1 - |m_i|) (`PDESolution.boundary_inverse_phi_x`),
+    not `tap.psi_bar`'s +-inf limit, and not an inversion of Phi_x, where
+    one ulp would move it by ~5e-8.
     """
     m = np.asarray(m, dtype=float)
     if np.any(np.abs(m) >= 1.0):
@@ -369,9 +373,10 @@ def grad_tap(model: MixedModel, m, r_atoms: int = 2,
     q, zeta_m = result.q, result.minimizer_zeta
     a_max = float(np.max(np.abs(m)))
     sol = result.solution
-    if a_max >= 1.0 - BOUNDARY_ATOM_TOL:
+    if _at_boundary(a_max):
         sol = _orig_solution(model, q, zeta_m, config, a_max=a_max)
-    psi_vals = np.array([sol.inverse_phi_x(sol.t0, a) for a in m])
+    psi_vals = np.array([sol.boundary_inverse_phi_x(a) if _at_boundary(a)
+                         else sol.inverse_phi_x(sol.t0, a) for a in m])
     int_zeta = restrict_zeta(zeta_m, q).integral()
     grad = -(psi_vals + m * model.xi_double_prime(q) * int_zeta) / N
     return grad, result

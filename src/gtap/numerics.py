@@ -53,9 +53,9 @@ class GridStencil:
 
     The cell and fraction of every point and the points beyond the grid are
     found once, and the Hermite weights when first needed, so evaluating
-    several grid functions at the same points (the quadrature points of a
-    PDE layer) costs only gathers and weighted sums. Outside the grid the
-    Hermite continuation is linear with the edge slope, which matches the
+    several grid functions at the same arbitrary points (`hermite_eval`)
+    costs only gathers and weighted sums. Outside the grid the Hermite
+    continuation is linear with the edge slope, which matches the
     asymptotically linear tails of log-cosh type solutions; the linear
     continuation is constant.
     """
@@ -120,7 +120,9 @@ class GridStencil:
 
 class ShiftStencil(GridStencil):
     """The shared-fraction form of `GridStencil` for the points x_k + shift_j,
-    every grid point x_k (k < size) moved by every shift, shape (size, m).
+    every grid point x_k (k < size) moved by every shift, shape (size, m):
+    the stencil of a PDE layer, whose shifts are sigma times the
+    Gauss-Hermite nodes.
 
     All points of one shift share the cell offset floor(shift_j / dx) and the
     fraction, so the cubic weights are one number per shift, and the cell

@@ -17,16 +17,21 @@ propagated by the differentiated recursion (Gibbs-weighted moments), so the
 solution is exact in t for atomic zeta up to quadrature and interpolation
 error.
 
-A layer is evaluated through one `numerics.GridStencil` of its quadrature
-points x_k + sigma g_j: their cells, cubic Hermite weights and the points
-beyond the grid are found once when the layer is made, and Phi and its three
-derivatives there (hence the Doob weights and the next frame), the pulled-back
-sensitivities are gathers and weighted sums over it. A `solve_steps` solve
+A layer is evaluated through one shared-fraction stencil
+(`numerics.ShiftStencil`) of its quadrature points x_k + sigma g_j: the points
+of one node g_j share a cell offset and a fraction, so the cubic Hermite
+weights are one row per node, found once when the layer is made, and the
+frames are padded by their edge continuation instead of masking the points
+beyond the grid. Phi and its three derivatives there (hence the Doob weights
+and the next frame), the pulled-back sensitivities and the drift table
+phi_x_table are gathers and weighted sums over it. A `solve_steps` solve
 pulls its level and node sensitivities through each layer while it builds it,
-so the gradients need no second sweep. The drift table phi_x_table reads its
-off-node layer through the shared-fraction form `numerics.ShiftStencil`: the
-points x_k + sigma g_j of one node g_j share a cell offset and a fraction, so
-its weights are one row per node.
+so the gradients need no second sweep.
+
+Near |Phi_x| = 1, Phi_xx falls like 1 - |Phi_x|, so inverting Phi_x there
+loses digits. `boundary_inverse_phi_x` solves on log(1 - Phi_x) instead,
+pulled through the layers in log space from the untilted boundary
+log(1 - tanh x); only a solve that asks for it pays that pull.
 
 The same Gibbs weights give a deterministic propagator for expectations
 E f(X_s) of the optimal-control diffusion
@@ -56,8 +61,8 @@ import numpy as np
 
 from .measures import OrderParameter
 from .model import MixedModel, ShiftedModel
-from .numerics import (GridStencil, ShiftStencil, gauss_hermite,
-                       grid_derivative, hermite_eval, log2cosh)
+from .numerics import (ShiftStencil, gauss_hermite, grid_derivative,
+                       hermite_eval, log2cosh)
 
 __all__ = [
     "SolverConfig", "GridBudgetError", "PDESolution", "solve", "solve_steps",
@@ -148,11 +153,11 @@ def _exp_tail(y: np.ndarray) -> np.ndarray:
 class _Layer:
     """Transition kernel of one layer below an upper frame.
 
-    Holds the stencil of the quadrature points X = x + sigma g (`shared`:
-    its shared-fraction form, which rounds differently) and the
-    normalized Doob weights exp(level Phi_upper(X)) (plain Gauss-Hermite
-    weights at level 0), so that `mean` averages values at X over the layer
-    and `pull` averages a grid function.
+    Holds the shared-fraction stencil (`numerics.ShiftStencil`) of the
+    quadrature points X = x + sigma g and the normalized Doob weights
+    exp(level Phi_upper(X)) (plain Gauss-Hermite weights at level 0), so
+    that `mean` averages values at X over the layer, `pull` averages a grid
+    function and `log_pull` does so in log space.
 
     A positive level z uses y = z (Phi_upper - c): phi = c + log E exp(y)/z,
     with c the row maximum (no overflow) or, where z (max - min) Phi_upper
@@ -161,16 +166,12 @@ class _Layer:
     """
 
     def __init__(self, upper: Frame, sigma: float, level: float,
-                 x: np.ndarray, config: SolverConfig, shared: bool = False):
+                 x: np.ndarray, config: SolverConfig):
         g, self.w = gauss_hermite(config.gh_order)
         self.upper = upper
         self.level = level
         self.dx = config.dx
-        if shared:
-            self.stencil = ShiftStencil(config.dx, x.size, sigma * g)
-        else:
-            self.stencil = GridStencil(float(x[0]), config.dx, x.size,
-                                       x[:, None] + sigma * g[None, :])
+        self.stencil = ShiftStencil(config.dx, x.size, sigma * g)
         if level > 0.0:
             self._small = level * (self.P.max() - self.P.min()) < 0.1
             if self._small:
@@ -225,6 +226,14 @@ class _Layer:
 
     def pull(self, f: np.ndarray) -> np.ndarray:
         return self.mean(self.stencil.hermite(f, grid_derivative(f, self.dx)))
+
+    def log_pull(self, f: np.ndarray) -> np.ndarray:
+        """`pull` in log space: log of the average of exp f, less its row
+        maximum at the points first, so no row underflows to log 0."""
+        vals = self.stencil.hermite(f, grid_derivative(f, self.dx))
+        top = vals.max(axis=1)
+        vals -= top[:, None]
+        return top + np.log(self.mean(np.exp(vals)))
 
 
 def _interp_grid(x0: float, dx: float, f: np.ndarray, xq) -> np.ndarray:
@@ -309,8 +318,8 @@ class PDESolution:
         idx = min(max(idx, 0), len(self.levels) - 1)
         return float(self.levels[idx])
 
-    def _layer(self, t_hi: float, t_lo: float, level: float,
-               shared: bool = False) -> tuple[Frame, _Layer | None]:
+    def _layer(self, t_hi: float, t_lo: float,
+               level: float) -> tuple[Frame, _Layer | None]:
         """Solved frame at t_hi and the kernel of the layer down to t_lo
         (None when the layer has no width)."""
         upper = self._frames[self._key(t_hi)]
@@ -318,18 +327,16 @@ class PDESolution:
         sigma = math.sqrt(max(sp(t_hi) - sp(t_lo), 0.0))
         if sigma <= 1e-14:
             return upper, None
-        return upper, _Layer(upper, sigma, level, self.x_grid, self.config,
-                             shared)
+        return upper, _Layer(upper, sigma, level, self.x_grid, self.config)
 
-    def _off_node_layer(self, t: float,
-                        shared: bool = False) -> tuple[Frame, _Layer | None]:
+    def _off_node_layer(self, t: float) -> tuple[Frame, _Layer | None]:
         """Frame at the first node at or above t and the kernel down to t;
         ValueError for t outside [t0, t1]."""
         if not self.t0 - 1e-12 <= t <= self.t1 + 1e-12:
             raise ValueError(f"time {t} outside [{self.t0}, {self.t1}]")
         idx = int(np.searchsorted(self.nodes, t + 1e-13, side="left"))
         t_up = float(self.nodes[min(idx, len(self.nodes) - 1)])
-        return self._layer(t_up, float(t), self._level_at(t), shared)
+        return self._layer(t_up, float(t), self._level_at(t))
 
     def _solve(self, with_gradients: bool) -> None:
         """Frames from t1 down to t0; `with_gradients` also pulls the rows of
@@ -420,6 +427,48 @@ class PDESolution:
             x = 0.5 * (lo_x + hi_x)
         return x
 
+    @cached_property
+    def _log_complement(self) -> np.ndarray:
+        """log(1 - Phi_x(t0, .)) on the grid. 1 - Phi_x is the Doob average
+        of its upper values, so it is pulled from the boundary
+        log(1 - tanh x) = log 2 - x - log 2cosh x through the layers in log
+        space, and keeps its relative precision where Phi_x rounds to 1."""
+        x = self.x_grid
+        ell = math.log(2.0) - x - log2cosh(x)
+        for p in range(len(self.levels) - 1, -1, -1):
+            _, layer = self._layer(float(self.nodes[p + 1]),
+                                   float(self.nodes[p]), float(self.levels[p]))
+            if layer is not None:
+                ell = layer.log_pull(ell)
+        return ell
+
+    def boundary_inverse_phi_x(self, a: float) -> float:
+        """Unique x with Phi_x(t0, x) = a, well conditioned for |a| near 1.
+
+        Newton on log(1 - Phi_x(t0, x)) = log(1 - |a|), whose slope stays of
+        order 1 where Phi_xx (the slope `inverse_phi_x` divides by) falls
+        like 1 - |a|; x is odd in a. The boundary log 2cosh x must be
+        untilted: ValueError for a solve with tilt a != 0.
+        """
+        if self.a != 0.0:
+            raise ValueError("the log-complement inverse expects an untilted "
+                             f"(original-boundary) solution, not tilt a = "
+                             f"{self.a}")
+        ell, target = self._log_complement, math.log1p(-abs(a))
+        if not ell[-1] < target < ell[0]:
+            raise RuntimeError(f"target slope {a} outside grid range")
+        x0, dx = float(self.x_grid[0]), self.config.dx
+        slope = grid_derivative(ell, dx)
+        x = float(np.interp(target, ell[::-1], self.x_grid[::-1]))
+        for _ in range(20):
+            step = (float(hermite_eval(x0, dx, ell, slope, x)) - target) \
+                / float(_interp_grid(x0, dx, slope, x))
+            x -= step
+            if abs(step) <= 1e-14 * (1.0 + abs(x)):
+                return math.copysign(x, a)
+        raise RuntimeError(f"Newton on log(1 - Phi_x) did not converge at "
+                           f"slope {a}")
+
     # -- exact integrals of the order parameter ------------------------------
 
     def int_xi_pp_zeta(self) -> float:
@@ -479,15 +528,14 @@ class PDESolution:
         """Phi_x on the grid at time t, without derivative bookkeeping.
 
         Cheaper than frame_at for the many drift evaluations of the SDE
-        simulator: the same Gibbs-weighted recursion, first moment only, on
-        the shared-fraction stencil (`numerics.ShiftStencil`), so an off-node
-        table agrees with frame_at's to rounding, not bit for bit. Like
+        simulator: the same Gibbs-weighted recursion on the same stencil,
+        first moment only, so an off-node table has frame_at's bits. Like
         frame_at, refuses t outside [t0, t1].
         """
         key = self._key(t)
         if key in self._frames:
             return self._frames[key].phi_x
-        upper, layer = self._off_node_layer(t, shared=True)
+        upper, layer = self._off_node_layer(t)
         if layer is None:
             return upper.phi_x
         return layer.mean(layer.stencil.hermite(upper.phi_x, upper.phi_xx))

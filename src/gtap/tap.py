@@ -102,8 +102,9 @@ def lambda_conj(model: MixedModel, q: float, a: float, zeta: OrderParameter,
     on a plain solve of zeta on [q, 1] (`_orig_solution`).
 
     For |a| = 1 the infimum is the limit (1/2) int_q^1 xi'' zeta ds and the
-    minimizer escapes to +-infinity (returned as a signed inf sentinel). That
-    closed form reads no grid, so there it solves nothing.
+    minimizer escapes to +-infinity (returned as a signed inf sentinel), the
+    convention for every |a| >= 1 - BOUNDARY_ATOM_TOL. That closed form
+    reads no grid, so there it solves nothing.
     """
     if abs(a) > 1.0 + 1e-12:
         raise ValueError("conjugate argument must lie in [-1, 1]")
@@ -118,7 +119,8 @@ def lambda_conj(model: MixedModel, q: float, a: float, zeta: OrderParameter,
 def psi_bar(model: MixedModel, q: float, a: float, zeta: OrderParameter,
             config: SolverConfig = DEFAULT_CONFIG) -> float:
     """Unique x with d/dx Phi_zeta(q, x) = a (odd in a); +-inf at the
-    boundary, as in `lambda_conj`."""
+    boundary, as in `lambda_conj` (`disorder.grad_tap` reads the finite
+    root there, `PDESolution.boundary_inverse_phi_x`)."""
     if abs(a) >= 1.0:
         raise ValueError("psi_bar requires |a| < 1")
     return lambda_conj(model, q, a, zeta, config)[1]

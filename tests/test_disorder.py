@@ -604,19 +604,23 @@ def test_grad_tap_takes_q_from_the_solve(monkeypatch):
 
 def test_grad_tap_boundary_atom_still_solved_wide():
     # an entry at 1 - 1e-9, where tap_ascent clips, is a boundary atom: the
-    # minimizer's solve has no slope pad for it, so grad_tap solves again
+    # minimizer's solve has no slope pad for it, so grad_tap solves again.
+    # Entry [2] is the closed form -(atanh m + m xi''(q) (1 - q)) / N at the
+    # RS minimizer (see the next test); inverting Phi_x there read
+    # -2.717989128603511, 2.05e-9 off
     m = np.array([0.3, -0.5, 1.0 - 1e-9, 0.2])
     grad, _ = grad_tap(sk_model(0.5), m, r_atoms=2)
     np.testing.assert_allclose(
         grad, [-0.08966115117837666, 0.15779528622521474,
-               -2.717989128603511, -0.05887063856164834], rtol=0, atol=1e-12)
+               -2.7179891306513486, -0.05887063856164834], rtol=0, atol=1e-12)
 
 
 def test_grad_tap_matches_closed_form_at_rs_minimizer():
     # the minimizer is delta_q, where Phi_x(q, x) = tanh x: psi_bar(q, a) =
     # atanh a and the entries are -(atanh m_i + m_i xi''(q) (1 - q)) / N.
-    # At 1 - 1e-9, Phi_x = a is solved where Phi_xx ~ 2e-9, so that entry
-    # moves by ~1.3e-8 per ulp of Phi_x
+    # At 1 - 1e-9, Phi_xx ~ 2e-9, so inverting Phi_x there moved psi_bar by
+    # ~5e-8 per ulp of Phi_x; the entry is solved on log(1 - Phi_x), whose
+    # slope is ~ -2
     model = sk_model(0.5)
     m = np.array([0.3, -0.5, 1.0 - 1e-9, 0.2])
     grad, res = grad_tap(model, m, r_atoms=2)
@@ -626,7 +630,30 @@ def test_grad_tap_matches_closed_form_at_rs_minimizer():
     interior = [0, 1, 3]
     np.testing.assert_allclose(grad[interior], exact[interior], rtol=0,
                                atol=1e-9)
-    assert abs(grad[2] - exact[2]) <= 1e-7
+    assert abs(grad[2] - exact[2]) <= 1e-12
+
+
+def test_grad_tap_boundary_entry_builds_one_wide_solve(monkeypatch):
+    # the log-complement inverse reads the wide re-solve grad_tap already
+    # builds: the minimizer's solves and one more, nothing else
+    from gtap import pde
+    from gtap.measures import empirical
+    from gtap.tap import tap_correction
+    model = sk_model(0.5)
+    m = np.array([0.3, -0.5, 1.0 - 1e-9, 0.2])
+    solves = []
+    init = pde.PDESolution.__init__
+
+    def counting(self, *args, **kwargs):
+        solves.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(pde.PDESolution, "__init__", counting)
+    tap_correction(model, empirical(m, fold=True), r_atoms=2)
+    alone = len(solves)
+    solves.clear()
+    grad_tap(model, m, r_atoms=2)
+    assert len(solves) == alone + 1
 
 
 def test_tap_ascent_zero_steps_returns_start():

@@ -324,6 +324,60 @@ def test_second_derivative_identity_refuses_a_tilted_solve():
     assert out["n_sigma"] <= 3.0
 
 
+def _wide_solve(model, q, atoms, one_minus_a):
+    zeta = OrderParameter.from_atoms((q, 1.0), atoms)
+    pad = math.atanh(1.0 - one_minus_a) + 2.0   # as grad_tap's re-solve
+    return solve(model, zeta, SolverConfig(x_pad=pad))
+
+
+@pytest.mark.parametrize("one_minus_a", [1e-9, 1e-6])
+def test_boundary_inverse_is_atanh_at_rs_minimizer(one_minus_a):
+    # at delta_q, Phi_x(q, x) = tanh x, so the inverse is atanh a; inverting
+    # Phi_x itself is off by 8e-8 to 1.2e-7 at 1 - 1e-9
+    q = 0.3
+    sol = _wide_solve(sk_model(0.5), q, [(q, 1.0)], one_minus_a)
+    for a in (1.0 - one_minus_a, -(1.0 - one_minus_a)):
+        assert abs(sol.boundary_inverse_phi_x(a) - math.atanh(a)) <= 1e-12
+
+
+@pytest.mark.parametrize("model, q, atoms", [
+    (sk_model(1.4), 0.0, [(0.2, 0.45), (0.5, 0.55)]),
+    (MixedModel(coeffs_sq=(0.0, 0.8, 0.4)), 0.1,
+     [(0.1, 0.3), (0.4, 0.3), (0.6, 0.4)]),
+    (MixedModel(coeffs_sq=(0.0, 0.0, 2.5)), 0.2, [(0.2, 0.3), (0.9, 0.7)]),
+], ids=["sk_2_atoms", "mixed_3_atoms", "pure3_2_atoms"])
+@pytest.mark.parametrize("one_minus_a", [1e-3, 1e-5])
+def test_boundary_inverse_matches_inverse_phi_x_on_rsb(model, q, atoms,
+                                                       one_minus_a):
+    # where inverting Phi_x is still well conditioned, both inverses agree
+    # (they read 2e-10 to 3.3e-9 apart); the boundary inverse is odd to the
+    # bit
+    sol = _wide_solve(model, q, atoms, one_minus_a)
+    a = 1.0 - one_minus_a
+    x = sol.boundary_inverse_phi_x(a)
+    assert abs(x - sol.inverse_phi_x(q, a)) <= 1e-8
+    assert sol.boundary_inverse_phi_x(-a) == -x
+
+
+def test_boundary_inverse_refuses_a_tilted_solve():
+    # log(1 - tanh x) is the untilted boundary; a band solve with a != 0
+    # starts from log 2cosh x - a x
+    sh = MixedModel(coeffs_sq=(0.0, 0.5, 0.3)).shift(0.2)
+    zb = OrderParameter.from_atoms((0.0, sh.horizon),
+                                   [(0.0, 0.4), (0.5 * sh.horizon, 0.6)])
+    with pytest.raises(ValueError, match="untilted"):
+        solve_band(sh, 0.5, zb).boundary_inverse_phi_x(0.99)
+
+
+def test_boundary_inverse_refuses_a_slope_beyond_the_grid():
+    # atanh(1 - 1e-15) = 17.6 lies beyond the unpadded half-width 6 + 4 sqrt(var)
+    q = 0.3
+    sol = solve(sk_model(0.5), OrderParameter.delta_at(q, (q, 1.0)))
+    assert sol.x_grid[-1] < math.atanh(1.0 - 1e-15)
+    with pytest.raises(RuntimeError, match="outside grid range"):
+        sol.boundary_inverse_phi_x(1.0 - 1e-15)
+
+
 def test_simulate_control_matches_plain_euler_loop(mixed_23):
     # a plain Euler loop: drift xi'' zeta np.interp(frame_at(t).phi_x), the
     # same antithetic normals; level 0 on [0.25, 0.484375), then 0.5. The
@@ -557,7 +611,8 @@ def test_phi_x_table_matches_frame_at_off_node(mixed_23, t):
     assert zeta.cdf(t) == (0.0 if t < 0.4 else 0.4)
     table = solve(mixed_23, zeta).phi_x_table(t)
     frame = solve(mixed_23, zeta).frame_at(t)
-    np.testing.assert_allclose(table, frame.phi_x, rtol=0, atol=1e-13)
+    # one stencil and one mean: the same bits
+    np.testing.assert_array_equal(table, frame.phi_x)
 
 
 def test_phi_x_table_refuses_times_outside_the_solve():
