@@ -386,8 +386,9 @@ def cmd_check(args) -> int:
     base = tap.band_functional(shifted, mu, ev, 0.0, zb0)
     H = shifted.horizon
     alt = OrderParameter.from_atoms((0.0, H), [(0.0, 0.5), (0.5 * H, 0.5)])
-    gaps = [tap.band_functional(shifted, mu, ev, lam, alt) - base
-            for lam in (0.0, 0.4)]
+    # both lambdas on one band solve per atom of mu
+    gaps = (tap.band_functional(shifted, mu, ev, np.array([0.0, 0.4]), alt)
+            - base).tolist()
     record("band_fixed_point",
            res.diagnostics["converged"]
            and len(res.minimizer_zeta.measure.atoms) == 2
@@ -406,6 +407,18 @@ def cmd_check(args) -> int:
            res.minimizer_zeta.measure.atoms == ((q, 1.0),)
            and abs(grad[2] - closed) <= 1e-12,
            entry=grad[2], closed_form=closed)
+    # the same closed form at every entry of a 200-atom law: its psi_bar
+    # are one inversion call
+    m = np.random.default_rng(24).uniform(-0.9, 0.9, 200)
+    grad, res = disorder.grad_tap(weak, m, r_atoms=2)
+    q = res.q
+    closed = -(np.arctanh(m) + m * weak.xi_double_prime(q) * (1.0 - q)) \
+        / m.size
+    error = float(np.max(np.abs(grad - closed)))
+    record("many_atom_gradient",
+           res.diagnostics["stop"] == "rs"
+           and res.minimizer_zeta.measure.atoms == ((q, 1.0),)
+           and error <= 1e-10, stop=res.diagnostics["stop"], error=error)
     # SK with a field above the AT line: r = 2 (the slot at 0 and one atom)
     # gives the RS value log 2 + E log cosh(beta sqrt(q) g + h)
     # + beta^2 (1 - q)^2 / 4 at the RS fixed point q

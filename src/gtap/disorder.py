@@ -371,12 +371,12 @@ def grad_tap(model: MixedModel, m, r_atoms: int = 2,
     # the solve's q, the second moment of mu: m . m / N can differ in the
     # last bit
     q, zeta_m = result.q, result.minimizer_zeta
-    a_max = float(np.max(np.abs(m)))
-    sol = result.solution
-    if _at_boundary(a_max):
-        sol = _orig_solution(model, q, zeta_m, config, a_max=a_max)
-    psi_vals = np.array([sol.boundary_inverse_phi_x(a) if _at_boundary(a)
-                         else sol.inverse_phi_x(sol.t0, a) for a in m])
+    sol, edge, psi_vals = result.solution, _at_boundary(m), np.empty(N)
+    if edge.any():
+        sol = _orig_solution(model, q, zeta_m, config,
+                             a_max=float(np.max(np.abs(m))))
+        psi_vals[edge] = sol.boundary_inverse_phi_x(m[edge])
+    psi_vals[~edge] = sol.inverse_phi_x(sol.t0, m[~edge])
     int_zeta = restrict_zeta(zeta_m, q).integral()
     grad = -(psi_vals + m * model.xi_double_prime(q) * int_zeta) / N
     return grad, result

@@ -28,10 +28,10 @@ phi_x_table are gathers and weighted sums over it. A `solve_steps` solve
 pulls its level and node sensitivities through each layer while it builds it,
 so the gradients need no second sweep.
 
-Near |Phi_x| = 1, Phi_xx falls like 1 - |Phi_x|, so inverting Phi_x there
-loses digits. `boundary_inverse_phi_x` solves on log(1 - Phi_x) instead,
-pulled through the layers in log space from the untilted boundary
-log(1 - tanh x); only a solve that asks for it pays that pull.
+Both inverses of Phi_x are one Newton loop over arrays (`_invert`). Near
+|Phi_x| = 1, where Phi_xx falls like 1 - |Phi_x|, `boundary_inverse_phi_x`
+inverts log(1 - Phi_x), pulled through the layers in log space from
+log(1 - tanh x) only for a solve that asks for it.
 
 The same Gibbs weights give a deterministic propagator for expectations
 E f(X_s) of the optimal-control diffusion
@@ -61,8 +61,8 @@ import numpy as np
 
 from .measures import OrderParameter
 from .model import MixedModel, ShiftedModel
-from .numerics import (ShiftStencil, gauss_hermite, grid_derivative,
-                       hermite_eval, log2cosh)
+from .numerics import (GridStencil, ShiftStencil, gauss_hermite,
+                       grid_derivative, hermite_eval, log2cosh)
 
 __all__ = [
     "SolverConfig", "GridBudgetError", "PDESolution", "solve", "solve_steps",
@@ -107,7 +107,8 @@ class SolverConfig:
 
 
 DEFAULT_CONFIG = SolverConfig()
-BISECT_TOL = 1e-10          # x-tolerance of inverse_phi_x
+BISECT_TOL = 1e-10          # x-tolerance of _invert
+NEWTON_STEPS = 4            # Newton steps of _invert before its bisection
 SDE_STEPS = 4096            # default Euler steps of simulate_control
 EDGE_CURVATURE_TOL = 1e-2   # largest |Phi_xx| allowed at the grid edges
 
@@ -264,6 +265,46 @@ def _gibbs_step(upper: Frame, layer: _Layer | None) -> Frame:
     return Frame(upper.x0, upper.dx, layer.phi, phi_x, phi_xx, phi_xxx)
 
 
+def _invert(x_grid: np.ndarray, dx: float, f: np.ndarray, d: np.ndarray,
+            dd: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise root x of F(x) = y for targets y of any shape, F and F'
+    the cubic Hermite interpolants of (f, d) and (d, dd) on x_grid (step dx)
+    for increasing f. Newton from the linear interpolate, on one
+    `GridStencil` per step, stops an entry once its step is below BISECT_TOL
+    or F' <= 0, after NEWTON_STEPS steps at most; entries then off target by
+    over 10 BISECT_TOL are bisected. Each entry runs its own scalar loop's
+    arithmetic. RuntimeError for a target outside f's range."""
+    shape, y = y.shape, y.ravel()
+    inside = (f[0] < y) & (y < f[-1])
+    if not inside.all():
+        raise RuntimeError(f"target {y[~inside][0]} outside grid range "
+                           f"({f[0]:.6f}, {f[-1]:.6f})")
+    x0, x, live = float(x_grid[0]), np.interp(y, f, x_grid), np.arange(y.size)
+    for _ in range(NEWTON_STEPS):
+        if not live.size:
+            break
+        st = GridStencil(x0, dx, f.size, x[live])
+        slope = st.hermite(d, dd)
+        up = slope > 0.0
+        live = live[up]
+        step = (st.hermite(f, d)[up] - y[live]) / slope[up]
+        x[live] -= step
+        live = live[np.abs(step) >= BISECT_TOL]
+    off = np.flatnonzero(np.abs(GridStencil(x0, dx, f.size, x).hermite(f, d)
+                                - y) > 10.0 * BISECT_TOL)
+    lo, hi = np.full(off.size, x0), np.full(off.size, x_grid[-1])
+    for _ in range(200):
+        live = hi - lo >= BISECT_TOL
+        if not live.any():
+            break
+        mid = 0.5 * (lo + hi)
+        left = GridStencil(x0, dx, f.size, mid).hermite(f, d) < y[off]
+        lo = np.where(live & left, mid, lo)
+        hi = np.where(live & ~left, mid, hi)
+    x[off] = 0.5 * (lo + hi)
+    return x.reshape(shape)
+
+
 class PDESolution:
     """Layered solution of a Parisi PDE with an atomic order parameter.
 
@@ -397,35 +438,13 @@ class PDESolution:
     def phi_xx(self, t: float, x):
         return self.frame_at(t).eval_phi_xx(self._check_x(np.asarray(x, dtype=float)))
 
-    def inverse_phi_x(self, t: float, a: float) -> float:
-        """Unique x with Phi_x(t, x) = a (Phi_x is strictly increasing)."""
-        fr = self.frame_at(t)
-        lo, hi = fr.phi_x[0], fr.phi_x[-1]
-        if not lo < a < hi:
-            raise RuntimeError(
-                f"target slope {a} outside grid range ({lo:.6f}, {hi:.6f})")
-        x = float(np.interp(a, fr.phi_x, self.x_grid))
-        for _ in range(4):
-            r = float(fr.eval_phi_x(x)) - a
-            c = float(fr.eval_phi_xx(x))
-            if c <= 0:
-                break
-            step = r / c
-            x -= step
-            if abs(step) < BISECT_TOL:
-                break
-        if abs(float(fr.eval_phi_x(x)) - a) > 10.0 * BISECT_TOL:
-            lo_x, hi_x = float(self.x_grid[0]), float(self.x_grid[-1])
-            for _ in range(200):
-                mid = 0.5 * (lo_x + hi_x)
-                if float(fr.eval_phi_x(mid)) < a:
-                    lo_x = mid
-                else:
-                    hi_x = mid
-                if hi_x - lo_x < BISECT_TOL:
-                    break
-            x = 0.5 * (lo_x + hi_x)
-        return x
+    def inverse_phi_x(self, t: float, a):
+        """Unique x with Phi_x(t, x) = a (Phi_x is strictly increasing), by
+        `_invert` on (Phi_x, Phi_xx, Phi_xxx): elementwise over an array of
+        slopes of any shape, a float for a scalar slope."""
+        fr, a = self.frame_at(t), np.asarray(a, dtype=float)
+        x = _invert(self.x_grid, fr.dx, fr.phi_x, fr.phi_xx, fr.phi_xxx, a)
+        return x if a.ndim else float(x)
 
     @cached_property
     def _log_complement(self) -> np.ndarray:
@@ -442,32 +461,25 @@ class PDESolution:
                 ell = layer.log_pull(ell)
         return ell
 
-    def boundary_inverse_phi_x(self, a: float) -> float:
+    def boundary_inverse_phi_x(self, a):
         """Unique x with Phi_x(t0, x) = a, well conditioned for |a| near 1.
 
-        Newton on log(1 - Phi_x(t0, x)) = log(1 - |a|), whose slope stays of
-        order 1 where Phi_xx (the slope `inverse_phi_x` divides by) falls
-        like 1 - |a|; x is odd in a. The boundary log 2cosh x must be
-        untilted: ValueError for a solve with tilt a != 0.
+        `_invert` on -log(1 - Phi_x(t0, .)) at -log(1 - |a|), whose slope
+        stays of order 1 where Phi_xx (the slope `inverse_phi_x` divides by)
+        falls like 1 - |a|; x is odd in a, and arrays go as in
+        `inverse_phi_x`. ValueError for a solve with tilt a != 0: the
+        boundary log 2cosh x must be untilted.
         """
         if self.a != 0.0:
             raise ValueError("the log-complement inverse expects an untilted "
                              f"(original-boundary) solution, not tilt a = "
                              f"{self.a}")
-        ell, target = self._log_complement, math.log1p(-abs(a))
-        if not ell[-1] < target < ell[0]:
-            raise RuntimeError(f"target slope {a} outside grid range")
-        x0, dx = float(self.x_grid[0]), self.config.dx
+        a, ell, dx = np.asarray(a, float), -self._log_complement, self.config.dx
         slope = grid_derivative(ell, dx)
-        x = float(np.interp(target, ell[::-1], self.x_grid[::-1]))
-        for _ in range(20):
-            step = (float(hermite_eval(x0, dx, ell, slope, x)) - target) \
-                / float(_interp_grid(x0, dx, slope, x))
-            x -= step
-            if abs(step) <= 1e-14 * (1.0 + abs(x)):
-                return math.copysign(x, a)
-        raise RuntimeError(f"Newton on log(1 - Phi_x) did not converge at "
-                           f"slope {a}")
+        x = np.copysign(_invert(self.x_grid, dx, ell, slope,
+                                grid_derivative(slope, dx),
+                                -np.log1p(-np.abs(a))), a)
+        return x if a.ndim else float(x)
 
     # -- exact integrals of the order parameter ------------------------------
 

@@ -81,25 +81,17 @@ def _orig_solution(model: MixedModel, q: float, zeta: OrderParameter,
                  config.with_pad(_grid_pad_for(a_max)))
 
 
-def _at_boundary(a: float) -> bool:
+def _at_boundary(a):
     """The one boundary rule of Lambda and psi_bar: |a| >= 1 - BOUNDARY_ATOM_TOL
-    takes the |a| = 1 limits, where inverting Phi_x is ill-conditioned."""
-    return abs(a) >= 1.0 - BOUNDARY_ATOM_TOL
-
-
-def _conj(sol: PDESolution, a: float) -> tuple[float, float]:
-    """(Phi(q, psi_bar) - a psi_bar, psi_bar(q, a)) on the solve from
-    q = sol.t0; at the boundary the limits ((1/2) int_q^1 xi'' zeta, +-inf)."""
-    if _at_boundary(a):
-        return 0.5 * sol.int_xi_pp_zeta(), math.copysign(math.inf, a)
-    x = sol.inverse_phi_x(sol.t0, a)
-    return float(sol.phi(sol.t0, x)) - a * x, x
+    takes the |a| = 1 limits, where inverting Phi_x is ill-conditioned; a
+    mask for an array of slopes."""
+    return np.abs(a) >= 1.0 - BOUNDARY_ATOM_TOL
 
 
 def lambda_conj(model: MixedModel, q: float, a: float, zeta: OrderParameter,
                 config: SolverConfig = DEFAULT_CONFIG) -> tuple[float, float]:
-    """Concave conjugate Lambda_zeta(q, a) and its minimizer x* (`_conj`),
-    on a plain solve of zeta on [q, 1] (`_orig_solution`).
+    """Concave conjugate Lambda_zeta(q, a) and its minimizer x*, for one
+    slope a, on a plain solve of zeta on [q, 1] (`_orig_solution`).
 
     For |a| = 1 the infimum is the limit (1/2) int_q^1 xi'' zeta ds and the
     minimizer escapes to +-infinity (returned as a signed inf sentinel), the
@@ -113,7 +105,9 @@ def lambda_conj(model: MixedModel, q: float, a: float, zeta: OrderParameter,
         zq = _restricted(zeta, q)
         return (0.5 * zq.integral_against(model.xi_prime),
                 math.copysign(math.inf, a))
-    return _conj(_orig_solution(model, q, zeta, config, a_max=abs(a)), a)
+    sol = _orig_solution(model, q, zeta, config, a_max=abs(a))
+    x = sol.inverse_phi_x(sol.t0, a)
+    return float(sol.phi(sol.t0, x)) - a * x, x
 
 
 def psi_bar(model: MixedModel, q: float, a: float, zeta: OrderParameter,
@@ -137,7 +131,7 @@ def psi(model: MixedModel, q: float, a: float, zeta: OrderParameter,
     if _at_boundary(a):
         return psi_bar(model, q, a, zeta, config)
     sol = _orig_solution(model, q, zeta, config, a_max=abs(a))
-    return _conj(sol, a)[1] + a * sol.int_xi_pp_zeta()
+    return sol.inverse_phi_x(sol.t0, a) + a * sol.int_xi_pp_zeta()
 
 
 class EffectiveField:
@@ -195,11 +189,11 @@ def _tap_on(mu: DiscreteMeasure):
     locs, wts, edge = split_boundary(mu)
 
     def read(sol: PDESolution):
-        conj = [_conj(sol, a) for a in locs]
-        total = sum(w * lam for w, (lam, _) in zip(wts, conj))
-        total += edge * _conj(sol, 1.0)[0]
-        return (float(total - 0.5 * sol.int_s_xi_pp_zeta()), sol,
-                np.array([x for _, x in conj]), wts, edge)
+        x = sol.inverse_phi_x(sol.t0, locs)
+        # Lambda summed in atom order; at the boundary (1/2) int xi'' zeta
+        total = sum(wts * (sol.phi(sol.t0, x) - locs * x))
+        total += edge * (0.5 * sol.int_xi_pp_zeta())
+        return float(total - 0.5 * sol.int_s_xi_pp_zeta()), sol, x, wts, edge
     return read
 
 
@@ -223,20 +217,24 @@ def tap_with_zeta(model: MixedModel, mu: DiscreteMeasure,
                                       _inner_a_max(mu)))[0]
 
 
-def band_functional(shifted: ShiftedModel, mu: DiscreteMeasure, v, lam: float,
+def band_functional(shifted: ShiftedModel, mu: DiscreteMeasure, v, lam,
                     zeta_band: OrderParameter,
-                    config: SolverConfig = DEFAULT_CONFIG) -> float:
+                    config: SolverConfig = DEFAULT_CONFIG):
     """P_bar_mu^v(lambda, zeta) = int_[0,1) Phi_{a,zeta}(0, lambda a + v(a)) dmu
     - (1/2) int_0^{1-q} s xi_q''(s) zeta(s) ds.
 
     The mu-integral runs over [0, 1): atoms at 1 are dropped, since the
     effective field diverges there. `v` is a callable on [0, 1); the band
-    solves are zeta's own (`_band_runs`).
+    solves are zeta's own (`_band_runs`). An array `lam` of any shape is
+    read on one band solve per atom, into its shape; a scalar gives a float.
     """
-    runs = _band_runs(shifted, mu, zeta_band, v, config, lam)
-    total = sum(float(w[0] * sol.phi(0.0, x[0])) for sol, x, w in runs)
+    lam = np.asarray(lam, dtype=float)
+    runs = _band_runs(shifted, mu, zeta_band, v, config, lam.ravel())
+    total = sum((w[0] * sol.phi(0.0, x) for sol, x, w in runs),
+                np.zeros(lam.size))
     # theta_q is the antiderivative of s xi_q''(s)
-    return float(total - 0.5 * zeta_band.integral_against(shifted.theta_q))
+    out = total - 0.5 * zeta_band.integral_against(shifted.theta_q)
+    return out.reshape(lam.shape) if lam.ndim else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -400,17 +398,18 @@ class TapResult:
 
 def _band_runs(shifted: ShiftedModel, mu: DiscreteMeasure,
                zeta_band: OrderParameter, v, config: SolverConfig,
-               lam: float = 0.0):
-    """Runs [(band solution of zeta_band, [lam a + v(a)], [w])], one per atom
-    (a, w) of mu below the boundary. The solves are v's own when v is the
+               lam=0.0):
+    """Runs [(band solution of zeta_band, starts lam a + v(a), [w])], one per
+    atom (a, w) of mu below the boundary, for a scalar or 1-d lam, each solve
+    wide enough for its largest start. The solves are v's own when v is the
     `EffectiveField` of this shifted model, zeta_band and config, and a fresh
     field's otherwise: another field's solves are of another band."""
     locs, wts, _ = split_boundary(fold_law(mu))
     same = isinstance(v, EffectiveField) and \
         (v.shifted, v.zeta_band, v.config) == (shifted, zeta_band, config)
     field = v if same else EffectiveField(shifted, zeta_band, config)
-    starts = [lam * a + float(v(a)) for a in locs]
-    return [(field.solution_for(a, x_reach=abs(x0)), np.array([x0]),
+    starts = [np.atleast_1d(lam * a + float(v(a))) for a in locs]
+    return [(field.solution_for(a, x_reach=float(np.max(np.abs(x0)))), x0,
              np.array([w])) for a, x0, w in zip(locs, starts, wts)]
 
 

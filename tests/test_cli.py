@@ -310,6 +310,26 @@ def test_tap_solve_command(tmp_path):
     assert data["band_chain"]["chain_1"] >= 0
 
 
+def test_check_reads_both_fixed_point_lambdas_on_two_band_solves(
+        monkeypatch, capsys):
+    # band_fixed_point's alt (two atoms of mass 1/2) is read at lambda = 0
+    # and 0.4 on one band solve per atom of mu, not one per atom and lambda
+    from gtap import tap
+    alt_solves, solve_band = [], tap.solve_band
+
+    def counting(shifted, a, zeta, config):
+        if [w for _, w in zeta.measure.atoms] == [0.5, 0.5]:
+            alt_solves.append(a)
+        return solve_band(shifted, a, zeta, config)
+    monkeypatch.setattr(tap, "solve_band", counting)
+    assert main(["check"]) == 0
+    verdicts = {v["check"]: v for v in json.loads(capsys.readouterr().out)
+                ["checks"]}
+    assert verdicts["band_fixed_point"]["pass"]
+    assert verdicts["many_atom_gradient"]["pass"]
+    assert len(alt_solves) == 2
+
+
 def test_check_command(capsys):
     rc = main(["check"])
     out = capsys.readouterr().out

@@ -378,6 +378,48 @@ def test_boundary_inverse_refuses_a_slope_beyond_the_grid():
         sol.boundary_inverse_phi_x(1.0 - 1e-15)
 
 
+def _both_inverses(sol):
+    """(name, inverse of a slope array, interior slopes) for each inverse."""
+    edge = 1.0 - 10.0 ** -np.arange(3.0, 10.0)
+    return [("phi_x", lambda a: sol.inverse_phi_x(sol.t0, a),
+             np.linspace(-0.95, 0.95, 9)),
+            ("log_complement", sol.boundary_inverse_phi_x,
+             np.concatenate([edge, -edge]))]
+
+
+def test_inverse_bisection_fallback_matches_newton(monkeypatch):
+    # no Newton step: every entry whose linear start misses by more than
+    # 10 BISECT_TOL is bisected, and lands on Newton's root
+    sol = _wide_solve(sk_model(1.4), 0.0, [(0.2, 0.45), (0.5, 0.55)], 1e-9)
+    for name, inverse, slopes in _both_inverses(sol):
+        newton = inverse(slopes)
+        builds = []
+        monkeypatch.setattr(pde, "NEWTON_STEPS", 0)
+        monkeypatch.setattr(pde, "GridStencil",
+                            lambda *args: builds.append(1) or GridStencil(*args))
+        bisected = inverse(slopes)
+        monkeypatch.undo()
+        assert len(builds) > 30, name     # the residual check, then bisection
+        assert np.max(np.abs(bisected - newton)) <= 1e-9, name
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (5, 1), (2, 3)])
+def test_inverse_of_an_array_is_the_scalar_calls(shape):
+    # entry by entry the arithmetic of a scalar call; a scalar gives a float
+    sol = _wide_solve(MixedModel(coeffs_sq=(0.0, 0.8, 0.4)), 0.1,
+                      [(0.1, 0.3), (0.4, 0.3), (0.6, 0.4)], 1e-9)
+    rng = np.random.default_rng(5)
+    for name, inverse, slopes in _both_inverses(sol):
+        a = rng.choice(slopes, size=shape)
+        x = inverse(a)
+        scalars = [inverse(float(v)) for v in a.flat]
+        assert all(type(v) is float for v in scalars), name
+        if shape == ():
+            assert type(x) is float and x == scalars[0], name
+        else:
+            assert x.shape == shape and x.ravel().tolist() == scalars, name
+
+
 def test_simulate_control_matches_plain_euler_loop(mixed_23):
     # a plain Euler loop: drift xi'' zeta np.interp(frame_at(t).phi_x), the
     # same antithetic normals; level 0 on [0.25, 0.484375), then 0.5. The

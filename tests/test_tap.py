@@ -5,9 +5,11 @@ import pytest
 
 from gtap import pde, rs, tap
 from gtap.measures import (DiscreteMeasure, OrderParameter, band_coords, d1,
-                           empirical, restrict_zeta)
+                           empirical, restrict_zeta, split_boundary)
 from gtap.model import MixedModel, pure_p_model, sk_model
-from gtap.pde import SolverConfig, parisi_functional, solve
+from gtap.numerics import GridStencil
+from gtap.pde import (PDESolution, SolverConfig, parisi_functional, solve,
+                      unify)
 from gtap.rs import big_gamma, classical_tap, is_replica_symmetric, v_rs
 from gtap.tap import (EffectiveField, _evaluate, _gradient, _tap_on, _unpack,
                       band_functional, band_representation,
@@ -351,6 +353,89 @@ def test_optimality_check_flags_non_minimizer(mixed_23):
                                     [(0.6 * sh.horizon, 1.0)])
     cert = optimality_check(sh, mu, bad)
     assert cert["first_residual"] > 1e-3
+
+
+def _constructions(monkeypatch, cls):
+    """A list that gains an entry each time cls is constructed."""
+    made, init = [], cls.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(cls, "__init__", counting)
+    return made
+
+
+@pytest.mark.parametrize("n_atoms", [5, 200])
+def test_tap_read_inverts_every_atom_at_once(monkeypatch, n_atoms):
+    # one inverse_phi_x and one phi call per read: at most 4 Newton steps,
+    # the residual check and phi, one GridStencil each, whatever the atom
+    # count (inverting atom by atom, these reads built 28 and 1,356)
+    model = sk_model(1.4)
+    m = np.random.default_rng(n_atoms).uniform(0.0, 0.95, n_atoms - 1)
+    mu = empirical(np.append(m, 1.0), fold=True)    # one boundary atom
+    q = mu.moment(2)
+    zeta = OrderParameter.from_atoms((q, 1.0), [(q, 0.4), (0.7, 0.6)])
+    sol = tap._orig_solution(model, q, zeta, SolverConfig(),
+                             tap._inner_a_max(mu))
+    stencils = _constructions(monkeypatch, GridStencil)
+    value, _, starts, wts, edge = _tap_on(mu)(sol)
+    assert len(stencils) <= 6
+    # the per-atom loop, to the bit
+    locs = split_boundary(mu)[0]
+    xs = [sol.inverse_phi_x(q, a) for a in locs]
+    total = sum(w * (float(sol.phi(q, x)) - a * x)
+                for a, w, x in zip(locs, wts, xs))
+    total += edge * (0.5 * sol.int_xi_pp_zeta())
+    assert starts.tolist() == xs
+    assert value == float(total - 0.5 * sol.int_s_xi_pp_zeta())
+
+
+def test_band_functional_over_an_array_of_lambdas(monkeypatch):
+    # every lambda on one band solve per atom of mu, whose grid reaches the
+    # largest start; within 1e-12 of one call per lambda (two solves each)
+    model = sk_model(1.5, convention="half")
+    mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.1, 0.6), (0.4, 0.4)))
+    sh = model.shift(mu.moment(2))
+    H = sh.horizon
+    ev = EffectiveField(sh, OrderParameter.from_atoms(
+        (0.0, H), [(0.0, 0.3), (0.6 * H, 0.7)]))
+    alt = OrderParameter.from_atoms((0.0, H), [(0.0, 0.5), (0.5 * H, 0.5)])
+    for a, _ in mu.atoms:
+        ev(a)                                   # v's own solves
+    lams = np.array([-0.5, 0.0, 0.4])
+    solves = _constructions(monkeypatch, PDESolution)
+    scalar = [band_functional(sh, mu, ev, float(lam), alt) for lam in lams]
+    assert len(solves) == 6
+    vals = band_functional(sh, mu, ev, lams, alt)
+    assert len(solves) == 8
+    assert all(type(v) is float for v in scalar) and vals.shape == (3,)
+    assert np.max(np.abs(vals - scalar)) <= 1e-12
+    grid = band_functional(sh, mu, ev, lams.reshape(3, 1), alt)
+    assert grid.shape == (3, 1) and grid.ravel().tolist() == vals.tolist()
+
+
+def test_effective_field_re_solves_wider_for_a_far_start(mixed_23):
+    # lambda = 60 starts at 18.75, beyond the field's grid (half-width 12):
+    # its solve is rebuilt to half-width 32.25, and the value there matches
+    # the unification map on a plain solve of zeta on [q, 1]
+    a = 0.3
+    mu = DiscreteMeasure.delta(a, interval=(0.0, 1.0))
+    q = mu.moment(2)
+    zeta = OrderParameter.from_atoms((q, 1.0), [(q, 0.4), (0.7, 0.6)])
+    sh, zb = mixed_23.shift(q), band_coords(zeta)
+    ev = EffectiveField(sh, zb)
+    start = 60.0 * a + ev(a)
+    narrow = ev.solution_for(a)
+    assert narrow.x_grid[-1] < start
+    at_zero = band_functional(sh, mu, ev, 0.0, zb)
+    val = band_functional(sh, mu, ev, 60.0, zb)
+    assert ev.solution_for(a).x_grid[-1] == pytest.approx(32.25)
+    plain = solve(mixed_23, zeta, SolverConfig(x_pad=start))
+    oracle = float(unify(plain, a, start)) \
+        - 0.5 * zb.integral_against(sh.theta_q)
+    assert abs(val - oracle) <= 1e-12
+    assert abs(band_functional(sh, mu, ev, 0.0, zb) - at_zero) <= 1e-12
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.5])
