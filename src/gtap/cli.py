@@ -430,6 +430,22 @@ def cmd_check(args) -> int:
         + beta ** 2 * (1.0 - q) ** 2 / 4.0
     record("parisi_field_rs", abs(value - closed) < 1e-9, value=value,
            rs_formula=closed)
+    # every read of a solve is one checked reader on the grid step config.dx:
+    # at dx = 0.1 Phi_x read at the grid points is the frame's, E u(s)^2 at
+    # the grid edge is at most 1, and a start one step beyond is refused
+    zeta = OrderParameter.from_atoms((0.0, 1.0), [(0.0, 0.5), (0.6, 0.5)])
+    sol = solve(sk_model(1.4), zeta, SolverConfig(dx=0.1))
+    error = float(np.max(np.abs(sol.phi_x(0.0, sol.x_grid)
+                                - sol.frame_at(0.0).phi_x)))
+    edge = float(sol.x_grid[-1])
+    u2 = float(sol.expected_u_squared(0.6, edge))
+    try:
+        sol.expected_u_squared(0.6, edge + sol.config.dx)
+        refused = False
+    except ValueError:
+        refused = True
+    record("grid_reads", error <= 1e-14 and u2 <= 1.0 and refused,
+           node_error=error, u2_at_edge=u2, refused_beyond_edge=refused)
     print(json.dumps({"checks": verdicts,
                       "pass": all(v["pass"] for v in verdicts)},
                      sort_keys=True, default=_jsonify))

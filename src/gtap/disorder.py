@@ -376,7 +376,7 @@ def grad_tap(model: MixedModel, m, r_atoms: int = 2,
         sol = _orig_solution(model, q, zeta_m, config,
                              a_max=float(np.max(np.abs(m))))
         psi_vals[edge] = sol.boundary_inverse_phi_x(m[edge])
-    psi_vals[~edge] = sol.inverse_phi_x(sol.t0, m[~edge])
+    psi_vals[~edge] = sol.inverse_phi_x(m[~edge])
     int_zeta = restrict_zeta(zeta_m, q).integral()
     grad = -(psi_vals + m * model.xi_double_prime(q) * int_zeta) / N
     return grad, result

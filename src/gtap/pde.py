@@ -26,7 +26,9 @@ beyond the grid. Phi and its three derivatives there (hence the Doob weights
 and the next frame), the pulled-back sensitivities and the drift table
 phi_x_table are gathers and weighted sums over it. A `solve_steps` solve
 pulls its level and node sensitivities through each layer while it builds it,
-so the gradients need no second sweep.
+so the gradients need no second sweep. Every read of a solve at given points
+goes through one checked reader, `PDESolution.interpolate`, on the solve's
+own grid step config.dx.
 
 Both inverses of Phi_x are one Newton loop over arrays (`_invert`). Near
 |Phi_x| = 1, where Phi_xx falls like 1 - |Phi_x|, `boundary_inverse_phi_x`
@@ -56,6 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,35 +116,21 @@ SDE_STEPS = 4096            # default Euler steps of simulate_control
 EDGE_CURVATURE_TOL = 1e-2   # largest |Phi_xx| allowed at the grid edges
 
 
-class Frame:
-    """Values of Phi and its first three x-derivatives at a fixed time."""
+class Frame(NamedTuple):
+    """Phi and its first three x-derivatives on the x grid at a fixed time,
+    in order: frame[k:k + 2] is the k-th derivative and its slope."""
 
-    __slots__ = ("x0", "dx", "phi", "phi_x", "phi_xx", "phi_xxx")
-
-    def __init__(self, x0, dx, phi, phi_x, phi_xx, phi_xxx):
-        self.x0 = x0
-        self.dx = dx
-        self.phi = phi
-        self.phi_x = phi_x
-        self.phi_xx = phi_xx
-        self.phi_xxx = phi_xxx
-
-    def eval_phi(self, x):
-        return hermite_eval(self.x0, self.dx, self.phi, self.phi_x, x)
-
-    def eval_phi_x(self, x):
-        return hermite_eval(self.x0, self.dx, self.phi_x, self.phi_xx, x)
-
-    def eval_phi_xx(self, x):
-        return hermite_eval(self.x0, self.dx, self.phi_xx, self.phi_xxx, x)
+    phi: np.ndarray
+    phi_x: np.ndarray
+    phi_xx: np.ndarray
+    phi_xxx: np.ndarray
 
 
 def _boundary_frame(a: float, x: np.ndarray) -> Frame:
     """The boundary log 2cosh x - a x and its x-derivatives."""
     th = np.tanh(x)
     sech2 = 1.0 - th * th
-    return Frame(float(x[0]), float(x[1] - x[0]),
-                 log2cosh(x) - a * x, th - a, sech2, -2.0 * th * sech2)
+    return Frame(log2cosh(x) - a * x, th - a, sech2, -2.0 * th * sech2)
 
 
 def _exp_tail(y: np.ndarray) -> np.ndarray:
@@ -237,11 +226,6 @@ class _Layer:
         return top + np.log(self.mean(np.exp(vals)))
 
 
-def _interp_grid(x0: float, dx: float, f: np.ndarray, xq) -> np.ndarray:
-    """Cubic Hermite interpolation of grid values with grid_derivative slopes."""
-    return hermite_eval(x0, dx, f, grid_derivative(f, dx), xq)
-
-
 def _gibbs_step(upper: Frame, layer: _Layer | None) -> Frame:
     """One Cole-Hopf layer backwards: the frame below the upper frame.
     A layer of zero width (`layer` None) shares the upper frame."""
@@ -262,7 +246,7 @@ def _gibbs_step(upper: Frame, layer: _Layer | None) -> Frame:
         m3 = np.sum(om * (dev * dev * dev), axis=1)
         phi_xx = phi_xx + level * var
         phi_xxx = phi_xxx + 3.0 * level * cov + level ** 2 * m3
-    return Frame(upper.x0, upper.dx, layer.phi, phi_x, phi_xx, phi_xxx)
+    return Frame(layer.phi, phi_x, phi_xx, phi_xxx)
 
 
 def _invert(x_grid: np.ndarray, dx: float, f: np.ndarray, d: np.ndarray,
@@ -315,10 +299,8 @@ class PDESolution:
     """
 
     def __init__(self, mixture: MixedModel, interval, nodes, levels, a: float,
-                 config: SolverConfig, zeta: OrderParameter | None = None, *,
-                 with_gradients: bool = False):
+                 config: SolverConfig, *, with_gradients: bool = False):
         self.mixture = mixture
-        self.zeta = zeta        # measure form, when constructed from one
         self.a = float(a)
         self.config = config
         t0, t1 = interval
@@ -422,28 +404,39 @@ class PDESolution:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _check_x(self, x: np.ndarray) -> np.ndarray:
-        if np.any(np.abs(x) > self.x_grid[-1] + 1e-12):
+    def _checked(self, f, x) -> tuple[np.ndarray, np.ndarray]:
+        f, x = np.asarray(f, dtype=float), np.asarray(x, dtype=float)
+        if f.shape != self.x_grid.shape:
+            raise ValueError(f"grid function of shape {f.shape}, not the "
+                             f"grid's {self.x_grid.shape}")
+        if not np.all(np.abs(x) <= self.x_grid[-1] + 1e-12):   # NaN too
             raise ValueError(
                 f"evaluation beyond the solved grid |x| <= {self.x_grid[-1]:g}; "
                 "enlarge x_pad")
-        return x
+        return f, x
+
+    def interpolate(self, f, d, x):
+        """Cubic Hermite interpolant of the grid function f with slopes d at
+        the points x; ValueError for an f not of the grid's length, or an x
+        beyond the grid or NaN. Every read of the solve goes through it."""
+        f, x = self._checked(f, x)
+        return hermite_eval(float(self.x_grid[0]), self.config.dx, f, d, x)
 
     def phi(self, t: float, x):
-        return self.frame_at(t).eval_phi(self._check_x(np.asarray(x, dtype=float)))
+        return self.interpolate(*self.frame_at(t)[0:2], x)
 
     def phi_x(self, t: float, x):
-        return self.frame_at(t).eval_phi_x(self._check_x(np.asarray(x, dtype=float)))
+        return self.interpolate(*self.frame_at(t)[1:3], x)
 
     def phi_xx(self, t: float, x):
-        return self.frame_at(t).eval_phi_xx(self._check_x(np.asarray(x, dtype=float)))
+        return self.interpolate(*self.frame_at(t)[2:4], x)
 
-    def inverse_phi_x(self, t: float, a):
-        """Unique x with Phi_x(t, x) = a (Phi_x is strictly increasing), by
-        `_invert` on (Phi_x, Phi_xx, Phi_xxx): elementwise over an array of
-        slopes of any shape, a float for a scalar slope."""
-        fr, a = self.frame_at(t), np.asarray(a, dtype=float)
-        x = _invert(self.x_grid, fr.dx, fr.phi_x, fr.phi_xx, fr.phi_xxx, a)
+    def inverse_phi_x(self, a):
+        """Unique x with Phi_x(t0, x) = a (Phi_x is strictly increasing), by
+        `_invert` on (Phi_x, Phi_xx, Phi_xxx) at t0: elementwise over an
+        array of slopes of any shape, a float for a scalar slope."""
+        a = np.asarray(a, dtype=float)
+        x = _invert(self.x_grid, self.config.dx, *self.frame_at(self.t0)[1:], a)
         return x if a.ndim else float(x)
 
     @cached_property
@@ -519,11 +512,12 @@ class PDESolution:
 
         `f_values` holds f on the x grid at time s. The expectation is pulled
         back with the exact layer transition kernels (Doob weights), so the
-        result is deterministic up to quadrature error.
+        result is deterministic up to quadrature error; `interpolate` reads it
+        at the starts, and its refusals come before any layer is pulled.
         """
         if not self.t0 - 1e-12 <= s <= self.t1 + 1e-12:
             raise ValueError("measurement time outside the solved interval")
-        f_cur = np.asarray(f_values, dtype=float)
+        f_cur, x_start = self._checked(f_values, x_start)
         t_cur = float(s)
         while t_cur > self.t0 + 1e-13:
             idx = int(np.searchsorted(self.nodes, t_cur - 1e-13, side="left")) - 1
@@ -533,8 +527,8 @@ class PDESolution:
             if layer is not None:
                 f_cur = layer.pull(f_cur)
             t_cur = t_lo
-        return _interp_grid(float(self.x_grid[0]), self.config.dx, f_cur,
-                            np.asarray(x_start, dtype=float))
+        return self.interpolate(f_cur, grid_derivative(f_cur, self.config.dx),
+                                x_start)
 
     def phi_x_table(self, t: float) -> np.ndarray:
         """Phi_x on the grid at time t, without derivative bookkeeping.
@@ -554,8 +548,7 @@ class PDESolution:
 
     def expected_u_squared(self, s: float, x_start):
         """E[(Phi_x(s, X_s))^2] started from (t0, x_start)."""
-        fr = self.frame_at(s)
-        return self.path_expectation(s, fr.phi_x ** 2, x_start)
+        return self.path_expectation(s, self.frame_at(s).phi_x ** 2, x_start)
 
 
 def solve(model: MixedModel, zeta: OrderParameter,
@@ -565,7 +558,7 @@ def solve(model: MixedModel, zeta: OrderParameter,
     if t0 < -1e-12 or t1 > 1.0 + 1e-12:
         raise ValueError("original-boundary solve needs an interval inside [0, 1]")
     return PDESolution(model, zeta.interval, zeta.nodes, zeta.levels, 0.0,
-                       config, zeta)
+                       config)
 
 
 def solve_steps(model: MixedModel, interval, nodes, levels,
@@ -586,7 +579,7 @@ def solve_band(shifted: ShiftedModel, a: float, zeta: OrderParameter,
     if abs(t0) > 1e-12 or abs(t1 - shifted.horizon) > 1e-9:
         raise ValueError("band solve requires zeta on [0, 1-q]")
     return PDESolution(shifted.mixture, zeta.interval, zeta.nodes, zeta.levels,
-                       a, config, zeta)
+                       a, config)
 
 
 def unify(original_sol: PDESolution, a: float, x):
@@ -641,7 +634,7 @@ def simulate_control(sol: PDESolution, x0: float, n_paths: int,
     pairs_u2: dict[float, np.ndarray] = {}
 
     def measure(t, Xcur):
-        u = sol.frame_at(t).eval_phi_x(Xcur)
+        u = sol.phi_x(t, Xcur)
         u2 = u * u
         pairs_u2[PDESolution._key(t)] = 0.5 * (u2[:half] + u2[half:])
 
@@ -708,25 +701,22 @@ def second_derivative_identity(sol: PDESolution, x0: float,
                                n_steps: int | None = None) -> dict:
     """Monte-Carlo check of Phi_xx(t0, x0) = 1 - int E[u(l)^2] dzeta(l).
 
-    The measure integral runs over the atoms of zeta (an atom at the right
-    endpoint contributes through the boundary derivative), per antithetic
-    pair of paths. Returns both sides, the discrepancy, and its standard error.
-    The identity needs the untilted boundary, where Phi_xx = 1 - Phi_x^2: a
-    solve with tilt a != 0 is refused, as are `simulate_control`'s refusals.
+    The measure integral runs over the atoms of zeta, the jumps of the
+    solve's CDF steps (an atom at the right endpoint contributes through the
+    boundary derivative), per antithetic pair of paths. Returns both sides,
+    the discrepancy, and its standard error. The identity needs the untilted
+    boundary, where Phi_xx = 1 - Phi_x^2: a solve with tilt a != 0 is
+    refused, as are `simulate_control`'s refusals.
     """
-    if sol.zeta is None:
-        raise ValueError("solution was built without a measure-form zeta")
     if sol.a != 0.0:
         raise ValueError("the identity expects an untilted (original-boundary)"
                          f" solution, not tilt a = {sol.a}")
-    atoms = sol.zeta.measure.atoms
-    times = [loc for loc, _ in atoms]
+    jumps = np.diff(np.concatenate([[0.0], sol.levels, [1.0]]))
+    times, wts = sol.nodes[jumps > 0.0], jumps[jumps > 0.0]
     mc = simulate_control(sol, x0, n_paths, n_steps=n_steps, seed=seed,
                           times=times)
-    total = None
-    for loc, wt in atoms:
-        vals = mc["pairs_u2"][PDESolution._key(loc)]
-        total = wt * vals if total is None else total + wt * vals
+    total = sum(w * mc["pairs_u2"][PDESolution._key(t)]
+                for t, w in zip(times, wts))
     rhs = 1.0 - float(np.mean(total))
     se = float(np.std(total, ddof=1) / math.sqrt(total.size))
     lhs = float(sol.phi_xx(sol.t0, x0))

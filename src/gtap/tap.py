@@ -34,9 +34,9 @@ from . import rs
 from .measures import (BOUNDARY_ATOM_TOL, DiscreteMeasure, OrderParameter,
                        band_coords, fold_law, restrict_zeta, split_boundary)
 from .model import MixedModel, ShiftedModel
-from .numerics import gauss_legendre, project_monotone
-from .pde import (DEFAULT_CONFIG, PDESolution, SolverConfig, _interp_grid,
-                  solve, solve_band, solve_steps)
+from .numerics import gauss_legendre, grid_derivative, project_monotone
+from .pde import (DEFAULT_CONFIG, PDESolution, SolverConfig, solve,
+                  solve_band, solve_steps)
 
 __all__ = [
     "TapResult", "EffectiveField", "lambda_conj", "psi_bar", "psi",
@@ -106,7 +106,7 @@ def lambda_conj(model: MixedModel, q: float, a: float, zeta: OrderParameter,
         return (0.5 * zq.integral_against(model.xi_prime),
                 math.copysign(math.inf, a))
     sol = _orig_solution(model, q, zeta, config, a_max=abs(a))
-    x = sol.inverse_phi_x(sol.t0, a)
+    x = sol.inverse_phi_x(a)
     return float(sol.phi(sol.t0, x)) - a * x, x
 
 
@@ -131,7 +131,7 @@ def psi(model: MixedModel, q: float, a: float, zeta: OrderParameter,
     if _at_boundary(a):
         return psi_bar(model, q, a, zeta, config)
     sol = _orig_solution(model, q, zeta, config, a_max=abs(a))
-    return sol.inverse_phi_x(sol.t0, a) + a * sol.int_xi_pp_zeta()
+    return sol.inverse_phi_x(a) + a * sol.int_xi_pp_zeta()
 
 
 class EffectiveField:
@@ -139,7 +139,8 @@ class EffectiveField:
 
     v_zeta(a) is the unique root of d/dx Phi^band_{a,zeta}(0, .); it is
     strictly increasing with v_zeta(0) = 0 and diverges as a -> 1. Band
-    solutions are solved lazily and memoized per atom a.
+    solutions are solved lazily and memoized per atom a; v_zeta(a) is read
+    off the current one, also after `solution_for` re-solved it wider.
     """
 
     def __init__(self, shifted: ShiftedModel, zeta_band: OrderParameter,
@@ -148,7 +149,6 @@ class EffectiveField:
         self.zeta_band = zeta_band
         self.config = config
         self._solutions: dict[float, PDESolution] = {}
-        self._values: dict[float, float] = {}
 
     def solution_for(self, a: float, x_reach: float = 0.0) -> PDESolution:
         key = round(float(a), 14)
@@ -163,11 +163,7 @@ class EffectiveField:
     def __call__(self, a: float) -> float:
         if not -1.0 < a < 1.0:
             raise ValueError("effective field diverges at |a| = 1; clip the atom")
-        key = round(float(a), 14)
-        if key not in self._values:
-            sol = self.solution_for(a)
-            self._values[key] = sol.inverse_phi_x(0.0, 0.0)
-        return self._values[key]
+        return self.solution_for(a).inverse_phi_x(0.0)
 
 
 def effective_field(shifted: ShiftedModel, zeta_band: OrderParameter,
@@ -189,7 +185,7 @@ def _tap_on(mu: DiscreteMeasure):
     locs, wts, edge = split_boundary(mu)
 
     def read(sol: PDESolution):
-        x = sol.inverse_phi_x(sol.t0, locs)
+        x = sol.inverse_phi_x(locs)
         # Lambda summed in atom order; at the boundary (1/2) int xi'' zeta
         total = sum(wts * (sol.phi(sol.t0, x) - locs * x))
         total += edge * (0.5 * sol.int_xi_pp_zeta())
@@ -263,8 +259,8 @@ def _gradient(evaluation) -> np.ndarray:
     levels, nodes = sol.levels, sol.nodes
     # d/dx of Phi(q, x) - a x vanishes at psi_bar, so the mu-integral of the
     # solver's sensitivities at psi_bar is the gradient of the Lambda term
-    grad = np.array([wts @ _interp_grid(float(sol.x_grid[0]), sol.config.dx,
-                                        row, starts)
+    dx = sol.config.dx
+    grad = np.array([wts @ sol.interpolate(row, grid_derivative(row, dx), starts)
                      for row in sol.level_gradients()])
     # explicit terms of the boundary atoms' (1/2) int xi'' zeta and of
     # -(1/2) int s xi'' zeta, whose antiderivative is s xi'(s) - xi(s)
@@ -596,8 +592,14 @@ def directional_derivative(shifted: ShiftedModel, mu: DiscreteMeasure,
 
     E u(s)^2 is the band optimal-control second moment started from v0(a),
     by deterministic propagation; the s-integral is Gauss-Legendre of order
-    DERIV_GL_ORDER on each piece where zeta1 - zeta0 is constant.
+    DERIV_GL_ORDER on each piece where zeta1 - zeta0 is constant. ValueError
+    for a zeta0 or zeta1 not on the band [0, 1-q], as in `solve_band`.
     """
+    for zeta in (zeta0, zeta1):
+        t0, t1 = zeta.interval
+        if abs(t0) > 1e-12 or abs(t1 - shifted.horizon) > 1e-9:
+            raise ValueError(f"order parameter on [{t0:g}, {t1:g}], not the "
+                             f"band [0, 1-q] = [0, {shifted.horizon:g}]")
     runs = _band_runs(shifted, mu, zeta0, v0, config)
 
     # s-integral: (zeta1 - zeta0) is piecewise constant between the union of

@@ -221,3 +221,22 @@ def test_single_replicate_is_refused():
         psi_full(c, fnodes, np.full(3, 0.2), n_reps=1)
     with pytest.raises(ValueError, match="2 replicates"):
         upsilon_mc(c, f, zb, n_reps=1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sample_cascade([0.3, 0.6], [10], seed=0),
+     "one truncation per level"),
+    (lambda: sample_tree_field(sample_cascade([0.5], 10), [0.1], 2,
+                               np.random.default_rng(0)),
+     r"f' at r\+1 nodes"),
+    (lambda: sample_tree_field(sample_cascade([0.5], 10), [0.5, 0.2], 2,
+                               np.random.default_rng(0)),
+     "f' must be nondecreasing"),
+    # 0.3 (sum sigma) - 0.36 never comes within 1e-3 of 0
+    (lambda: psi_band(sample_cascade([0.5], 10), [0.1, 0.5], [0.3] * 4,
+                      1e-3), "empty band"),
+], ids=["truncation_count", "fprime_count", "fprime_decreasing",
+        "empty_band"])
+def test_documented_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

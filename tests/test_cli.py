@@ -463,3 +463,21 @@ def test_mc_verify_chain_check_needs_finite_values(tmp_path, model_spec,
     verdict = {c["check"]: c["pass"] for c in data["checks"]}
     assert verdict["band_chain_inequality"] is False
     assert rc == 1
+
+
+@pytest.mark.parametrize("command, spec, message", [
+    # pure 7-spin at N = 14 asks for 14^7 > 2^26 coefficients
+    (["tap-solve", "--N", "14"], None,
+     "bad --N 14: tensor budget exceeded"),
+    (["rs-scan"], {"interval": [0, 1], "atoms": [[1.0, 1.0]]},
+     "mu = delta_1 has no band to scan"),
+], ids=["tensor_budget", "rs_scan_delta_1"])
+def test_refusals_exit_2_and_write_nothing(tmp_path, capsys, command, spec,
+                                           message):
+    model = write(tmp_path, "m.json", {"coeffs_sq": [0.0] * 6 + [1.0]})
+    mu = ["--mu", write(tmp_path, "mu.json", spec)] if spec else []
+    out = tmp_path / "out"
+    rc = main([*command, "--model", model, *mu, "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

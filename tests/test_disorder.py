@@ -331,7 +331,7 @@ def test_grad_tap_spherical_restriction(mixed_23):
     zeta_m = res.minimizer_zeta
     sol = _orig_solution(mixed_23, q, zeta_m, DEFAULT_CONFIG,
                          a_max=float(np.max(np.abs(m))))
-    psi_big = np.array([sol.inverse_phi_x(sol.t0, a) for a in m]) \
+    psi_big = np.array([sol.inverse_phi_x(a) for a in m]) \
         + m * sol.int_xi_pp_zeta()
     v = rng.standard_normal(N)
     v -= (v @ m) / (m @ m) * m
@@ -571,7 +571,7 @@ def test_grad_tap_reuses_the_minimizer_solve(monkeypatch):
     q = float(m @ m) / N
     sol = _orig_solution(model, q, res.minimizer_zeta, pde.DEFAULT_CONFIG,
                          a_max=float(np.max(np.abs(m))))
-    psi_vals = np.array([sol.inverse_phi_x(sol.t0, a) for a in m])
+    psi_vals = np.array([sol.inverse_phi_x(a) for a in m])
     int_zeta = restrict_zeta(res.minimizer_zeta, q).integral()
     old = -(psi_vals + m * model.xi_double_prime(q) * int_zeta) / N
     assert np.array_equal(grad, old)
@@ -744,3 +744,23 @@ def test_grad_tap_result_carries_the_one_verdict(zeros, N, converged):
                               and d["certificate"]["first_residual"]
                               <= CERTIFICATE_TOL and not unstable_delta_q)
     assert d["converged"] is converged
+
+
+@pytest.mark.parametrize("call, message", [
+    # 14^7 = 105,413,504 coefficients, refused before any is drawn
+    (lambda: sample(14, pure_p_model(7), seed=0),
+     "tensor budget exceeded: 105413504 entries"),
+    (lambda: BandSpec((0.5, 1.5), eps=0.1), r"band center must lie in"),
+    (lambda: BandSpec((0.5, 0.5), eps=0.0), "eps .* must be positive"),
+    (lambda: tap_Nn(sample(4, sk_model(1.0), seed=0),
+                    BandSpec((0.5, 0.5, 0.5), eps=0.1)),
+     "band center dimension mismatch"),
+    (lambda: grad_tap(sk_model(0.5), np.array([0.3, 1.0])),
+     r"open cube \(-1, 1\)\^N"),
+    (lambda: tap_ascent(sample(4, sk_model(1.0), seed=0), 1.0),
+     "sphere radius q=1.0 outside"),
+], ids=["tensor_budget", "center_outside_cube", "zero_eps",
+        "center_dimension", "grad_tap_at_1", "ascent_q_1"])
+def test_documented_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

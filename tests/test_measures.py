@@ -165,3 +165,16 @@ def test_split_boundary():
 def test_non_finite_measure_rejected(interval, atoms):
     with pytest.raises(ValueError):
         DiscreteMeasure(interval=interval, atoms=atoms)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DiscreteMeasure(interval=(1.0, 0.0), atoms=((0.5, 1.0),)),
+     r"empty interval \[1.0, 0.0\]"),
+    (lambda: DiscreteMeasure(interval=(0.0, 1.0), atoms=()),
+     "needs at least one atom"),
+    (lambda: shift_theta(OrderParameter.delta_at(0.5, (0.0, 1.0)), 1.5),
+     r"shift q=1.5 outside \[0, 1.0\]"),
+], ids=["empty_interval", "no_atoms", "shift_beyond_interval"])
+def test_documented_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

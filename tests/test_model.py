@@ -189,3 +189,8 @@ def test_non_finite_model_spec_rejected():
                  '{"coeffs_sq": [0, Infinity]}'):
         with pytest.raises(ValueError, match="finite"):
             MixedModel.from_json(text)
+
+
+def test_shifted_coefficients_start_at_k_1():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        sk_model(1.0).shift(0.2).beta_k_sq(0)

@@ -252,7 +252,8 @@ def test_simulate_control_driftless_vs_quadrature(sk_full):
     g, w = gauss_hermite(80)
     sd = math.sqrt(sk_full.xi_prime(s) - sk_full.xi_prime(q))
     fr = sol.frame_at(s)
-    direct = float(np.sum(w * np.asarray(fr.eval_phi_x(x0 + sd * g)) ** 2))
+    direct = float(np.sum(w * hermite_eval(sol.x_grid[0], sol.config.dx,
+                                           fr.phi_x, fr.phi_xx, x0 + sd * g) ** 2))
     assert abs(out["u2_mean"][0] - direct) <= 3.0 * out["u2_se"][0]
     # deterministic propagator agrees too
     det = float(sol.expected_u_squared(s, np.array([x0]))[0])
@@ -355,7 +356,7 @@ def test_boundary_inverse_matches_inverse_phi_x_on_rsb(model, q, atoms,
     sol = _wide_solve(model, q, atoms, one_minus_a)
     a = 1.0 - one_minus_a
     x = sol.boundary_inverse_phi_x(a)
-    assert abs(x - sol.inverse_phi_x(q, a)) <= 1e-8
+    assert abs(x - sol.inverse_phi_x(a)) <= 1e-8
     assert sol.boundary_inverse_phi_x(-a) == -x
 
 
@@ -381,7 +382,7 @@ def test_boundary_inverse_refuses_a_slope_beyond_the_grid():
 def _both_inverses(sol):
     """(name, inverse of a slope array, interior slopes) for each inverse."""
     edge = 1.0 - 10.0 ** -np.arange(3.0, 10.0)
-    return [("phi_x", lambda a: sol.inverse_phi_x(sol.t0, a),
+    return [("phi_x", sol.inverse_phi_x,
              np.linspace(-0.95, 0.95, 9)),
             ("log_complement", sol.boundary_inverse_phi_x,
              np.concatenate([edge, -edge]))]
@@ -834,3 +835,91 @@ def test_band_zeta_short_of_the_horizon_is_refused():
         EffectiveField(sh, short)(0.3)
     full = OrderParameter.delta_at(0.0, (0.0, sh.horizon))
     assert np.isfinite(EffectiveField(sh, full)(0.3))
+
+
+def _sk14_two_atoms(dx=SolverConfig.dx):
+    """SK beta = 1.4, zeta = delta_0 / 2 + delta_0.6 / 2."""
+    zeta = OrderParameter.from_atoms((0.0, 1.0), [(0.0, 0.5), (0.6, 0.5)])
+    return solve(sk_model(1.4), zeta, SolverConfig(dx=dx))
+
+
+@pytest.mark.parametrize("dx", [0.1, 0.03])
+def test_reads_at_the_grid_points_return_the_frame(dx):
+    # the reader's step is config.dx, the one the layers use; the step
+    # x[1] - x[0] of the grid itself misses it by ~6e-15 and read 1.2e-13
+    # and 1.9e-13 off the frame at these steps
+    sol = _sk14_two_atoms(dx)
+    read = sol.phi_x(0.0, sol.x_grid)
+    assert np.max(np.abs(read - sol.frame_at(0.0).phi_x)) <= 1e-14
+
+
+def test_path_expectation_refuses_starts_beyond_the_grid():
+    # E u(s)^2 <= 1 since |Phi_x| < 1; a start at 100 read 1.00000026, and
+    # one at NaN read NaN
+    sol = _sk14_two_atoms()
+    edge = sol.x_grid[-1]
+    assert sol.expected_u_squared(0.6, edge) <= 1.0
+    for x in (edge + sol.config.dx, 100.0, math.nan):
+        with pytest.raises(ValueError, match="beyond the solved grid"):
+            sol.expected_u_squared(0.6, x)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.6])
+def test_path_expectation_refuses_a_grid_function_of_another_length(s):
+    # seven entries more shift every grid point by seven cells
+    sol = _sk14_two_atoms()
+    f = sol.frame_at(s).phi_x ** 2
+    right = sol.path_expectation(s, f, 0.3)
+    assert right == sol.expected_u_squared(s, 0.3)
+    with pytest.raises(ValueError, match="grid function of shape"):
+        sol.path_expectation(s, np.concatenate([f[:7], f]), 0.3)
+
+
+def test_second_derivative_identity_reads_the_steps_of_any_solve():
+    # the atoms are the jumps of the CDF steps, so an optimizer solve of
+    # zeta's own steps gives the identity of zeta's plain solve
+    zeta = OrderParameter.from_atoms((0.2, 1.0), [(0.2, 0.4), (0.6, 0.6)])
+    model = sk_model(1.0, convention="full")
+    steps = solve_steps(model, zeta.interval, zeta.nodes, zeta.levels)
+    plain = solve(model, zeta)
+    kw = dict(n_paths=2000, seed=3, n_steps=64)
+    assert second_derivative_identity(steps, 0.5, **kw) \
+        == second_derivative_identity(plain, 0.5, **kw)
+
+
+def _pde_refusals():
+    sk, unit = sk_model(1.0), OrderParameter.delta_at(0.0, (0.0, 1.0))
+    cfg = SolverConfig()
+    sol = solve(sk, unit)
+    tilted = solve_band(sk.shift(0.2), 0.3,
+                        OrderParameter.delta_at(0.0, (0.0, 0.8)))
+    return {
+        "node_count": (lambda: pde.PDESolution(
+            sk, (0.0, 1.0), [0.0, 1.0], [0.5, 1.0], 0.0, cfg),
+            "one more node than levels"),
+        "decreasing_nodes": (lambda: pde.PDESolution(
+            sk, (0.0, 1.0), [0.0, 0.7, 0.4, 1.0], [0.2, 0.5, 0.8], 0.0, cfg),
+            "nodes and levels must be nondecreasing"),
+        "level_above_1": (lambda: pde.PDESolution(
+            sk, (0.0, 1.0), [0.0, 1.0], [1.5], 0.0, cfg),
+            r"levels must lie in \[0, 1\]"),
+        "time_after_t1": (lambda: sol.path_expectation(
+            1.5, sol.frame_at(1.0).phi, 0.0),
+            "measurement time outside the solved interval"),
+        "interval_beyond_1": (lambda: solve(
+            sk, OrderParameter.delta_at(0.5, (0.0, 1.5))),
+            r"interval inside \[0, 1\]"),
+        "unify_tilted": (lambda: unify(tilted, 0.3, 0.0), "untilted"),
+        "parisi_zeta_on_q_1": (lambda: parisi_functional(
+            sk, OrderParameter.delta_at(0.5, (0.2, 1.0))),
+            r"zeta on \[0, 1\]"),
+        "parisi_no_atoms": (lambda: parisi_measure(sk, r_atoms=0),
+                            "r_atoms must be at least 1"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_pde_refusals()))
+def test_documented_refusals(case):
+    call, message = _pde_refusals()[case]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -8,8 +8,8 @@ from gtap.model import MixedModel, sk_model
 from gtap.pde import solve_band
 from gtap.rs import (at_line_scan, big_gamma, big_gamma_curve, classical_tap,
                      entropy_I, gamma_mu, gamma_second_derivative,
-                     gamma_second_derivative_fd, is_replica_symmetric, plefka,
-                     v_rs)
+                     gamma_second_derivative_fd, is_replica_symmetric,
+                     phi_band_rs, plefka, v_rs)
 
 
 def test_v_rs_values():
@@ -215,3 +215,8 @@ def test_gamma_curve_vs_composite_simpson(atoms):
     assert np.max(np.abs(big_gamma_curve(sh, mu, grid) - oracle)) < 1e-10
     assert big_gamma(sh, mu, sh.horizon) == pytest.approx(simpson[-1],
                                                           abs=1e-10)
+
+
+def test_band_rs_solution_refuses_a_second_derivative():
+    with pytest.raises(ValueError, match="deriv must be 0 or 1"):
+        phi_band_rs(sk_model(1.0).shift(0.2), 0.3, 0.1, 0.0, deriv=2)

@@ -29,6 +29,12 @@ def test_lambda_at_zero_slope(mixed_23):
     assert lam == pytest.approx(float(sol.phi(q, 0.0)), abs=1e-10)
 
 
+def test_lambda_refuses_a_slope_beyond_the_cube(mixed_23):
+    zeta = OrderParameter.delta_at(0.2, (0.2, 1.0))
+    with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
+        lambda_conj(mixed_23, 0.2, 1.5, zeta)
+
+
 def test_lambda_at_boundary_slope(mixed_23):
     q = 0.2
     zeta = OrderParameter.from_atoms((q, 1.0), [(q, 0.5), (0.6, 0.5)])
@@ -317,6 +323,24 @@ def test_directional_derivative_reads_the_fields_own_solves(monkeypatch):
     assert len(built) == 2
 
 
+@pytest.mark.parametrize("which", ["zeta1", "zeta0"])
+@pytest.mark.parametrize("interval", [(0.0, 0.3), (0.0, 2.0)])
+def test_directional_derivative_refuses_an_order_parameter_off_the_band(
+        mixed_23, which, interval):
+    # q = 0.145, band [0, 0.855]: a zeta1 on [0, 0.3] returned -0.0788, and
+    # one on [0, 2] failed only in the model's domain check
+    mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.2, 0.5), (0.5, 0.5)))
+    sh = mixed_23.shift(mu.moment(2))
+    z0 = OrderParameter.from_atoms((0.0, sh.horizon),
+                                   [(0.0, 0.5), (sh.horizon, 0.5)])
+    off = OrderParameter.from_atoms(interval, [(0.0, 0.3), (0.2, 0.7)])
+    v0 = EffectiveField(sh, z0)
+    zetas = (z0, off) if which == "zeta1" else (off, z0)
+    with pytest.raises(ValueError, match=r"not the band \[0, 1-q\] = "
+                                         r"\[0, 0.855\]"):
+        directional_derivative(sh, mu, v0, zetas[0], v0, zetas[1])
+
+
 def test_optimality_check_at_minimizer():
     model = sk_model(0.5, convention="half")
     mu = DiscreteMeasure(interval=(0.0, 1.0), atoms=((0.1, 0.6), (0.4, 0.4)))
@@ -383,7 +407,7 @@ def test_tap_read_inverts_every_atom_at_once(monkeypatch, n_atoms):
     assert len(stencils) <= 6
     # the per-atom loop, to the bit
     locs = split_boundary(mu)[0]
-    xs = [sol.inverse_phi_x(q, a) for a in locs]
+    xs = [sol.inverse_phi_x(a) for a in locs]
     total = sum(w * (float(sol.phi(q, x)) - a * x)
                 for a, w, x in zip(locs, wts, xs))
     total += edge * (0.5 * sol.int_xi_pp_zeta())
@@ -436,6 +460,21 @@ def test_effective_field_re_solves_wider_for_a_far_start(mixed_23):
         - 0.5 * zb.integral_against(sh.theta_q)
     assert abs(val - oracle) <= 1e-12
     assert abs(band_functional(sh, mu, ev, 0.0, zb) - at_zero) <= 1e-12
+
+
+def test_effective_field_reads_its_current_solve(mixed_23):
+    # after the lambda = 60 re-solve a memo of the narrow solve's value read
+    # 0.7461932312824797 against the wide solve's 0.7461932312824782
+    a = 0.3
+    mu = DiscreteMeasure.delta(a, interval=(0.0, 1.0))
+    q = mu.moment(2)
+    zeta = OrderParameter.from_atoms((q, 1.0), [(q, 0.4), (0.7, 0.6)])
+    sh, zb = mixed_23.shift(q), band_coords(zeta)
+    ev = EffectiveField(sh, zb)
+    assert ev(a) == ev.solution_for(a).inverse_phi_x(0.0)
+    band_functional(sh, mu, ev, 60.0, zb)
+    assert ev.solution_for(a).x_grid[-1] == pytest.approx(32.25)
+    assert ev(a) == ev.solution_for(a).inverse_phi_x(0.0)
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.5])
