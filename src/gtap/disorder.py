@@ -42,6 +42,9 @@ GENERALIZED_TOL = 1e-9       # its sup-norm residual tolerance
 ASCENT_STEP = 0.5            # first step length of tap_ascent
 ASCENT_BOUND = 1.0 - BOUNDARY_ATOM_TOL   # its cube: |m_i| <= ASCENT_BOUND
 ASCENT_GTOL = 1e-6           # its converged tangent-gradient norm
+# grad_tap inverts log(1 - Phi_x) for |m_i| >= 1 - LOG_COMPLEMENT_TOL: there
+# Phi_x's own inverse is off by ~1e-9 and the log-complement one by ~1e-11
+LOG_COMPLEMENT_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -356,11 +359,13 @@ def grad_tap(model: MixedModel, m, r_atoms: int = 2,
     Equals -(1/N) (psi_bar(q, m_i, zeta_m) + m_i xi''(q) int_q^1 zeta_m(s) ds)
     with zeta_m the minimizing order parameter of TAP(mu_|m|); psi_bar is odd
     in its magnetization argument, so signed coordinates work directly. It
-    comes from the minimizer's solve, re-solved wider for a boundary atom.
-    There, |m_i| >= 1 - BOUNDARY_ATOM_TOL, psi_bar is the finite root of
-    log(1 - Phi_x) = log(1 - |m_i|) (`PDESolution.boundary_inverse_phi_x`),
-    not `tap.psi_bar`'s +-inf limit, and not an inversion of Phi_x, where
-    one ulp would move it by ~5e-8.
+    comes from the minimizer's solve, re-solved wider for a boundary atom
+    (|m_i| >= 1 - BOUNDARY_ATOM_TOL), where psi_bar is the finite root, not
+    `tap.psi_bar`'s +-inf limit. For every |m_i| >= 1 - LOG_COMPLEMENT_TOL,
+    psi_bar solves log(1 - Phi_x) = log(1 - |m_i|)
+    (`PDESolution.boundary_inverse_phi_x`), not Phi_x = m_i, whose slope
+    Phi_xx falls like 1 - |m_i|: one ulp of Phi_x would move it by ~5e-8 at
+    the boundary rule.
     """
     m = np.asarray(m, dtype=float)
     if np.any(np.abs(m) >= 1.0):
@@ -371,12 +376,14 @@ def grad_tap(model: MixedModel, m, r_atoms: int = 2,
     # the solve's q, the second moment of mu: m . m / N can differ in the
     # last bit
     q, zeta_m = result.q, result.minimizer_zeta
-    sol, edge, psi_vals = result.solution, _at_boundary(m), np.empty(N)
-    if edge.any():
+    sol, psi_vals = result.solution, np.empty(N)
+    if _at_boundary(m).any():
         sol = _orig_solution(model, q, zeta_m, config,
                              a_max=float(np.max(np.abs(m))))
-        psi_vals[edge] = sol.boundary_inverse_phi_x(m[edge])
-    psi_vals[~edge] = sol.inverse_phi_x(m[~edge])
+    near = np.abs(m) >= 1.0 - LOG_COMPLEMENT_TOL
+    if near.any():
+        psi_vals[near] = sol.boundary_inverse_phi_x(m[near])
+    psi_vals[~near] = sol.inverse_phi_x(m[~near])
     int_zeta = restrict_zeta(zeta_m, q).integral()
     grad = -(psi_vals + m * model.xi_double_prime(q) * int_zeta) / N
     return grad, result

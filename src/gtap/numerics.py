@@ -120,9 +120,9 @@ class GridStencil:
 
 class ShiftStencil(GridStencil):
     """The shared-fraction form of `GridStencil` for the points x_k + shift_j,
-    every grid point x_k (k < size) moved by every shift, shape (size, m):
-    the stencil of a PDE layer, whose shifts are sigma times the
-    Gauss-Hermite nodes.
+    the grid points x_k of the row range first <= k < first + size moved by
+    every shift, shape (size, m): the stencil of a PDE layer, whose shifts
+    are sigma times the Gauss-Hermite nodes.
 
     All points of one shift share the cell offset floor(shift_j / dx) and the
     fraction, so the cubic weights are one number per shift, and the cell
@@ -131,17 +131,18 @@ class ShiftStencil(GridStencil):
     slope for Hermite, the edge value for linear), which cubic Hermite
     reproduces, so no point needs a tail mask. Agrees with the per-point
     form to rounding. The values are computed one shift per row and returned
-    as the transposed view.
+    as the transposed view. The grid functions are always whole, so a row
+    range reads the same neighbours as the full one.
     """
 
-    def __init__(self, dx: float, size: int, shifts):
+    def __init__(self, dx: float, size: int, shifts, first: int = 0):
         u = np.asarray(shifts, dtype=float) / dx
         off = np.floor(u)
         self.t = (u - off)[:, None]
         off = off.astype(np.int64)
         # the cell k + off_j and its right end lie in the padded function
         self.pad = int(max(-off.min(), off.max() + 1, 0))
-        self.rows = off + self.pad
+        self.rows = off + self.pad + first
         self.size = size
         self.dx = dx
         self.tails = []

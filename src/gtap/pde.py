@@ -42,9 +42,11 @@ E f(X_s) of the optimal-control diffusion
 
 which is the Doob transform of the time-changed Brownian motion by
 exp(z Phi). An antithetic Euler-Maruyama simulator of the same SDE is
-provided for Monte-Carlo cross-checks; it reads the drift from phi_x_table,
-interpolated linearly at the paths, and only on steps where the drift
-coefficient xi''(s) zeta(s) is not 0.
+provided for Monte-Carlo cross-checks. It reads the drift only on steps
+where the drift coefficient xi''(s) zeta(s) is not 0, from phi_x_table on
+the window of grid cells the paths occupy at that step, interpolated
+linearly at the paths. A helper thread draws the normals one step ahead,
+in a plain loop's order, so a seed gives the same stream as one.
 
 The Parisi functional Phi_zeta(0, h) - (1/2) int s xi'' zeta at the model's
 external field h is one read-out of a solve (`_parisi_on`);
@@ -56,6 +58,8 @@ is allocated.
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -144,7 +148,8 @@ class _Layer:
     """Transition kernel of one layer below an upper frame.
 
     Holds the shared-fraction stencil (`numerics.ShiftStencil`) of the
-    quadrature points X = x + sigma g and the normalized Doob weights
+    quadrature points X = x + sigma g, for the grid points x of its row range
+    rows = (first row, row count), and the normalized Doob weights
     exp(level Phi_upper(X)) (plain Gauss-Hermite weights at level 0), so
     that `mean` averages values at X over the layer, `pull` averages a grid
     function and `log_pull` does so in log space.
@@ -156,12 +161,13 @@ class _Layer:
     """
 
     def __init__(self, upper: Frame, sigma: float, level: float,
-                 x: np.ndarray, config: SolverConfig):
+                 rows: tuple[int, int], config: SolverConfig):
         g, self.w = gauss_hermite(config.gh_order)
         self.upper = upper
         self.level = level
         self.dx = config.dx
-        self.stencil = ShiftStencil(config.dx, x.size, sigma * g)
+        first, count = rows
+        self.stencil = ShiftStencil(config.dx, count, sigma * g, first)
         if level > 0.0:
             self._small = level * (self.P.max() - self.P.min()) < 0.1
             if self._small:
@@ -341,25 +347,29 @@ class PDESolution:
         idx = min(max(idx, 0), len(self.levels) - 1)
         return float(self.levels[idx])
 
-    def _layer(self, t_hi: float, t_lo: float,
-               level: float) -> tuple[Frame, _Layer | None]:
+    def _layer(self, t_hi: float, t_lo: float, level: float,
+               rows: tuple[int, int] | None = None
+               ) -> tuple[Frame, _Layer | None]:
         """Solved frame at t_hi and the kernel of the layer down to t_lo
-        (None when the layer has no width)."""
+        (None when the layer has no width) on the grid rows (first row, row
+        count), all of them when rows is None."""
         upper = self._frames[self._key(t_hi)]
         sp = self.mixture.xi_prime
         sigma = math.sqrt(max(sp(t_hi) - sp(t_lo), 0.0))
         if sigma <= 1e-14:
             return upper, None
-        return upper, _Layer(upper, sigma, level, self.x_grid, self.config)
+        return upper, _Layer(upper, sigma, level,
+                             rows or (0, self.x_grid.size), self.config)
 
-    def _off_node_layer(self, t: float) -> tuple[Frame, _Layer | None]:
-        """Frame at the first node at or above t and the kernel down to t;
-        ValueError for t outside [t0, t1]."""
+    def _off_node_layer(self, t: float, rows: tuple[int, int] | None = None
+                        ) -> tuple[Frame, _Layer | None]:
+        """Frame at the first node at or above t and the kernel down to t on
+        the grid rows of `_layer`; ValueError for t outside [t0, t1]."""
         if not self.t0 - 1e-12 <= t <= self.t1 + 1e-12:
             raise ValueError(f"time {t} outside [{self.t0}, {self.t1}]")
         idx = int(np.searchsorted(self.nodes, t + 1e-13, side="left"))
         t_up = float(self.nodes[min(idx, len(self.nodes) - 1)])
-        return self._layer(t_up, float(t), self._level_at(t))
+        return self._layer(t_up, float(t), self._level_at(t), rows)
 
     def _solve(self, with_gradients: bool) -> None:
         """Frames from t1 down to t0; `with_gradients` also pulls the rows of
@@ -530,20 +540,27 @@ class PDESolution:
         return self.interpolate(f_cur, grid_derivative(f_cur, self.config.dx),
                                 x_start)
 
-    def phi_x_table(self, t: float) -> np.ndarray:
-        """Phi_x on the grid at time t, without derivative bookkeeping.
+    def phi_x_table(self, t: float, lo: int, hi: int) -> np.ndarray:
+        """Phi_x at time t on the grid indices lo..hi, without derivative
+        bookkeeping.
 
         Cheaper than frame_at for the many drift evaluations of the SDE
         simulator: the same Gibbs-weighted recursion on the same stencil,
-        first moment only, so an off-node table has frame_at's bits. Like
-        frame_at, refuses t outside [t0, t1].
+        first moment only and on the rows lo..hi alone, which read the whole
+        upper frame. The full window 0..n-1 has frame_at's bits; a narrower
+        one agrees with its slice to rounding (the Doob weights' sums and the
+        small-level test see fewer rows). Like frame_at, refuses t outside
+        [t0, t1], and refuses a window not inside the grid.
         """
+        if not 0 <= lo <= hi < self.x_grid.size:
+            raise ValueError(f"window {lo}..{hi} not inside the grid indices "
+                             f"0..{self.x_grid.size - 1}")
         key = self._key(t)
         if key in self._frames:
-            return self._frames[key].phi_x
-        upper, layer = self._off_node_layer(t)
+            return self._frames[key].phi_x[lo:hi + 1]
+        upper, layer = self._off_node_layer(t, (lo, hi + 1 - lo))
         if layer is None:
-            return upper.phi_x
+            return upper.phi_x[lo:hi + 1]
         return layer.mean(layer.stencil.hermite(upper.phi_x, upper.phi_xx))
 
     def expected_u_squared(self, s: float, x_start):
@@ -595,6 +612,57 @@ def unify(original_sol: PDESolution, a: float, x):
     return original_sol.phi(original_sol.t0, x - a * I) - a * x + 0.5 * a * a * I
 
 
+class _NormalRing:
+    """The diffusion increments of an Euler loop, drawn one step ahead.
+
+    A helper thread owns the generator for the whole loop: it fills two
+    preallocated buffers in turn with `rng.standard_normal` and scales each
+    by its step's sigma, in the order a plain loop draws them, so the stream
+    is the plain loop's while the draws overlap the caller's work on another
+    core. `take` waits for the next step's buffer, `give` hands it back once
+    used; an exception of the helper is re-raised by `take`. Leaving the
+    `with` block stops and joins the helper, on any return or raise.
+    """
+
+    def __init__(self, rng: np.random.Generator, half: int, sigmas):
+        self._free: queue.SimpleQueue = queue.SimpleQueue()
+        self._full: queue.SimpleQueue = queue.SimpleQueue()
+        for _ in range(2):
+            self._free.put(np.empty(half))
+        self._thread = threading.Thread(target=self._fill, args=(rng, sigmas),
+                                        name="gtap-normals", daemon=True)
+
+    def _fill(self, rng: np.random.Generator, sigmas) -> None:
+        # numpy only: the helper calls nothing of gtap's
+        try:
+            for sigma in sigmas:
+                z = self._free.get()
+                if z is None:
+                    return
+                rng.standard_normal(out=z)
+                z *= sigma
+                self._full.put(z)
+        except BaseException as exc:   # re-raised by the caller's take
+            self._full.put(exc)
+
+    def __enter__(self) -> "_NormalRing":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._free.put(None)
+        self._thread.join()
+
+    def take(self) -> np.ndarray:
+        z = self._full.get()
+        if isinstance(z, BaseException):
+            raise z
+        return z
+
+    def give(self, z: np.ndarray) -> None:
+        self._free.put(z)
+
+
 def simulate_control(sol: PDESolution, x0: float, n_paths: int,
                      n_steps: int | None = None, seed: int = 0,
                      times=None) -> dict:
@@ -605,10 +673,16 @@ def simulate_control(sol: PDESolution, x0: float, n_paths: int,
     returns the pair averages of u(s)^2 = Phi_x(s, X_s)^2, `pairs_u2`, and
     their mean and standard error. Diffusion increments use the exact
     variance xi'(t + dt) - xi'(t); the drift is explicit Euler, O(dt) bias,
-    with phi_x_table interpolated linearly at the paths; n_steps None takes
-    SDE_STEPS. ValueError for n_paths < 3 (fewer than two pairs), n_steps
-    < 1, a non-finite x0, or |x0| beyond the escape limit x_grid[-1] - 0.5;
-    RuntimeError when a path crosses it.
+    interpolated linearly at the paths from phi_x_table on the window of
+    grid cells the paths occupy, read only on steps where xi'' zeta is not
+    0. The normals are drawn one step ahead by a helper thread that owns
+    the generator (`_NormalRing`), in the order of a plain loop, so a seed
+    gives the same stream as one; the thread is joined before any return or
+    raise. n_steps None takes SDE_STEPS. ValueError for n_paths < 3 (fewer
+    than two pairs), n_steps < 1, a non-finite x0, |x0| beyond the escape
+    limit x_grid[-1] - 0.5, or a time that is not finite or outside [t0, t1]
+    (1e-12 slack, as frame_at), all before any step; RuntimeError when a
+    path crosses the escape limit.
     """
     x0 = float(x0)
     xlim = float(sol.x_grid[-1]) - 0.5
@@ -623,6 +697,10 @@ def simulate_control(sol: PDESolution, x0: float, n_paths: int,
         raise ValueError(f"n_steps = {n_steps}: need at least one Euler step")
     if times is None:
         times = [float(t) for t in sol.nodes]
+    bad = [t for t in times if not sol.t0 - 1e-12 <= t <= sol.t1 + 1e-12]
+    if bad:    # NaN fails both comparisons
+        raise ValueError(f"times {bad} not finite or outside the solve's "
+                         f"[{sol.t0}, {sol.t1}]")
     times_set = {PDESolution._key(t) for t in times}
     grid = np.unique(np.concatenate(
         [np.linspace(sol.t0, sol.t1, n_steps + 1),
@@ -642,50 +720,60 @@ def simulate_control(sol: PDESolution, x0: float, n_paths: int,
         measure(float(grid[0]), X)
     x0g, dxg = float(sol.x_grid[0]), sol.config.dx
     sp, spp = sol.mixture.xi_prime, sol.mixture.xi_double_prime
+    # Horner's rule elementwise: the arrays hold the scalar calls' values
+    sigmas = np.sqrt(np.maximum(np.diff(sp(grid)), 0.0))
+    spp_grid = spp(grid)
     # the steps work in place on buffers made once: with glibc's default
     # thresholds each fresh path-sized array is mapped anew, and its page
     # faults cost more than its arithmetic
     frac, drift, buf = np.empty_like(X), np.empty_like(X), np.empty_like(X)
     cell = np.empty(X.size, dtype=np.intp)
-    z = np.empty(half)
-    for k in range(len(grid) - 1):
-        t, t_next = float(grid[k]), float(grid[k + 1])
-        dt = t_next - t    # > 0: the grid is strictly increasing
-        coef = spp(t) * sol._level_at(t)
-        if coef != 0.0:
-            # linear interpolation of the table at the paths: every path is
-            # at least 0.5 inside the grid (start and escape checks), so the
-            # truncated position is the cell and the cell has a right end
-            table = sol.phi_x_table(t)
-            np.subtract(X, x0g, out=frac)
-            frac /= dxg
-            np.trunc(frac, out=buf)
-            np.copyto(cell, buf, casting="unsafe")
-            frac -= buf
-            # mode "clip" writes straight into out (the cells are in range)
-            table.take(cell, out=drift, mode="clip")
-            np.subtract(1.0, frac, out=buf)
-            drift *= buf
-            table[1:].take(cell, out=buf, mode="clip")
-            frac *= buf
-            drift += frac
-            drift *= coef
-            drift *= dt
-            X += drift
-        rng.standard_normal(out=z)
-        z *= math.sqrt(max(sp(t_next) - sp(t), 0.0))
-        X[:half] += z
-        X[half:] -= z
-        if X.max() > xlim or X.min() < -xlim:
-            raise RuntimeError("SDE path escaped the solver grid; enlarge x_pad")
-        if PDESolution._key(t_next) in times_set:
-            measure(t_next, X)
+    # the drift table A = xi'' zeta dt Phi_x and its forward difference B on
+    # the window of the step's cells, at the cells' own indices
+    a_tab, b_tab = np.empty(sol.x_grid.size), np.empty(sol.x_grid.size)
+    x_lo = x_hi = x0
+    with _NormalRing(rng, half, sigmas) as normals:
+        for k in range(len(grid) - 1):
+            t, t_next = float(grid[k]), float(grid[k + 1])
+            dt = t_next - t    # > 0: the grid is strictly increasing
+            coef = float(spp_grid[k]) * sol._level_at(t)
+            if coef != 0.0:
+                # every path is at least 0.5 inside the grid (start and
+                # escape checks), so the truncated position is the cell and
+                # the cell has a right end; the cell is monotone in the
+                # position, so the lowest and highest paths give cell.min()
+                # and cell.max() + 1, the window no gather leaves
+                np.subtract(X, x0g, out=frac)
+                frac /= dxg
+                np.trunc(frac, out=buf)
+                np.copyto(cell, buf, casting="unsafe")
+                frac -= buf
+                lo, hi = int((x_lo - x0g) / dxg), int((x_hi - x0g) / dxg) + 1
+                a = a_tab[lo:hi + 1]
+                np.multiply(sol.phi_x_table(t, lo, hi), coef, out=a)
+                a *= dt
+                np.subtract(a[1:], a[:-1], out=b_tab[lo:hi])
+                # mode "clip" writes straight into out (the cells are in
+                # the window)
+                a_tab.take(cell, out=drift, mode="clip")
+                b_tab.take(cell, out=buf, mode="clip")
+                buf *= frac
+                drift += buf
+                X += drift
+            z = normals.take()
+            X[:half] += z
+            X[half:] -= z
+            normals.give(z)
+            x_lo, x_hi = float(X.min()), float(X.max())
+            if x_hi > xlim or x_lo < -xlim:
+                raise RuntimeError("SDE path escaped the solver grid; "
+                                   "enlarge x_pad")
+            if PDESolution._key(t_next) in times_set:
+                measure(t_next, X)
 
     out = {"times": [], "u2_mean": [], "u2_se": [], "pairs_u2": pairs_u2,
            "n_paths": 2 * half}
-    for key in sorted(times_set):
-        if key not in pairs_u2:
-            continue
+    for key in sorted(times_set):    # every time is a grid time, measured
         v = pairs_u2[key]
         out["times"].append(key)
         out["u2_mean"].append(float(np.mean(v)))

@@ -633,6 +633,29 @@ def test_grad_tap_matches_closed_form_at_rs_minimizer():
     assert abs(grad[2] - exact[2]) <= 1e-12
 
 
+@pytest.mark.parametrize("e", [1e-3, 1e-5, 1e-6, 1e-7, 1e-8, 2e-9, 1e-9])
+def test_grad_tap_near_the_boundary_matches_the_closed_form(e):
+    # every |m_i| >= 1 - 1e-3 is solved on log(1 - Phi_x): inverting Phi_x
+    # there read the entry 2.8e-10, 4.3e-10, 3.2e-10, -1.1e-10, 4.9e-10
+    # and -1.2e-9 off at e = 1e-3 ... 2e-9. Entries below keep Phi_x's
+    # inverse on the solve grad_tap reads, bit for bit
+    from gtap.measures import restrict_zeta
+    model = sk_model(0.5)
+    m = np.array([0.3, -0.5, 1.0 - e, 0.2])
+    grad, res = grad_tap(model, m, r_atoms=2)
+    q = res.q
+    assert res.minimizer_zeta.measure.atoms == ((q, 1.0),)
+    exact = -(np.arctanh(m[2]) + m[2] * model.xi_double_prime(q) * (1.0 - q)) \
+        / m.size
+    assert abs(grad[2] - exact) <= 1e-12
+    if e > 1e-9:     # not a boundary atom: the minimizer's own solve
+        interior = m[[0, 1, 3]]
+        int_zeta = restrict_zeta(res.minimizer_zeta, q).integral()
+        old = -(res.solution.inverse_phi_x(interior)
+                + interior * model.xi_double_prime(q) * int_zeta) / m.size
+        assert np.array_equal(grad[[0, 1, 3]], old)
+
+
 def test_grad_tap_boundary_entry_builds_one_wide_solve(monkeypatch):
     # the log-complement inverse reads the wide re-solve grad_tap already
     # builds: the minimizer's solves and one more, nothing else

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -310,6 +312,45 @@ def test_sde_refuses_fewer_than_one_step(sk_two_atoms, check, n_steps):
         check(sk_two_atoms, 0.5, n_paths=1000, n_steps=n_steps)
 
 
+@pytest.mark.parametrize("times", [[math.nan], [1.5], [0.1, 0.6]])
+def test_simulate_control_refuses_times_off_the_solve(sk_two_atoms, times,
+                                                      monkeypatch):
+    # [nan] returned an empty result; [1.5] on the [0.2, 1] solve failed
+    # only after stepping, in the mixture's domain check. A time off the
+    # solve is refused before any step: no drift table is read
+    def no_table(*args):
+        raise AssertionError("stepped before refusing the times")
+
+    monkeypatch.setattr(sk_two_atoms, "phi_x_table", no_table)
+    with pytest.raises(ValueError, match="times"):
+        simulate_control(sk_two_atoms, 0.5, n_paths=1000, n_steps=16,
+                         times=times)
+
+
+def test_simulate_control_escape_joins_the_draw_thread(sk_two_atoms):
+    # a start at the escape limit: about half the paths cross it on the
+    # first step; the RuntimeError leaves no helper thread behind
+    before = threading.active_count()
+    x0 = float(sk_two_atoms.x_grid[-1]) - 0.5
+    with pytest.raises(RuntimeError, match="escaped"):
+        simulate_control(sk_two_atoms, x0, n_paths=1000, n_steps=16)
+    assert threading.active_count() == before
+
+
+def test_simulate_control_reraises_a_draw_failure(sk_two_atoms, monkeypatch):
+    # the helper thread owns the generator: its exception reaches the
+    # caller, and the thread is joined
+    class Broken:
+        def standard_normal(self, out):
+            raise FloatingPointError("no draws")
+
+    monkeypatch.setattr(pde.np.random, "default_rng", lambda seed: Broken())
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="no draws"):
+        simulate_control(sk_two_atoms, 0.5, n_paths=1000, n_steps=16)
+    assert threading.active_count() == before
+
+
 def test_second_derivative_identity_refuses_a_tilted_solve():
     # with tilt a the boundary has Phi_xx = 1 - (Phi_x + a)^2, so the
     # identity does not apply: at a = 0.5 it read lhs 0.737, rhs 0.239
@@ -449,6 +490,44 @@ def test_simulate_control_matches_plain_euler_loop(mixed_23):
             np.testing.assert_allclose(out["pairs_u2"][t_next],
                                        0.5 * (u2[:half] + u2[half:]),
                                        rtol=0, atol=1e-10)
+
+
+def test_simulate_control_drifts_from_the_first_step_as_a_plain_loop(
+        mixed_23):
+    # level 0.4 from t0 = 0.25, so every step drifts, the first one from
+    # the start alone; a plain loop with np.interp of frame_at and the
+    # same antithetic normals pins the draw order of the helper thread,
+    # here with the interpreter switching threads as often as it can.
+    # The grid step is 1/64, so the node and times are grid times exactly
+    zeta = OrderParameter.from_atoms((0.25, 1.0), [(0.25, 0.4),
+                                                   (0.625, 0.6)])
+    sol = solve(mixed_23, zeta)
+    x0, n_paths, n_steps, seed = -0.6, 1000, 48, 11
+    times = [0.5, 0.625, 1.0]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = simulate_control(sol, x0, n_paths, n_steps=n_steps, seed=seed,
+                               times=times)
+    finally:
+        sys.setswitchinterval(interval)
+    rng = np.random.default_rng(seed)
+    half = n_paths // 2
+    X = np.full(n_paths, x0)
+    grid = np.linspace(0.25, 1.0, n_steps + 1)
+    assert set(times) <= set(grid)
+    for t, t_next in zip(grid[:-1], grid[1:]):
+        slope = np.interp(X, sol.x_grid, sol.frame_at(t).phi_x)
+        drift = mixed_23.xi_double_prime(t) * zeta.cdf(t) * slope
+        sig = math.sqrt(mixed_23.xi_prime(t_next) - mixed_23.xi_prime(t))
+        z = rng.standard_normal(half)
+        X = X + drift * (t_next - t) + sig * np.concatenate([z, -z])
+        if t_next in times:
+            u2 = sol.phi_x(t_next, X) ** 2
+            np.testing.assert_allclose(out["pairs_u2"][t_next],
+                                       0.5 * (u2[:half] + u2[half:]),
+                                       rtol=0, atol=1e-10)
+    assert out["times"] == times
 
 
 def test_second_derivative_identity_quadrature(mixed_23, rng):
@@ -652,10 +731,38 @@ def test_phi_x_table_matches_frame_at_off_node(mixed_23, t):
     # fresh solves, since phi_x_table reads frame_at's cache
     zeta = OrderParameter.from_atoms((0.2, 1.0), [(0.4, 0.4), (0.7, 0.6)])
     assert zeta.cdf(t) == (0.0 if t < 0.4 else 0.4)
-    table = solve(mixed_23, zeta).phi_x_table(t)
+    sol = solve(mixed_23, zeta)
+    table = sol.phi_x_table(t, 0, sol.x_grid.size - 1)
     frame = solve(mixed_23, zeta).frame_at(t)
     # one stencil and one mean: the same bits
     np.testing.assert_array_equal(table, frame.phi_x)
+
+
+@pytest.mark.parametrize("t", [0.3, 0.55])
+def test_phi_x_table_window_matches_the_full_table(mixed_23, t):
+    # t = 0.3 in a level-0 layer, t = 0.55 in one of level 0.4: a window
+    # reads the whole upper frame, so it is the full table's slice up to
+    # the rounding of the Doob weights' row sums
+    zeta = OrderParameter.from_atoms((0.2, 1.0), [(0.4, 0.4), (0.7, 0.6)])
+    sol = solve(mixed_23, zeta)
+    n = sol.x_grid.size
+    full = sol.phi_x_table(t, 0, n - 1)
+    mid = n // 2
+    for lo, hi in ((mid - 1, mid + 1), (mid - 300, mid + 200), (0, 2),
+                   (0, 150), (n - 3, n - 1), (n - 151, n - 1)):
+        window = sol.phi_x_table(t, lo, hi)
+        assert window.shape == (hi - lo + 1,)
+        np.testing.assert_allclose(window, full[lo:hi + 1], rtol=0,
+                                   atol=1e-15)
+
+
+def test_phi_x_table_refuses_a_window_off_the_grid():
+    zeta = OrderParameter.from_atoms((0.2, 1.0), [(0.5, 0.5), (1.0, 0.5)])
+    sol = solve(MixedModel(coeffs_sq=(0.0, 1.0)), zeta)
+    n = sol.x_grid.size
+    for lo, hi in ((-1, 5), (5, 4), (0, n)):
+        with pytest.raises(ValueError, match="window"):
+            sol.phi_x_table(0.3, lo, hi)
 
 
 def test_phi_x_table_refuses_times_outside_the_solve():
@@ -663,7 +770,8 @@ def test_phi_x_table_refuses_times_outside_the_solve():
     zeta = OrderParameter.from_atoms((0.2, 1.0), [(0.5, 0.5), (1.0, 0.5)])
     sol = solve(MixedModel(coeffs_sq=(0.0, 1.0)), zeta)
     for t in (0.1, 1.1):
-        for read in (sol.phi_x_table, sol.frame_at):
+        for read in (lambda t: sol.phi_x_table(t, 0, sol.x_grid.size - 1),
+                     sol.frame_at):
             with pytest.raises(ValueError, match=rf"time {t} outside "
                                r"\[0.2, 1.0\]"):
                 read(t)
