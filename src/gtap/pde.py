@@ -45,8 +45,9 @@ exp(z Phi). An antithetic Euler-Maruyama simulator of the same SDE is
 provided for Monte-Carlo cross-checks. It reads the drift only on steps
 where the drift coefficient xi''(s) zeta(s) is not 0, from phi_x_table on
 the window of grid cells the paths occupy at that step, interpolated
-linearly at the paths. A helper thread draws the normals one step ahead,
-in a plain loop's order, so a seed gives the same stream as one.
+linearly at the paths. The one worker of a `ThreadPoolExecutor` draws the
+normals up to two steps ahead, in a plain loop's order, so a seed gives
+the same stream as one, and it is joined when the simulation ends.
 
 The Parisi functional Phi_zeta(0, h) - (1/2) int s xi'' zeta at the model's
 external field h is one read-out of a solve (`_parisi_on`);
@@ -58,8 +59,6 @@ is allocated.
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -315,6 +314,14 @@ class PDESolution:
         self.levels = np.asarray(levels, dtype=float)
         if self.nodes.size != self.levels.size + 1:
             raise ValueError("need one more node than levels")
+        for name, v in (("interval", (self.t0, self.t1)), ("tilt", self.a),
+                        ("nodes", self.nodes), ("levels", self.levels)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite: {v}")
+        if not (abs(self.nodes[0] - self.t0) <= 1e-12
+                and abs(self.nodes[-1] - self.t1) <= 1e-12):
+            raise ValueError(f"nodes must run from t0 = {self.t0} to t1 = "
+                             f"{self.t1}: {self.nodes}")
         if np.any(np.diff(self.nodes) < -1e-12) or np.any(np.diff(self.levels) < -1e-12):
             raise ValueError("nodes and levels must be nondecreasing")
         if np.any(self.levels < -1e-12) or np.any(self.levels > 1.0 + 1e-12):
@@ -371,17 +378,25 @@ class PDESolution:
         t_up = float(self.nodes[min(idx, len(self.nodes) - 1)])
         return self._layer(t_up, float(t), self._level_at(t), rows)
 
+    def _store(self, t: float, frame: Frame) -> Frame:
+        """Cache the frame at t with its arrays read-only, so no caller can
+        write into an array a later read of the solve uses."""
+        for arr in frame:
+            arr.setflags(write=False)
+        self._frames[self._key(t)] = frame
+        return frame
+
     def _solve(self, with_gradients: bool) -> None:
         """Frames from t1 down to t0; `with_gradients` also pulls the rows of
         `level_gradients` through each layer while it is at hand."""
-        self._frames[self._key(self.t1)] = _boundary_frame(self.a, self.x_grid)
+        self._store(self.t1, _boundary_frame(self.a, self.x_grid))
         r = len(self.levels)
         sens: dict[int, np.ndarray] = {}
         for p in range(r - 1, -1, -1):
             t_lo = float(self.nodes[p])
             upper, layer = self._layer(float(self.nodes[p + 1]), t_lo,
                                        float(self.levels[p]))
-            lower = self._frames[self._key(t_lo)] = _gibbs_step(upper, layer)
+            lower = self._store(t_lo, _gibbs_step(upper, layer))
             if not with_gradients:
                 continue
             if layer is None:
@@ -404,13 +419,12 @@ class PDESolution:
             self._level_grads.setflags(write=False)
 
     def frame_at(self, t: float) -> Frame:
-        """Solved frame at time t (sub-layer recursion for off-node t)."""
+        """Solved frame at time t (sub-layer recursion for off-node t), its
+        arrays read-only."""
         key = self._key(t)
         if key in self._frames:
             return self._frames[key]
-        upper, layer = self._off_node_layer(t)
-        self._frames[key] = _gibbs_step(upper, layer)
-        return self._frames[key]
+        return self._store(t, _gibbs_step(*self._off_node_layer(t)))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -549,8 +563,9 @@ class PDESolution:
         first moment only and on the rows lo..hi alone, which read the whole
         upper frame. The full window 0..n-1 has frame_at's bits; a narrower
         one agrees with its slice to rounding (the Doob weights' sums and the
-        small-level test see fewer rows). Like frame_at, refuses t outside
-        [t0, t1], and refuses a window not inside the grid.
+        small-level test see fewer rows). At a cached time it is a read-only
+        slice of the frame. Like frame_at, refuses t outside [t0, t1], and
+        refuses a window not inside the grid.
         """
         if not 0 <= lo <= hi < self.x_grid.size:
             raise ValueError(f"window {lo}..{hi} not inside the grid indices "
@@ -612,57 +627,6 @@ def unify(original_sol: PDESolution, a: float, x):
     return original_sol.phi(original_sol.t0, x - a * I) - a * x + 0.5 * a * a * I
 
 
-class _NormalRing:
-    """The diffusion increments of an Euler loop, drawn one step ahead.
-
-    A helper thread owns the generator for the whole loop: it fills two
-    preallocated buffers in turn with `rng.standard_normal` and scales each
-    by its step's sigma, in the order a plain loop draws them, so the stream
-    is the plain loop's while the draws overlap the caller's work on another
-    core. `take` waits for the next step's buffer, `give` hands it back once
-    used; an exception of the helper is re-raised by `take`. Leaving the
-    `with` block stops and joins the helper, on any return or raise.
-    """
-
-    def __init__(self, rng: np.random.Generator, half: int, sigmas):
-        self._free: queue.SimpleQueue = queue.SimpleQueue()
-        self._full: queue.SimpleQueue = queue.SimpleQueue()
-        for _ in range(2):
-            self._free.put(np.empty(half))
-        self._thread = threading.Thread(target=self._fill, args=(rng, sigmas),
-                                        name="gtap-normals", daemon=True)
-
-    def _fill(self, rng: np.random.Generator, sigmas) -> None:
-        # numpy only: the helper calls nothing of gtap's
-        try:
-            for sigma in sigmas:
-                z = self._free.get()
-                if z is None:
-                    return
-                rng.standard_normal(out=z)
-                z *= sigma
-                self._full.put(z)
-        except BaseException as exc:   # re-raised by the caller's take
-            self._full.put(exc)
-
-    def __enter__(self) -> "_NormalRing":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._free.put(None)
-        self._thread.join()
-
-    def take(self) -> np.ndarray:
-        z = self._full.get()
-        if isinstance(z, BaseException):
-            raise z
-        return z
-
-    def give(self, z: np.ndarray) -> None:
-        self._free.put(z)
-
-
 def simulate_control(sol: PDESolution, x0: float, n_paths: int,
                      n_steps: int | None = None, seed: int = 0,
                      times=None) -> dict:
@@ -675,15 +639,21 @@ def simulate_control(sol: PDESolution, x0: float, n_paths: int,
     variance xi'(t + dt) - xi'(t); the drift is explicit Euler, O(dt) bias,
     interpolated linearly at the paths from phi_x_table on the window of
     grid cells the paths occupy, read only on steps where xi'' zeta is not
-    0. The normals are drawn one step ahead by a helper thread that owns
-    the generator (`_NormalRing`), in the order of a plain loop, so a seed
-    gives the same stream as one; the thread is joined before any return or
-    raise. n_steps None takes SDE_STEPS. ValueError for n_paths < 3 (fewer
-    than two pairs), n_steps < 1, a non-finite x0, |x0| beyond the escape
-    limit x_grid[-1] - 0.5, or a time that is not finite or outside [t0, t1]
+    0. The normals are drawn up to two steps ahead by the one worker of a
+    `ThreadPoolExecutor`, which owns the generator and runs the draws in
+    FIFO order, so a seed gives a plain loop's stream; a draw's exception
+    reaches the caller through `result()`, and leaving the executor's
+    `with` block joins the worker before any return or raise. n_steps None
+    takes SDE_STEPS. ValueError for n_paths < 3 (fewer than two pairs),
+    n_steps < 1, a non-finite x0, |x0| beyond the escape limit
+    x_grid[-1] - 0.5, or a time that is not finite or outside [t0, t1]
     (1e-12 slack, as frame_at), all before any step; RuntimeError when a
     path crosses the escape limit.
     """
+    # imported here: concurrent.futures loads logging, which `import gtap`
+    # does without
+    from concurrent.futures import ThreadPoolExecutor
+
     x0 = float(x0)
     xlim = float(sol.x_grid[-1]) - 0.5
     if not math.isfinite(x0) or abs(x0) > xlim:
@@ -732,8 +702,20 @@ def simulate_control(sol: PDESolution, x0: float, n_paths: int,
     # the window of the step's cells, at the cells' own indices
     a_tab, b_tab = np.empty(sol.x_grid.size), np.empty(sol.x_grid.size)
     x_lo = x_hi = x0
-    with _NormalRing(rng, half, sigmas) as normals:
-        for k in range(len(grid) - 1):
+    bufs, n = [np.empty(half) for _ in range(3)], len(grid) - 1
+
+    def draw(k: int) -> np.ndarray:
+        # numpy only: a call into gtap would enter perfbench's tracer, whose
+        # span stack is not thread-safe. The buffer last held step k - 3,
+        # used before step k - 2 is taken and step k submitted
+        z = bufs[k % 3]
+        rng.standard_normal(out=z)
+        z *= sigmas[k]
+        return z
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = [worker.submit(draw, k) for k in range(min(n, 2))]
+        for k in range(n):
             t, t_next = float(grid[k]), float(grid[k + 1])
             dt = t_next - t    # > 0: the grid is strictly increasing
             coef = float(spp_grid[k]) * sol._level_at(t)
@@ -760,10 +742,11 @@ def simulate_control(sol: PDESolution, x0: float, n_paths: int,
                 buf *= frac
                 drift += buf
                 X += drift
-            z = normals.take()
+            z = ahead.pop(0).result()
+            if k + 2 < n:
+                ahead.append(worker.submit(draw, k + 2))
             X[:half] += z
             X[half:] -= z
-            normals.give(z)
             x_lo, x_hi = float(X.min()), float(X.max())
             if x_hi > xlim or x_lo < -xlim:
                 raise RuntimeError("SDE path escaped the solver grid; "

@@ -1,8 +1,19 @@
+import threading
+
 import numpy as np
 import pytest
 
 from gtap.measures import DiscreteMeasure, OrderParameter
 from gtap.model import MixedModel, sk_model
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test that leaves a thread running."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running: {left}"
 
 
 @pytest.fixture

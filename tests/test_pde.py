@@ -530,6 +530,46 @@ def test_simulate_control_drifts_from_the_first_step_as_a_plain_loop(
     assert out["times"] == times
 
 
+@pytest.mark.parametrize("case", ["no_drift", "one_step", "time_off_grid"])
+def test_simulate_control_draw_schedule_edges_match_plain_euler_loop(
+        mixed_23, case):
+    # the edges of drawing two steps ahead, against a plain loop with the
+    # same antithetic normals: zeta = delta_1 has no drift, so every step
+    # is a bare draw and the worker runs furthest ahead; one step is a
+    # single draw, fewer than the two kept in flight; a measurement time
+    # between the Euler points adds one step beyond n_steps
+    drifted = OrderParameter.from_atoms((0.25, 1.0), [(0.25, 0.4),
+                                                      (0.625, 0.6)])
+    zeta, n_steps, times = {
+        "no_drift": (OrderParameter.delta_at(1.0, (0.25, 1.0)), 48,
+                     [0.625, 1.0]),
+        "one_step": (drifted, 1, [1.0]),
+        "time_off_grid": (drifted, 48, [0.6, 1.0]),
+    }[case]
+    sol = solve(mixed_23, zeta)
+    x0, n_paths, seed = -0.6, 1000, 11
+    out = simulate_control(sol, x0, n_paths, n_steps=n_steps, seed=seed,
+                           times=times)
+    rng = np.random.default_rng(seed)
+    half = n_paths // 2
+    X = np.full(n_paths, x0)
+    grid = np.unique(np.concatenate([np.linspace(0.25, 1.0, n_steps + 1),
+                                     times]))
+    assert grid.size == n_steps + 1 + (case == "time_off_grid")
+    for t, t_next in zip(grid[:-1], grid[1:]):
+        slope = np.interp(X, sol.x_grid, sol.frame_at(t).phi_x)
+        drift = mixed_23.xi_double_prime(t) * zeta.cdf(t) * slope
+        sig = math.sqrt(mixed_23.xi_prime(t_next) - mixed_23.xi_prime(t))
+        z = rng.standard_normal(half)
+        X = X + drift * (t_next - t) + sig * np.concatenate([z, -z])
+        if t_next in times:
+            u2 = sol.phi_x(t_next, X) ** 2
+            np.testing.assert_allclose(out["pairs_u2"][t_next],
+                                       0.5 * (u2[:half] + u2[half:]),
+                                       rtol=0, atol=1e-10)
+    assert out["times"] == times
+
+
 def test_second_derivative_identity_quadrature(mixed_23, rng):
     # deterministic version of the same identity, tighter tolerance
     q = 0.15
@@ -777,6 +817,24 @@ def test_phi_x_table_refuses_times_outside_the_solve():
                 read(t)
 
 
+def test_cached_frames_refuse_writes(sk_two_atoms):
+    # the table at the node 0.6 and frame_at(0.3) were writable views of
+    # the cached frames: doubling the one moved phi_x(0.6, 0.5) from
+    # 0.46212 to 0.92423, zeroing the other moved phi(0.3, 0.1) from
+    # 1.36144 to 7.5e-5
+    sol = sk_two_atoms
+    phi_x, phi = sol.phi_x(0.6, 0.5), sol.phi(0.3, 0.1)
+    tab = sol.phi_x_table(0.6, 0, sol.x_grid.size - 1)
+    with pytest.raises(ValueError, match="read-only"):
+        tab *= 2
+    with pytest.raises(ValueError, match="read-only"):
+        sol.frame_at(0.3).phi[:] = 0.0
+    assert sol.phi_x(0.6, 0.5) == phi_x and sol.phi(0.3, 0.1) == phi
+    # the boundary, a node and an off-node time
+    for t in (1.0, 0.6, 0.45):
+        assert not any(arr.flags.writeable for arr in sol.frame_at(t)), t
+
+
 def test_level_gradients_match_finite_differences(mixed_23):
     # pieces: a level-0 slot, a zero-width piece, then two positive levels
     nodes = [0.2, 0.3, 0.3, 0.6, 1.0]
@@ -1011,6 +1069,26 @@ def _pde_refusals():
         "level_above_1": (lambda: pde.PDESolution(
             sk, (0.0, 1.0), [0.0, 1.0], [1.5], 0.0, cfg),
             r"levels must lie in \[0, 1\]"),
+        # the next six failed with KeyError 0.2, KeyError 0.8, IndexError,
+        # AttributeError and two GridBudgetErrors about a grid of nan points
+        "nodes_start_after_t0": (lambda: solve_steps(
+            sk, (0.2, 1.0), [0.3, 1.0], [0.5]),
+            "nodes must run from t0 = 0.2 to t1 = 1.0"),
+        "nodes_end_before_t1": (lambda: solve_steps(
+            sk, (0.2, 1.0), [0.2, 0.8], [0.5]),
+            "nodes must run from t0 = 0.2 to t1 = 1.0"),
+        "nan_node": (lambda: solve_steps(
+            sk, (0.2, 1.0), [0.2, math.nan, 1.0], [0.3, 0.5]),
+            "nodes must be finite"),
+        "nan_level": (lambda: solve_steps(
+            sk, (0.2, 1.0), [0.2, 1.0], [math.nan]),
+            "levels must be finite"),
+        "nan_t0": (lambda: solve_steps(
+            sk, (math.nan, 1.0), [0.2, 1.0], [0.5]),
+            "interval must be finite"),
+        "nan_tilt": (lambda: pde.PDESolution(
+            sk, (0.0, 1.0), [0.0, 1.0], [0.5], math.nan, cfg),
+            "tilt must be finite"),
         "time_after_t1": (lambda: sol.path_expectation(
             1.5, sol.frame_at(1.0).phi, 0.0),
             "measurement time outside the solved interval"),
