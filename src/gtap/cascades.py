@@ -51,18 +51,13 @@ class CascadeSample:
         return int(np.prod(self.K)) if self.K else 1
 
 
-def _pd_points(level: float, K: int, rng) -> np.ndarray:
-    """K largest points of the Poisson process with intensity l x^{-1-l} dx."""
-    arrivals = np.cumsum(rng.exponential(size=K))
-    return arrivals ** (-1.0 / level)
-
-
 def _coverage_estimate(level: float, K: int) -> float:
-    """Retained fraction of the (infinite) weight sum, by the k^{-1/l} tail."""
+    """Retained fraction of the (infinite) weight sum: the K kept terms
+    k^{-1/l} against the integral of the tail beyond K."""
     if level >= 1.0:
         return 0.0
     tail = K ** (1.0 - 1.0 / level) / (1.0 / level - 1.0)
-    head = sum(k ** (-1.0 / level) for k in range(1, min(K, 2000) + 1))
+    head = sum(k ** (-1.0 / level) for k in range(1, K + 1))
     return head / (head + tail)
 
 
@@ -91,13 +86,15 @@ def sample_cascade(levels, K, seed: int = 0) -> CascadeSample:
 
 
 def _leaf_weights(levels, Ks, seed: int) -> np.ndarray:
-    """Normalized leaf weights: the Ks[p] largest points at every node of
-    depth p, multiplied down the tree (one leaf of weight 1 without levels)."""
+    """Normalized leaf weights: the Ks[p] largest points of the Poisson
+    process with intensity l x^{-1-l} dx at every node of depth p, drawn for
+    all its nodes at once (row by row, as one node after another would),
+    multiplied down the tree (one leaf of weight 1 without levels)."""
     rng = np.random.default_rng(seed)
     w = np.array([1.0])
     for level, K in zip(levels, Ks):
-        pts = np.stack([_pd_points(level, K, rng) for _ in range(w.size)])
-        w = (w[:, None] * pts).ravel()
+        arrivals = np.cumsum(rng.exponential(size=(w.size, K)), axis=1)
+        w = (w[:, None] * arrivals ** (-1.0 / level)).ravel()
     return w / w.sum()
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["DiscreteMeasure", "OrderParameter", "d1", "empirical", "fold_law",
-           "split_boundary", "shift_theta", "restrict_zeta", "band_coords"]
+           "split_boundary", "shift_theta", "restrict_zeta", "band_coords",
+           "step_integral"]
 
 MERGE_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
@@ -107,7 +108,7 @@ def d1(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     a, b = mu.interval
     pts = np.unique(np.concatenate([[a], mu.locations, nu.locations, [b]]))
     vals = np.abs(mu.cdf(pts[:-1]) - nu.cdf(pts[:-1]))
-    return float(np.sum(vals * np.diff(pts)))
+    return step_integral(pts, vals, lambda s: s)
 
 
 def empirical(m, fold: bool = False, interval=None) -> DiscreteMeasure:
@@ -183,19 +184,19 @@ class OrderParameter:
         return self.measure.cdf(s)
 
     def integral_against(self, antideriv) -> float:
-        """Exact integral of zeta(s) * rho(s) ds when antideriv' = rho.
-
-        Piecewise-constant zeta makes the integral a telescoping sum of
-        antiderivative differences weighted by the levels.
-        """
-        nd = self.nodes
-        lv = self.levels
-        vals = antideriv(nd)
-        return float(np.sum(lv * np.diff(vals)))
+        """Exact integral of zeta(s) * rho(s) ds when antideriv' = rho."""
+        return step_integral(self.nodes, self.levels, antideriv)
 
     def integral(self) -> float:
         """Integral of the CDF over the interval."""
         return self.integral_against(lambda s: np.asarray(s, dtype=float))
+
+
+def step_integral(nodes, levels, antideriv) -> float:
+    """Exact integral of the CDF step function `levels` between `nodes`
+    against rho, when antideriv' = rho: a telescoping sum of antiderivative
+    differences weighted by the levels."""
+    return float(np.sum(levels * np.diff(antideriv(nodes))))
 
 
 def _pool(zeta: OrderParameter, cut: float, shift: float,

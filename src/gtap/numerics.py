@@ -14,7 +14,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 @lru_cache(maxsize=32)
 def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for E[f(g)] with g ~ N(0,1).
+    """Nodes and weights for E[f(g)] with g ~ N(0,1), read-only: the cache
+    hands the same arrays to every later caller.
 
     hermgauss integrates against exp(-y^2); rescale so that sum(w) == 1
     and sum(w * f(x)) approximates the standard normal expectation.
@@ -23,14 +24,18 @@ def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.sqrt(2.0) * y
     w = wy / np.sqrt(np.pi)
     w = w / w.sum()
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
 @lru_cache(maxsize=32)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights on [0, 1] with sum(w) == 1."""
+    """Nodes/weights on [0, 1] with sum(w) == 1, read-only as in
+    `gauss_hermite`."""
     y, wy = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (y + 1.0), 0.5 * wy
+    x, w = 0.5 * (y + 1.0), 0.5 * wy
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def log2cosh(x: np.ndarray | float) -> np.ndarray | float:

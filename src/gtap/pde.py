@@ -15,7 +15,8 @@ Phi(t, x) = E Phi(t', x + sigma g). The Gaussian expectations are evaluated
 with Gauss-Hermite quadrature on a uniform x-grid, and x-derivatives are
 propagated by the differentiated recursion (Gibbs-weighted moments), so the
 solution is exact in t for atomic zeta up to quadrature and interpolation
-error.
+error. A solve is fixed by zeta's CDF steps alone, levels z_p between nodes
+t0 = s_0 <= ... <= s_r = t1: its interval is their ends.
 
 A layer is evaluated through one shared-fraction stencil
 (`numerics.ShiftStencil`) of its quadrature points x_k + sigma g_j: the points
@@ -65,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .measures import OrderParameter
+from .measures import OrderParameter, step_integral
 from .model import MixedModel, ShiftedModel
 from .numerics import (GridStencil, ShiftStencil, gauss_hermite,
                        grid_derivative, hermite_eval, log2cosh)
@@ -299,29 +300,25 @@ class PDESolution:
 
     Attributes of note: `mixture`, the xi of the equation (the shifted
     mixture xi_q for a band solve); `x_grid`, the uniform evaluation grid;
-    `nodes` and `levels`, the piecewise-constant CDF of zeta; `a`, the tilt
-    of the boundary log 2cosh x - a x (0 for the original boundary).
+    `nodes` and `levels`, the piecewise-constant CDF of zeta, whose end
+    nodes are the solved interval [t0, t1]; `a`, the tilt of the boundary
+    log 2cosh x - a x (0 for the original boundary).
     """
 
-    def __init__(self, mixture: MixedModel, interval, nodes, levels, a: float,
+    def __init__(self, mixture: MixedModel, nodes, levels, a: float,
                  config: SolverConfig, *, with_gradients: bool = False):
         self.mixture = mixture
         self.a = float(a)
         self.config = config
-        t0, t1 = interval
-        self.t0, self.t1 = float(t0), float(t1)
         self.nodes = np.asarray(nodes, dtype=float)
         self.levels = np.asarray(levels, dtype=float)
         if self.nodes.size != self.levels.size + 1:
             raise ValueError("need one more node than levels")
-        for name, v in (("interval", (self.t0, self.t1)), ("tilt", self.a),
-                        ("nodes", self.nodes), ("levels", self.levels)):
+        for name, v in (("tilt", self.a), ("nodes", self.nodes),
+                        ("levels", self.levels)):
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} must be finite: {v}")
-        if not (abs(self.nodes[0] - self.t0) <= 1e-12
-                and abs(self.nodes[-1] - self.t1) <= 1e-12):
-            raise ValueError(f"nodes must run from t0 = {self.t0} to t1 = "
-                             f"{self.t1}: {self.nodes}")
+        self.t0, self.t1 = float(self.nodes[0]), float(self.nodes[-1])
         if np.any(np.diff(self.nodes) < -1e-12) or np.any(np.diff(self.levels) < -1e-12):
             raise ValueError("nodes and levels must be nondecreasing")
         if np.any(self.levels < -1e-12) or np.any(self.levels > 1.0 + 1e-12):
@@ -502,14 +499,12 @@ class PDESolution:
 
     def int_xi_pp_zeta(self) -> float:
         """Integral of xi''(s) zeta(s) ds over [t0, t1]."""
-        return float(np.sum(self.levels
-                            * np.diff(self.mixture.xi_prime(self.nodes))))
+        return step_integral(self.nodes, self.levels, self.mixture.xi_prime)
 
     def int_s_xi_pp_zeta(self) -> float:
         """Integral of s xi''(s) zeta(s) ds over [t0, t1], via the exact
         antiderivative theta = s xi'(s) - xi(s) of s xi''(s)."""
-        return float(np.sum(self.levels
-                            * np.diff(self.mixture.theta(self.nodes))))
+        return step_integral(self.nodes, self.levels, self.mixture.theta)
 
     # -- sensitivities in the levels and nodes --------------------------------
 
@@ -589,18 +584,17 @@ def solve(model: MixedModel, zeta: OrderParameter,
     t0, t1 = zeta.interval
     if t0 < -1e-12 or t1 > 1.0 + 1e-12:
         raise ValueError("original-boundary solve needs an interval inside [0, 1]")
-    return PDESolution(model, zeta.interval, zeta.nodes, zeta.levels, 0.0,
-                       config)
+    return PDESolution(model, zeta.nodes, zeta.levels, 0.0, config)
 
 
-def solve_steps(model: MixedModel, interval, nodes, levels,
+def solve_steps(model: MixedModel, nodes, levels,
                 config: SolverConfig = DEFAULT_CONFIG) -> PDESolution:
-    """Original-boundary solve from an explicit CDF step function, for the
-    optimizer alone (`tap._evaluate`). Unlike `solve`, it keeps zero-mass
-    pieces, the slots the optimizer moves, and it sweeps `level_gradients`
-    while it builds each layer, so the optimizer never builds one twice."""
-    return PDESolution(model, interval, nodes, levels, 0.0, config,
-                       with_gradients=True)
+    """Original-boundary solve of the CDF `levels` between `nodes`, on
+    [nodes[0], nodes[-1]], for the optimizer alone (`tap._evaluate`). Unlike
+    `solve`, it keeps zero-mass pieces, the slots the optimizer moves, and
+    it sweeps `level_gradients` while it builds each layer, so the optimizer
+    never builds one twice."""
+    return PDESolution(model, nodes, levels, 0.0, config, with_gradients=True)
 
 
 def solve_band(shifted: ShiftedModel, a: float, zeta: OrderParameter,
@@ -610,8 +604,7 @@ def solve_band(shifted: ShiftedModel, a: float, zeta: OrderParameter,
     t0, t1 = zeta.interval
     if abs(t0) > 1e-12 or abs(t1 - shifted.horizon) > 1e-9:
         raise ValueError("band solve requires zeta on [0, 1-q]")
-    return PDESolution(shifted.mixture, zeta.interval, zeta.nodes, zeta.levels,
-                       a, config)
+    return PDESolution(shifted.mixture, zeta.nodes, zeta.levels, a, config)
 
 
 def unify(original_sol: PDESolution, a: float, x):

@@ -45,9 +45,7 @@ RS_TOLERANCE = 1e-6         # largest sup Gamma and Gamma''(0) still called RS
 RS_GRID = 24                # Gamma samples of is_replica_symmetric
 RS_S_MIN_FRAC = 0.02        # its first sample, times 1-q
 AT_GH_ORDER = 80            # Gauss-Hermite order of the AT line scan
-AT_DAMPING = 0.5            # damping of its RS fixed-point iteration
-AT_TOL = 1e-13
-AT_MAX_ITER = 10_000
+AT_TOL = 1e-15              # bracket width of its RS fixed-point bisection
 
 
 def v_rs(shifted: ShiftedModel, a: float) -> float:
@@ -221,30 +219,33 @@ def plefka(mu: DiscreteMeasure, beta: float) -> tuple[bool, float]:
 def at_line_scan(beta: float, h: float) -> dict:
     """RS fixed point and stability quantities for the SK model with field.
 
-    Solves q = E tanh^2(beta z sqrt(q) + h) by damped iteration, then reports
-    the AT stability quantity beta^2 E[1 / cosh^4], Plefka's left-hand side
-    beta^2 (1-q) for the {0,1}-block magnetization (equal to
-    beta^2 E[1/cosh^2] at the fixed point), and whether the instance sits
-    below the AT line while violating Plefka's condition.
+    Solves q = E tanh^2(beta z sqrt(q) + h) by bisection on [0, 1] that
+    keeps gap(lo) >= 0 > gap(hi), gap(q) = E tanh^2(...) - q: at h = 0 it
+    keeps q = 0 for beta <= 1 and finds the nonzero root for beta > 1, and
+    it stops on the AT line too, where a fixed-point iteration converges
+    only algebraically. It then reports the AT stability quantity
+    beta^2 E[1 / cosh^4], Plefka's left-hand side beta^2 (1-q) for the
+    {0,1}-block magnetization (equal to beta^2 E[1/cosh^2] at the fixed
+    point), and whether the instance sits below the AT line while violating
+    Plefka's condition.
     """
     if beta <= 0 or h < 0:
         raise ValueError("need beta > 0 and h >= 0")
     g, w = gauss_hermite(AT_GH_ORDER)
 
-    def rhs(q):
-        t = np.tanh(beta * math.sqrt(max(q, 0.0)) * g + h)
-        return float(np.sum(w * t * t))
+    def gap(q):
+        t = np.tanh(beta * math.sqrt(q) * g + h)
+        return float(np.sum(w * t * t)) - q
 
-    q = rhs(1.0) if h > 0 else 0.5
-    for _ in range(AT_MAX_ITER):
-        q_new = (1.0 - AT_DAMPING) * q + AT_DAMPING * rhs(q)
-        if abs(q_new - q) < AT_TOL:
-            q = q_new
-            break
-        q = q_new
-    else:
-        raise RuntimeError("RS fixed point did not converge")
-    z = beta * math.sqrt(max(q, 0.0)) * g + h
+    lo, hi = 0.0, 1.0
+    while hi - lo >= AT_TOL:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    q = lo
+    z = beta * math.sqrt(q) * g + h
     sech2 = 1.0 / np.cosh(z) ** 2
     at_value = beta * beta * float(np.sum(w * sech2 * sech2))
     sech2_mean = float(np.sum(w * sech2))

@@ -101,9 +101,7 @@ def lambda_conj(model: MixedModel, q: float, a: float, zeta: OrderParameter,
     if abs(a) > 1.0 + 1e-12:
         raise ValueError("conjugate argument must lie in [-1, 1]")
     if _at_boundary(a):
-        # the arithmetic of PDESolution.int_xi_pp_zeta, on the same steps
-        zq = _restricted(zeta, q)
-        return (0.5 * zq.integral_against(model.xi_prime),
+        return (0.5 * _restricted(zeta, q).integral_against(model.xi_prime),
                 math.copysign(math.inf, a))
     sol = _orig_solution(model, q, zeta, config, a_max=abs(a))
     x = sol.inverse_phi_x(a)
@@ -126,12 +124,10 @@ def psi(model: MixedModel, q: float, a: float, zeta: OrderParameter,
 
     Coincides with the band effective field v at the shifted order
     parameter: psi(q, a, zeta) = v_{theta_q zeta}(a). +-inf at the
-    boundary, where it solves nothing.
+    boundary, as psi_bar, where it solves nothing.
     """
-    if _at_boundary(a):
-        return psi_bar(model, q, a, zeta, config)
-    sol = _orig_solution(model, q, zeta, config, a_max=abs(a))
-    return sol.inverse_phi_x(a) + a * sol.int_xi_pp_zeta()
+    return (psi_bar(model, q, a, zeta, config)
+            + a * _restricted(zeta, q).integral_against(model.xi_prime))
 
 
 class EffectiveField:
@@ -196,8 +192,7 @@ def _tap_on(mu: DiscreteMeasure):
 def _evaluate(model: MixedModel, read, nodes, levels, config: SolverConfig):
     """The read-out `read` of the solve of the CDF `levels` between `nodes`.
     Only this, the optimizer's evaluation, sweeps `level_gradients`."""
-    return read(solve_steps(model, (float(nodes[0]), float(nodes[-1])),
-                            nodes, levels, config))
+    return read(solve_steps(model, nodes, levels, config))
 
 
 def tap_with_zeta(model: MixedModel, mu: DiscreteMeasure,

@@ -20,6 +20,39 @@ def test_weights_normalized_and_deterministic():
     assert c1.n_leaves == 2000
 
 
+@pytest.mark.parametrize("K", [512, 2000, 4000, 20000])
+@pytest.mark.parametrize("level", [0.4, 0.6, 0.9])
+def test_coverage_sums_every_kept_term(level, K):
+    # the kept weights are the K terms k^{-1/l}, summed here directly; the
+    # tail beyond K is the integral of x^{-1/l} from K
+    head = math.fsum(k ** (-1.0 / level) for k in range(1, K + 1))
+    tail = K ** (1.0 - 1.0 / level) / (1.0 / level - 1.0)
+    coverage = sample_cascade([level], K, seed=0).coverage[0]
+    assert coverage == pytest.approx(head / (head + tail), rel=1e-14, abs=0)
+
+
+def test_leaf_weights_match_one_node_after_another(monkeypatch):
+    # each level's points are drawn for all its nodes at once; the weights
+    # and the generator's state are those of one node's K points after
+    # another's
+    levels, K, seed = (0.3, 0.7), 64, 17
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda s: made.append(default_rng(s)) or made[-1])
+    weights = sample_cascade(levels, K, seed=seed).weights
+    monkeypatch.undo()
+    rng = np.random.default_rng(seed)
+    w = np.array([1.0])
+    for level in levels:
+        pts = []
+        for _ in range(w.size):
+            pts.append(np.cumsum(rng.exponential(size=K)) ** (-1.0 / level))
+        w = (w[:, None] * np.stack(pts)).ravel()
+    assert np.array_equal(weights, w / w.sum())
+    assert len(made) == 1 and made[0].random() == rng.random()
+
+
 def test_level_validation():
     with pytest.raises(ValueError):
         sample_cascade([0.0], 10, seed=0)

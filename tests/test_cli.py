@@ -141,6 +141,18 @@ def test_rs_scan_outputs(tmp_path, model_spec):
     assert len(at) == 5
 
 
+def test_rs_scan_on_the_at_line_exits_0(tmp_path):
+    # beta = 1, h = 0 is the AT line itself; the RS fixed point there is
+    # q = 0, where the AT quantity is beta^2 = 1
+    out = tmp_path / "scan"
+    rc = main(["rs-scan", "--out", str(out), "--beta-grid", "1:1:1",
+               "--h-grid", "0:0:1"])
+    assert rc == 0
+    header, row = (out / "at_scan.csv").read_text().splitlines()
+    assert header.startswith("beta,h,q,at_value")
+    assert [float(v) for v in row.split(",")[:4]] == [1.0, 0.0, 0.0, 1.0]
+
+
 def test_rs_scan_model_without_mu_exits_2(tmp_path, model_spec):
     rc = main(["rs-scan", "--model", model_spec, "--out",
                str(tmp_path / "scan"), "--beta-grid", "0.5:1.0:2"])

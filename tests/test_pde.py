@@ -10,7 +10,7 @@ from gtap import pde
 from gtap.measures import OrderParameter, band_coords, d1
 from gtap.model import MixedModel, sk_model
 from gtap.numerics import (GridStencil, ShiftStencil, gauss_hermite,
-                           hermite_eval)
+                           gauss_legendre, hermite_eval)
 from gtap.pde import (GridBudgetError, SolverConfig, parisi_functional,
                       parisi_measure, second_derivative_identity,
                       simulate_control, solve, solve_band, solve_steps, unify)
@@ -835,16 +835,29 @@ def test_cached_frames_refuse_writes(sk_two_atoms):
         assert not any(arr.flags.writeable for arr in sol.frame_at(t)), t
 
 
+def test_cached_quadrature_rules_refuse_writes():
+    # every later caller shares the cached rule: doubling the weights of
+    # gauss_hermite(40) moved a fresh solve's phi(0.2, 0.5) here from
+    # 1.528488 to 3.954503
+    model = sk_model(1.0, convention="full")
+    zeta = OrderParameter.from_atoms((0.2, 1.0), [(0.2, 0.4), (0.6, 0.6)])
+    before = solve(model, zeta).phi(0.2, 0.5)
+    for arr in (*gauss_hermite(40), *gauss_legendre(12)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+    assert solve(model, zeta).phi(0.2, 0.5) == before
+
+
 def test_level_gradients_match_finite_differences(mixed_23):
     # pieces: a level-0 slot, a zero-width piece, then two positive levels
     nodes = [0.2, 0.3, 0.3, 0.6, 1.0]
     levels = np.array([0.0, 0.3, 0.5, 0.8])
-    sol = solve_steps(mixed_23, (0.2, 1.0), nodes, levels)
+    sol = solve_steps(mixed_23, nodes, levels)
     grads = sol.level_gradients()
     idx = np.flatnonzero(np.abs(sol.x_grid) <= 2.0)[::8]
 
     def phi0(lv):
-        return solve_steps(mixed_23, (0.2, 1.0), nodes, lv).phi(0.2, sol.x_grid[idx])
+        return solve_steps(mixed_23, nodes, lv).phi(0.2, sol.x_grid[idx])
 
     h = 1e-4
     for p in (2, 3):
@@ -865,7 +878,7 @@ def test_level_gradients_match_finite_differences(mixed_23):
     def phi_nodes(j, dt):
         nd = list(nodes)
         nd[j] += dt
-        return solve_steps(mixed_23, (0.2, 1.0), nd, levels).phi(
+        return solve_steps(mixed_23, nd, levels).phi(
             0.2, sol.x_grid[idx])
 
     fd = (phi_nodes(3, h) - phi_nodes(3, -h)) / (2.0 * h)
@@ -880,7 +893,7 @@ def test_small_level_keeps_precision(mixed_23):
     # Phi(t0) is smooth in a level at 0, so at tiny z it matches the z = 0
     # expansion; (1/z) log E exp(z Phi) loses about 1e-16/z there
     def solved(z):
-        return solve_steps(mixed_23, (0.2, 1.0), [0.2, 0.6, 1.0],
+        return solve_steps(mixed_23, [0.2, 0.6, 1.0],
                            np.array([z, 0.8]))
 
     sol0 = solved(0.0)
@@ -917,24 +930,23 @@ def _rebuilt_level_gradients(sol):
     return np.stack([sens[k] for k in range(2 * r - 1)])
 
 
-@pytest.mark.parametrize("model, interval, nodes, levels", [
+@pytest.mark.parametrize("model, nodes, levels", [
     # a level-0 slot and a zero-width piece
-    (MixedModel(coeffs_sq=(0.0, 0.6, 0.2)), (0.2, 1.0),
+    (MixedModel(coeffs_sq=(0.0, 0.6, 0.2)),
      [0.2, 0.3, 0.3, 0.6, 1.0], [0.0, 0.3, 0.5, 0.8]),
     # a level small enough for the Taylor-tail branch of the kernel
-    (MixedModel(coeffs_sq=(0.0, 0.6, 0.2)), (0.2, 1.0),
+    (MixedModel(coeffs_sq=(0.0, 0.6, 0.2)),
      [0.2, 0.6, 1.0], [1e-10, 0.8]),
-    (sk_model(1.4), (0.0, 1.0),
+    (sk_model(1.4),
      [0.0, 0.2, 0.45, 0.7, 1.0], [0.15, 0.4, 0.6, 0.85]),
 ], ids=["slots", "small_level", "sk_4_levels"])
-def test_level_gradients_equal_the_rebuilt_sweep(model, interval, nodes,
-                                                 levels):
-    sol = solve_steps(model, interval, nodes, np.array(levels))
+def test_level_gradients_equal_the_rebuilt_sweep(model, nodes, levels):
+    sol = solve_steps(model, nodes, np.array(levels))
     assert np.array_equal(sol.level_gradients(), _rebuilt_level_gradients(sol))
 
 
 def test_level_gradients_read_only_and_only_from_solve_steps(mixed_23):
-    sol = solve_steps(mixed_23, (0.2, 1.0), [0.2, 0.6, 1.0],
+    sol = solve_steps(mixed_23, [0.2, 0.6, 1.0],
                       np.array([0.3, 0.8]))
     grads = sol.level_gradients()
     kept = grads.copy()
@@ -1046,7 +1058,7 @@ def test_second_derivative_identity_reads_the_steps_of_any_solve():
     # zeta's own steps gives the identity of zeta's plain solve
     zeta = OrderParameter.from_atoms((0.2, 1.0), [(0.2, 0.4), (0.6, 0.6)])
     model = sk_model(1.0, convention="full")
-    steps = solve_steps(model, zeta.interval, zeta.nodes, zeta.levels)
+    steps = solve_steps(model, zeta.nodes, zeta.levels)
     plain = solve(model, zeta)
     kw = dict(n_paths=2000, seed=3, n_steps=64)
     assert second_derivative_identity(steps, 0.5, **kw) \
@@ -1061,33 +1073,25 @@ def _pde_refusals():
                         OrderParameter.delta_at(0.0, (0.0, 0.8)))
     return {
         "node_count": (lambda: pde.PDESolution(
-            sk, (0.0, 1.0), [0.0, 1.0], [0.5, 1.0], 0.0, cfg),
+            sk, [0.0, 1.0], [0.5, 1.0], 0.0, cfg),
             "one more node than levels"),
         "decreasing_nodes": (lambda: pde.PDESolution(
-            sk, (0.0, 1.0), [0.0, 0.7, 0.4, 1.0], [0.2, 0.5, 0.8], 0.0, cfg),
+            sk, [0.0, 0.7, 0.4, 1.0], [0.2, 0.5, 0.8], 0.0, cfg),
             "nodes and levels must be nondecreasing"),
         "level_above_1": (lambda: pde.PDESolution(
-            sk, (0.0, 1.0), [0.0, 1.0], [1.5], 0.0, cfg),
+            sk, [0.0, 1.0], [1.5], 0.0, cfg),
             r"levels must lie in \[0, 1\]"),
-        # the next six failed with KeyError 0.2, KeyError 0.8, IndexError,
-        # AttributeError and two GridBudgetErrors about a grid of nan points
-        "nodes_start_after_t0": (lambda: solve_steps(
-            sk, (0.2, 1.0), [0.3, 1.0], [0.5]),
-            "nodes must run from t0 = 0.2 to t1 = 1.0"),
-        "nodes_end_before_t1": (lambda: solve_steps(
-            sk, (0.2, 1.0), [0.2, 0.8], [0.5]),
-            "nodes must run from t0 = 0.2 to t1 = 1.0"),
+        # the next three failed with an IndexError, an AttributeError and a
+        # GridBudgetError about a grid of nan points; the end nodes are the
+        # solved interval, so a non-finite end is a non-finite node
         "nan_node": (lambda: solve_steps(
-            sk, (0.2, 1.0), [0.2, math.nan, 1.0], [0.3, 0.5]),
+            sk, [0.2, math.nan, 1.0], [0.3, 0.5]),
             "nodes must be finite"),
         "nan_level": (lambda: solve_steps(
-            sk, (0.2, 1.0), [0.2, 1.0], [math.nan]),
+            sk, [0.2, 1.0], [math.nan]),
             "levels must be finite"),
-        "nan_t0": (lambda: solve_steps(
-            sk, (math.nan, 1.0), [0.2, 1.0], [0.5]),
-            "interval must be finite"),
         "nan_tilt": (lambda: pde.PDESolution(
-            sk, (0.0, 1.0), [0.0, 1.0], [0.5], math.nan, cfg),
+            sk, [0.0, 1.0], [0.5], math.nan, cfg),
             "tilt must be finite"),
         "time_after_t1": (lambda: sol.path_expectation(
             1.5, sol.frame_at(1.0).phi, 0.0),

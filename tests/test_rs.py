@@ -151,13 +151,21 @@ def test_at_but_not_plefka_region_exists():
 
 
 def test_at_line_zero_field_is_beta_one():
-    # at h = 0 and beta < 1 the RS fixed point is q = 0, where sech^4 = 1
-    for beta in (0.3, 0.6, 0.9):
+    # at h = 0 and beta <= 1 the RS fixed point is q = 0, where sech^4 = 1;
+    # beta = 1 is the AT line itself, where a fixed-point iteration
+    # converges only algebraically
+    for beta in (0.3, 0.6, 0.9, 1.0):
         r = at_line_scan(beta, 0.0)
+        assert r["q"] == 0.0
         assert r["at_value"] == pytest.approx(beta ** 2, abs=1e-9)
     assert at_line_scan(0.99, 0.0)["at_ok"]
     r = at_line_scan(1.05, 0.0)
     assert not r["at_ok"] and r["at_value"] == pytest.approx(1.0029, abs=1e-4)
+    # at beta = 1 a small field h gives q = h / sqrt(2) to leading order:
+    # q = E tanh^2(sqrt(q) g + h) = q + h^2 - 2 q^2 + O(q^3)
+    h = 1e-6
+    assert at_line_scan(1.0, h)["q"] == pytest.approx(h / math.sqrt(2.0),
+                                                      rel=1e-3)
 
 
 def test_plefka_implies_at():
