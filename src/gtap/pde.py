@@ -18,6 +18,19 @@ solution is exact in t for atomic zeta up to quadrature and interpolation
 error. A solve is fixed by zeta's CDF steps alone, levels z_p between nodes
 t0 = s_0 <= ... <= s_r = t1: its interval is their ends.
 
+Levels are nondecreasing and at most 1, so the times where zeta is 1 form a
+top block [s*, t1] (a level within LEVEL_ONE_TOL of 1 counts as 1: atom
+weights can cumulate to 1 - ulp). On it the level-1 layers under the
+boundary log 2cosh x - a x compose into one Gaussian integral,
+
+    Phi(t, x) = log 2cosh(x - a s^2) - a x + (1 + a^2) s^2 / 2,
+    s^2 = xi'(t1) - xi'(t),
+
+so every frame there, at a node or off one, and the drift table on it are
+this closed form: the boundary frame at x - a s^2, Phi raised by
+(1 - a^2) s^2 / 2. No quadrature layer is built for them; the layers below
+s* start from the closed-form frame at s*.
+
 A layer is evaluated through one shared-fraction stencil
 (`numerics.ShiftStencil`) of its quadrature points x_k + sigma g_j: the points
 of one node g_j share a cell offset and a fraction, so the cubic Hermite
@@ -27,14 +40,16 @@ beyond the grid. Phi and its three derivatives there (hence the Doob weights
 and the next frame), the pulled-back sensitivities and the drift table
 phi_x_table are gathers and weighted sums over it. A `solve_steps` solve
 pulls its level and node sensitivities through each layer while it builds it,
-so the gradients need no second sweep. Every read of a solve at given points
-goes through one checked reader, `PDESolution.interpolate`, on the solve's
-own grid step config.dx.
+so the gradients need no second sweep; it builds the block's layers for this
+sweep alone, and `path_expectation` pulls through them with their kernels
+too. Every read of a solve at given points goes through one checked reader,
+`PDESolution.interpolate`, on the solve's own grid step config.dx.
 
 Both inverses of Phi_x are one Newton loop over arrays (`_invert`). Near
 |Phi_x| = 1, where Phi_xx falls like 1 - |Phi_x|, `boundary_inverse_phi_x`
-inverts log(1 - Phi_x), pulled through the layers in log space from
-log(1 - tanh x) only for a solve that asks for it.
+inverts log(1 - Phi_x), pulled through the layers below s* in log space from
+log(1 - tanh x), its value on the untilted block, only for a solve that asks
+for it.
 
 The same Gibbs weights give a deterministic propagator for expectations
 E f(X_s) of the optimal-control diffusion
@@ -118,6 +133,9 @@ BISECT_TOL = 1e-10          # x-tolerance of _invert
 NEWTON_STEPS = 4            # Newton steps of _invert before its bisection
 SDE_STEPS = 4096            # default Euler steps of simulate_control
 EDGE_CURVATURE_TOL = 1e-2   # largest |Phi_xx| allowed at the grid edges
+# A CDF level at least 1 - LEVEL_ONE_TOL is 1: the solve allows levels up to
+# 1 + LEVEL_ONE_TOL, and cumulative atom weights can end at 1 - ulp.
+LEVEL_ONE_TOL = 1e-12
 
 
 class Frame(NamedTuple):
@@ -146,6 +164,11 @@ def _exp_tail(y: np.ndarray) -> np.ndarray:
 
 class _Layer:
     """Transition kernel of one layer below an upper frame.
+
+    A solve builds one for each layer of level below 1; a layer of the
+    level-1 block (its frames are closed form) is built only for a
+    `solve_steps` sweep, which needs its `level_sensitivity` and pulls, and
+    for `path_expectation`, which pulls through it.
 
     Holds the shared-fraction stencil (`numerics.ShiftStencil`) of the
     quadrature points X = x + sigma g, for the grid points x of its row range
@@ -321,11 +344,16 @@ class PDESolution:
         self.t0, self.t1 = float(self.nodes[0]), float(self.nodes[-1])
         if np.any(np.diff(self.nodes) < -1e-12) or np.any(np.diff(self.levels) < -1e-12):
             raise ValueError("nodes and levels must be nondecreasing")
-        if np.any(self.levels < -1e-12) or np.any(self.levels > 1.0 + 1e-12):
+        if (np.any(self.levels < -1e-12)
+                or np.any(self.levels > 1.0 + LEVEL_ONE_TOL)):
             raise ValueError("levels must lie in [0, 1]")
-        sp = mixture.xi_prime
-        var_total = max(sp(self.t1) - sp(self.t0), 0.0)
-        x_max = 6.0 + 4.0 * math.sqrt(var_total) + abs(a) + config.x_pad
+        # the level-1 block is levels[_top:], on [s*, t1] with s* = nodes[_top]
+        # (s* = t1 when no level is 1, where the closed form is the boundary)
+        top = self.levels.size
+        while top > 0 and self.levels[top - 1] >= 1.0 - LEVEL_ONE_TOL:
+            top -= 1
+        self._top = top
+        x_max = 6.0 + 4.0 * math.sqrt(self._var(self.t1, self.t0)) + abs(a) + config.x_pad
         half = x_max / config.dx
         # 2 ceil(half) + 1 < 2 half + 3; an overflowed ratio (inf) fails too
         if not 2.0 * half + 3.0 <= MAX_GRID_POINTS:
@@ -345,6 +373,12 @@ class PDESolution:
     def _key(t: float) -> float:
         return round(float(t), 12)
 
+    def _var(self, t_hi: float, t_lo: float) -> float:
+        """xi'(t_hi) - xi'(t_lo): the variance the layers from t_hi down to
+        t_lo add, 0 for no width."""
+        sp = self.mixture.xi_prime
+        return max(sp(t_hi) - sp(t_lo), 0.0)
+
     def _level_at(self, t: float) -> float:
         """CDF value governing the layer [t, next node)."""
         idx = int(np.searchsorted(self.nodes, t + 1e-13, side="right")) - 1
@@ -358,8 +392,7 @@ class PDESolution:
         (None when the layer has no width) on the grid rows (first row, row
         count), all of them when rows is None."""
         upper = self._frames[self._key(t_hi)]
-        sp = self.mixture.xi_prime
-        sigma = math.sqrt(max(sp(t_hi) - sp(t_lo), 0.0))
+        sigma = math.sqrt(self._var(t_hi, t_lo))
         if sigma <= 1e-14:
             return upper, None
         return upper, _Layer(upper, sigma, level,
@@ -368,12 +401,25 @@ class PDESolution:
     def _off_node_layer(self, t: float, rows: tuple[int, int] | None = None
                         ) -> tuple[Frame, _Layer | None]:
         """Frame at the first node at or above t and the kernel down to t on
-        the grid rows of `_layer`; ValueError for t outside [t0, t1]."""
-        if not self.t0 - 1e-12 <= t <= self.t1 + 1e-12:
-            raise ValueError(f"time {t} outside [{self.t0}, {self.t1}]")
+        the grid rows of `_layer`."""
         idx = int(np.searchsorted(self.nodes, t + 1e-13, side="left"))
         t_up = float(self.nodes[min(idx, len(self.nodes) - 1)])
         return self._layer(t_up, float(t), self._level_at(t), rows)
+
+    def _in_block(self, t: float) -> bool:
+        """Whether t lies in the level-1 block [s*, t1]; ValueError for t
+        outside [t0, t1]."""
+        if not self.t0 - 1e-12 <= t <= self.t1 + 1e-12:
+            raise ValueError(f"time {t} outside [{self.t0}, {self.t1}]")
+        return t >= self.nodes[self._top]
+
+    def _block_frame(self, t: float) -> Frame:
+        """Closed-form frame at t on the level-1 block: the boundary frame at
+        x - a s^2, Phi raised by (1 - a^2) s^2 / 2, s^2 = xi'(t1) - xi'(t)."""
+        s2 = self._var(self.t1, t)
+        frame = _boundary_frame(self.a, self.x_grid - self.a * s2)
+        return frame._replace(
+            phi=frame.phi + 0.5 * (1.0 - self.a * self.a) * s2)
 
     def _store(self, t: float, frame: Frame) -> Frame:
         """Cache the frame at t with its arrays read-only, so no caller can
@@ -384,16 +430,22 @@ class PDESolution:
         return frame
 
     def _solve(self, with_gradients: bool) -> None:
-        """Frames from t1 down to t0; `with_gradients` also pulls the rows of
-        `level_gradients` through each layer while it is at hand."""
+        """Frames from t1 down to t0, closed form on the level-1 block;
+        `with_gradients` also pulls the rows of `level_gradients` through each
+        layer while it is at hand, so it builds the block's layers too."""
         self._store(self.t1, _boundary_frame(self.a, self.x_grid))
         r = len(self.levels)
         sens: dict[int, np.ndarray] = {}
         for p in range(r - 1, -1, -1):
-            t_lo = float(self.nodes[p])
+            t_lo, closed = float(self.nodes[p]), p >= self._top
+            if closed:
+                lower = self._store(t_lo, self._block_frame(t_lo))
+                if not with_gradients:
+                    continue
             upper, layer = self._layer(float(self.nodes[p + 1]), t_lo,
                                        float(self.levels[p]))
-            lower = self._store(t_lo, _gibbs_step(upper, layer))
+            if not closed:
+                lower = self._store(t_lo, _gibbs_step(upper, layer))
             if not with_gradients:
                 continue
             if layer is None:
@@ -416,12 +468,14 @@ class PDESolution:
             self._level_grads.setflags(write=False)
 
     def frame_at(self, t: float) -> Frame:
-        """Solved frame at time t (sub-layer recursion for off-node t), its
-        arrays read-only."""
+        """Solved frame at time t, its arrays read-only: the closed form on
+        the level-1 block, a sub-layer recursion for off-node t below it.
+        ValueError for t outside [t0, t1]."""
         key = self._key(t)
         if key in self._frames:
             return self._frames[key]
-        return self._store(t, _gibbs_step(*self._off_node_layer(t)))
+        return self._store(t, self._block_frame(t) if self._in_block(t)
+                           else _gibbs_step(*self._off_node_layer(t)))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -465,10 +519,11 @@ class PDESolution:
         """log(1 - Phi_x(t0, .)) on the grid. 1 - Phi_x is the Doob average
         of its upper values, so it is pulled from the boundary
         log(1 - tanh x) = log 2 - x - log 2cosh x through the layers in log
-        space, and keeps its relative precision where Phi_x rounds to 1."""
+        space, and keeps its relative precision where Phi_x rounds to 1. On
+        the untilted level-1 block Phi_x is tanh x, so the pulls start at s*."""
         x = self.x_grid
         ell = math.log(2.0) - x - log2cosh(x)
-        for p in range(len(self.levels) - 1, -1, -1):
+        for p in range(self._top - 1, -1, -1):
             _, layer = self._layer(float(self.nodes[p + 1]),
                                    float(self.nodes[p]), float(self.levels[p]))
             if layer is not None:
@@ -554,10 +609,12 @@ class PDESolution:
         bookkeeping.
 
         Cheaper than frame_at for the many drift evaluations of the SDE
-        simulator: the same Gibbs-weighted recursion on the same stencil,
-        first moment only and on the rows lo..hi alone, which read the whole
-        upper frame. The full window 0..n-1 has frame_at's bits; a narrower
-        one agrees with its slice to rounding (the Doob weights' sums and the
+        simulator. On the level-1 block it is the closed form
+        tanh(x - a s^2) - a on the window, with frame_at's bits. Below it,
+        the same Gibbs-weighted recursion on the same stencil, first moment
+        only and on the rows lo..hi alone, which read the whole upper frame:
+        the full window 0..n-1 has frame_at's bits, and a narrower one agrees
+        with its slice to rounding (the Doob weights' sums and the
         small-level test see fewer rows). At a cached time it is a read-only
         slice of the frame. Like frame_at, refuses t outside [t0, t1], and
         refuses a window not inside the grid.
@@ -568,6 +625,9 @@ class PDESolution:
         key = self._key(t)
         if key in self._frames:
             return self._frames[key].phi_x[lo:hi + 1]
+        if self._in_block(t):
+            s2 = self._var(self.t1, t)
+            return np.tanh(self.x_grid[lo:hi + 1] - self.a * s2) - self.a
         upper, layer = self._off_node_layer(t, (lo, hi + 1 - lo))
         if layer is None:
             return upper.phi_x[lo:hi + 1]

@@ -61,6 +61,57 @@ def test_band_closed_form_rs():
         assert np.max(np.abs(sol.phi(s, xs) - target)) < 1e-9
 
 
+@pytest.mark.parametrize("a", [0.0, 0.45])
+def test_level_one_kernel_matches_the_closed_form(a):
+    # a solve reads level-1 frames in closed form, so the Gauss-Hermite
+    # kernel is checked against it here: one level-1 layer under the
+    # boundary, read on |x| <= 5 as the closed-form tests above read.
+    # Phi_xxx is carried by linear interpolation, so its error is O(dx^2)
+    # (2.4e-5 at a = 0.45, dx = 1/64), not 1e-9
+    sh = MixedModel(coeffs_sq=(0.0, 0.5, 0.3)).shift(0.2)
+    sol = solve_band(sh, a, OrderParameter.delta_at(0.0, (0.0, sh.horizon)))
+    x, cfg = sol.x_grid, sol.config
+    t2 = sh.xi_q_prime(sh.horizon) - sh.xi_q_prime(0.0)
+    upper = pde._boundary_frame(a, x)
+    layer = pde._Layer(upper, math.sqrt(t2), 1.0, (0, x.size), cfg)
+    lower = pde._gibbs_step(upper, layer)
+    u = x - a * t2
+    th = np.tanh(u)
+    exact = (0.5 * (1 + a * a) * t2 - a * x + np.log(2 * np.cosh(u)), th - a,
+             1 - th * th, -2 * th * (1 - th * th))
+    inner = np.abs(x) <= 5
+    for k, bound in enumerate((1e-9, 1e-9, 1e-9, 0.2 * cfg.dx ** 2)):
+        assert np.max(np.abs(lower[k] - exact[k])[inner]) < bound
+
+
+def test_level_one_block_builds_no_layer(sk_full, monkeypatch):
+    # a plain solve reads its level-1 block in closed form; a solve_steps
+    # solve builds the block's layers for its sweep alone
+    built = []
+    init = pde._Layer.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[2])      # the level
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(pde._Layer, "__init__", counting)
+    zeta = OrderParameter.delta_at(0.3, (0.3, 1.0))
+    sol = solve(sk_full, zeta)
+    sol.phi(0.6, 0.5)
+    sol.phi_x_table(0.45, 10, 20)
+    assert built == []
+    solve_steps(sk_full, zeta.nodes, zeta.levels).level_gradients()
+    assert built == [1.0]
+    # weights that cumulate to 1 - ulp: the top level is 1 all the same
+    built.clear()
+    zeta = OrderParameter.from_atoms((0.2, 1.0),
+                                     [(0.3, 0.7), (0.5, 0.2), (0.6, 0.1)])
+    assert 1.0 - 1e-12 < zeta.levels[-1] < 1.0
+    sol = solve(sk_full, zeta)
+    assert len(built) == 3 and max(built) < 0.95
+    np.testing.assert_array_equal(sol.frame_at(0.6).phi_x, np.tanh(sol.x_grid))
+
+
 def test_boundary_identities(mixed_23):
     q = 0.25
     zeta = OrderParameter.from_atoms((q, 1.0), [(q, 0.5), (0.6, 0.5)])
@@ -765,26 +816,44 @@ def test_shift_stencil_matches_point_interpolation(dx, half_width, shifts):
                                atol=1e-13 * np.abs(ref).max())
 
 
-@pytest.mark.parametrize("t", [0.3, 0.55])
-def test_phi_x_table_matches_frame_at_off_node(mixed_23, t):
-    # t = 0.3 lies in a level-0 layer, t = 0.55 in a layer of level 0.4; two
-    # fresh solves, since phi_x_table reads frame_at's cache
+# times in a level-0 layer, a layer of level 0.4 and the level-1 block
+# [0.7, 1], where the table is the closed form tanh(x - a s^2) - a; the
+# block is read on a tilted solve too
+TABLE_TIMES = pytest.mark.parametrize("t, a", [
+    (0.3, 0.0), (0.55, 0.0), (0.85, 0.0), (0.85, 0.45)],
+    ids=["0.3", "0.55", "0.85", "0.85-tilted"])
+
+
+def _table_solve(model, a):
     zeta = OrderParameter.from_atoms((0.2, 1.0), [(0.4, 0.4), (0.7, 0.6)])
-    assert zeta.cdf(t) == (0.0 if t < 0.4 else 0.4)
-    sol = solve(mixed_23, zeta)
+    return pde.PDESolution(model, zeta.nodes, zeta.levels, a, SolverConfig())
+
+
+def _block_table(model, sol, t, lo, hi):
+    s2 = model.xi_prime(1.0) - model.xi_prime(t)
+    return np.tanh(sol.x_grid[lo:hi + 1] - sol.a * s2) - sol.a
+
+
+@TABLE_TIMES
+def test_phi_x_table_matches_frame_at_off_node(mixed_23, t, a):
+    # two fresh solves, since phi_x_table reads frame_at's cache
+    sol = _table_solve(mixed_23, a)
+    assert sol._level_at(t) == {0.3: 0.0, 0.55: 0.4, 0.85: 1.0}[t]
     table = sol.phi_x_table(t, 0, sol.x_grid.size - 1)
-    frame = solve(mixed_23, zeta).frame_at(t)
-    # one stencil and one mean: the same bits
+    frame = _table_solve(mixed_23, a).frame_at(t)
+    # one stencil and one mean (one closed form on the block): the same bits
     np.testing.assert_array_equal(table, frame.phi_x)
+    if t > 0.7:
+        np.testing.assert_array_equal(
+            table, _block_table(mixed_23, sol, t, 0, sol.x_grid.size - 1))
 
 
-@pytest.mark.parametrize("t", [0.3, 0.55])
-def test_phi_x_table_window_matches_the_full_table(mixed_23, t):
-    # t = 0.3 in a level-0 layer, t = 0.55 in one of level 0.4: a window
-    # reads the whole upper frame, so it is the full table's slice up to
-    # the rounding of the Doob weights' row sums
-    zeta = OrderParameter.from_atoms((0.2, 1.0), [(0.4, 0.4), (0.7, 0.6)])
-    sol = solve(mixed_23, zeta)
+@TABLE_TIMES
+def test_phi_x_table_window_matches_the_full_table(mixed_23, t, a):
+    # a window reads the whole upper frame, so below the block it is the
+    # full table's slice up to the rounding of the Doob weights' row sums;
+    # on the block it is the closed form's slice, bit for bit
+    sol = _table_solve(mixed_23, a)
     n = sol.x_grid.size
     full = sol.phi_x_table(t, 0, n - 1)
     mid = n // 2
@@ -794,6 +863,10 @@ def test_phi_x_table_window_matches_the_full_table(mixed_23, t):
         assert window.shape == (hi - lo + 1,)
         np.testing.assert_allclose(window, full[lo:hi + 1], rtol=0,
                                    atol=1e-15)
+        if t > 0.7:
+            np.testing.assert_array_equal(window, full[lo:hi + 1])
+            np.testing.assert_array_equal(
+                window, _block_table(mixed_23, sol, t, lo, hi))
 
 
 def test_phi_x_table_refuses_a_window_off_the_grid():
