@@ -53,16 +53,15 @@ def logsumexp(a: np.ndarray) -> float:
 
 
 class GridStencil:
-    """Cubic Hermite and linear interpolation on the uniform grid
-    x0 + k dx (k < size) at fixed points xq.
+    """Cubic Hermite interpolation on the uniform grid x0 + k dx (k < size)
+    at fixed points xq.
 
     The cell and fraction of every point and the points beyond the grid are
     found once, and the Hermite weights when first needed, so evaluating
     several grid functions at the same arbitrary points (`hermite_eval`)
     costs only gathers and weighted sums. Outside the grid the Hermite
     continuation is linear with the edge slope, which matches the
-    asymptotically linear tails of log-cosh type solutions; the linear
-    continuation is constant.
+    asymptotically linear tails of log-cosh type solutions.
     """
 
     def __init__(self, x0: float, dx: float, size: int, xq):
@@ -114,14 +113,6 @@ class GridStencil:
             f0[mask] = f[end] + d[end] * dist
         return self._shaped(f0)
 
-    def linear(self, f: np.ndarray):
-        """Linear interpolation of f (the fraction is 0 or 1 off the grid)."""
-        f0, f1 = self._ends(f)
-        f0 *= 1.0 - self.t
-        f1 *= self.t
-        f0 += f1
-        return self._shaped(f0)
-
 
 class ShiftStencil(GridStencil):
     """The shared-fraction form of `GridStencil` for the points x_k + shift_j,
@@ -132,12 +123,12 @@ class ShiftStencil(GridStencil):
     All points of one shift share the cell offset floor(shift_j / dx) and the
     fraction, so the cubic weights are one number per shift, and the cell
     ends of a shift are one contiguous slice of the grid function. That
-    function is padded on both sides by its edge continuation (the edge
-    slope for Hermite, the edge value for linear), which cubic Hermite
-    reproduces, so no point needs a tail mask. Agrees with the per-point
-    form to rounding. The values are computed one shift per row and returned
-    as the transposed view. The grid functions are always whole, so a row
-    range reads the same neighbours as the full one.
+    function is padded on both sides by its edge continuation, linear with
+    the edge slope, which cubic Hermite reproduces, so no point needs a tail
+    mask. Agrees with the per-point form to rounding. The values are
+    computed one shift per row and returned as the transposed view. The grid
+    functions are always whole, so a row range reads the same neighbours as
+    the full one.
     """
 
     def __init__(self, dx: float, size: int, shifts, first: int = 0):
@@ -166,10 +157,6 @@ class ShiftStencil(GridStencil):
         return super().hermite(
             np.concatenate([f[0] - d[0] * ramp[::-1], f, f[-1] + d[-1] * ramp]),
             np.concatenate([d[0] * edge, d, d[-1] * edge]))
-
-    def linear(self, f: np.ndarray):
-        edge = np.ones(self.pad)
-        return super().linear(np.concatenate([f[0] * edge, f, f[-1] * edge]))
 
 
 def hermite_eval(x0: float, dx: float, f: np.ndarray, d: np.ndarray,

@@ -36,13 +36,15 @@ A layer is evaluated through one shared-fraction stencil
 of one node g_j share a cell offset and a fraction, so the cubic Hermite
 weights are one row per node, found once when the layer is made, and the
 frames are padded by their edge continuation instead of masking the points
-beyond the grid. Phi and its three derivatives there (hence the Doob weights
-and the next frame), the pulled-back sensitivities and the drift table
-phi_x_table are gathers and weighted sums over it. A `solve_steps` solve
-pulls its level and node sensitivities through each layer while it builds it,
-so the gradients need no second sweep; it builds the block's layers for this
-sweep alone, and `path_expectation` pulls through them with their kernels
-too. Every read of a solve at given points goes through one checked reader,
+beyond the grid. A frame is Phi, Phi_x and Phi_xx on the grid; Phi_xx's
+Hermite slope is its fourth-order `grid_derivative`, as for every pulled grid
+function. Phi and its derivatives there (hence the Doob weights and the next
+frame), the pulled-back sensitivities and the drift table phi_x_table are
+gathers and weighted sums over it. A `solve_steps` solve pulls its level and
+node sensitivities through each layer while it builds it, so the gradients
+need no second sweep; it builds the block's layers for this sweep alone, and
+`path_expectation` pulls through them with their kernels too. Every read of a
+solve at given points goes through one checked reader,
 `PDESolution.interpolate`, on the solve's own grid step config.dx.
 
 Both inverses of Phi_x are one Newton loop over arrays (`_invert`). Near
@@ -139,20 +141,19 @@ LEVEL_ONE_TOL = 1e-12
 
 
 class Frame(NamedTuple):
-    """Phi and its first three x-derivatives on the x grid at a fixed time,
-    in order: frame[k:k + 2] is the k-th derivative and its slope."""
+    """Phi and its first two x-derivatives on the x grid at a fixed time,
+    in order: frame[k:k + 2] is the k-th derivative and its slope, and
+    Phi_xx's slope is its `grid_derivative`."""
 
     phi: np.ndarray
     phi_x: np.ndarray
     phi_xx: np.ndarray
-    phi_xxx: np.ndarray
 
 
 def _boundary_frame(a: float, x: np.ndarray) -> Frame:
     """The boundary log 2cosh x - a x and its x-derivatives."""
     th = np.tanh(x)
-    sech2 = 1.0 - th * th
-    return Frame(log2cosh(x) - a * x, th - a, sech2, -2.0 * th * sech2)
+    return Frame(log2cosh(x) - a * x, th - a, 1.0 - th * th)
 
 
 def _exp_tail(y: np.ndarray) -> np.ndarray:
@@ -175,7 +176,9 @@ class _Layer:
     rows = (first row, row count), and the normalized Doob weights
     exp(level Phi_upper(X)) (plain Gauss-Hermite weights at level 0), so
     that `mean` averages values at X over the layer, `pull` averages a grid
-    function and `log_pull` does so in log space.
+    function (read at X with its `grid_derivative` as Hermite slope: a
+    sensitivity, a path expectation or the upper Phi_xx) and `log_pull` does
+    so in log space.
 
     A positive level z uses y = z (Phi_upper - c): phi = c + log E exp(y)/z,
     with c the row maximum (no overflow) or, where z (max - min) Phi_upper
@@ -256,43 +259,38 @@ class _Layer:
 
 
 def _gibbs_step(upper: Frame, layer: _Layer | None) -> Frame:
-    """One Cole-Hopf layer backwards: the frame below the upper frame.
+    """One Cole-Hopf layer backwards: the frame below the upper frame,
+    Phi_xx the pulled Phi_xx plus level times the Gibbs variance of Phi_x.
     A layer of zero width (`layer` None) shares the upper frame."""
     if layer is None:
         return upper
-    st, level = layer.stencil, layer.level
-    Px = st.hermite(upper.phi_x, upper.phi_xx)
-    Pxx = st.hermite(upper.phi_xx, upper.phi_xxx)
-    phi_x, phi_xx = layer.mean(Px), layer.mean(Pxx)
-    phi_xxx = layer.mean(st.linear(upper.phi_xxx))
-    if level > 0.0:
-        # derivatives of (1/z) log E exp(z Phi): Gibbs moments of Phi_x
-        om = layer.om
-        var = np.sum(om * Px * Px, axis=1) - phi_x * phi_x
-        cov = np.sum(om * Pxx * Px, axis=1) - phi_xx * phi_x
-        # two products: an array ** 3 goes through pow, ~100x slower
-        dev = Px - phi_x[:, None]
-        m3 = np.sum(om * (dev * dev * dev), axis=1)
-        phi_xx = phi_xx + level * var
-        phi_xxx = phi_xxx + 3.0 * level * cov + level ** 2 * m3
-    return Frame(layer.phi, phi_x, phi_xx, phi_xxx)
+    Px = layer.stencil.hermite(upper.phi_x, upper.phi_xx)
+    phi_x, phi_xx = layer.mean(Px), layer.pull(upper.phi_xx)
+    if layer.level > 0.0:
+        # the second x-derivative of (1/z) log E exp(z Phi) adds z times
+        # the Gibbs variance of Phi_x to the Gibbs mean of Phi_xx
+        var = np.sum(layer.om * Px * Px, axis=1) - phi_x * phi_x
+        phi_xx = phi_xx + layer.level * var
+    return Frame(layer.phi, phi_x, phi_xx)
 
 
 def _invert(x_grid: np.ndarray, dx: float, f: np.ndarray, d: np.ndarray,
-            dd: np.ndarray, y: np.ndarray) -> np.ndarray:
+            y: np.ndarray) -> np.ndarray:
     """Elementwise root x of F(x) = y for targets y of any shape, F and F'
-    the cubic Hermite interpolants of (f, d) and (d, dd) on x_grid (step dx)
-    for increasing f. Newton from the linear interpolate, on one
-    `GridStencil` per step, stops an entry once its step is below BISECT_TOL
-    or F' <= 0, after NEWTON_STEPS steps at most; entries then off target by
-    over 10 BISECT_TOL are bisected. Each entry runs its own scalar loop's
-    arithmetic. RuntimeError for a target outside f's range."""
+    the cubic Hermite interpolants of (f, d) and of (d, its
+    `grid_derivative`) on x_grid (step dx) for increasing f. Newton from the
+    linear interpolate, on one `GridStencil` per step, stops an entry once
+    its step is below BISECT_TOL or F' <= 0, after NEWTON_STEPS steps at
+    most; entries then off target by over 10 BISECT_TOL are bisected. Each
+    entry runs its own scalar loop's arithmetic. RuntimeError for a target
+    outside f's range."""
     shape, y = y.shape, y.ravel()
     inside = (f[0] < y) & (y < f[-1])
     if not inside.all():
         raise RuntimeError(f"target {y[~inside][0]} outside grid range "
                            f"({f[0]:.6f}, {f[-1]:.6f})")
     x0, x, live = float(x_grid[0]), np.interp(y, f, x_grid), np.arange(y.size)
+    dd = grid_derivative(d, dx)
     for _ in range(NEWTON_STEPS):
         if not live.size:
             break
@@ -504,12 +502,13 @@ class PDESolution:
         return self.interpolate(*self.frame_at(t)[1:3], x)
 
     def phi_xx(self, t: float, x):
-        return self.interpolate(*self.frame_at(t)[2:4], x)
+        f = self.frame_at(t).phi_xx
+        return self.interpolate(f, grid_derivative(f, self.config.dx), x)
 
     def inverse_phi_x(self, a):
         """Unique x with Phi_x(t0, x) = a (Phi_x is strictly increasing), by
-        `_invert` on (Phi_x, Phi_xx, Phi_xxx) at t0: elementwise over an
-        array of slopes of any shape, a float for a scalar slope."""
+        `_invert` on (Phi_x, Phi_xx) at t0: elementwise over an array of
+        slopes of any shape, a float for a scalar slope."""
         a = np.asarray(a, dtype=float)
         x = _invert(self.x_grid, self.config.dx, *self.frame_at(self.t0)[1:], a)
         return x if a.ndim else float(x)
@@ -544,9 +543,7 @@ class PDESolution:
                              f"(original-boundary) solution, not tilt a = "
                              f"{self.a}")
         a, ell, dx = np.asarray(a, float), -self._log_complement, self.config.dx
-        slope = grid_derivative(ell, dx)
-        x = np.copysign(_invert(self.x_grid, dx, ell, slope,
-                                grid_derivative(slope, dx),
+        x = np.copysign(_invert(self.x_grid, dx, ell, grid_derivative(ell, dx),
                                 -np.log1p(-np.abs(a))), a)
         return x if a.ndim else float(x)
 

@@ -567,8 +567,8 @@ def test_grad_tap_reuses_the_minimizer_solve(monkeypatch):
     grad, res = grad_tap(model, m, r_atoms=2)
     assert len(solves) == alone
     monkeypatch.setattr(pde.PDESolution, "__init__", init)
-    # the former path: a fresh solve of the minimizer
-    q = float(m @ m) / N
+    # the former path: a fresh solve of the minimizer at the solve's own q
+    q = res.q
     sol = _orig_solution(model, q, res.minimizer_zeta, pde.DEFAULT_CONFIG,
                          a_max=float(np.max(np.abs(m))))
     psi_vals = np.array([sol.inverse_phi_x(a) for a in m])

@@ -65,9 +65,7 @@ def test_band_closed_form_rs():
 def test_level_one_kernel_matches_the_closed_form(a):
     # a solve reads level-1 frames in closed form, so the Gauss-Hermite
     # kernel is checked against it here: one level-1 layer under the
-    # boundary, read on |x| <= 5 as the closed-form tests above read.
-    # Phi_xxx is carried by linear interpolation, so its error is O(dx^2)
-    # (2.4e-5 at a = 0.45, dx = 1/64), not 1e-9
+    # boundary, read on |x| <= 5 as the closed-form tests above read
     sh = MixedModel(coeffs_sq=(0.0, 0.5, 0.3)).shift(0.2)
     sol = solve_band(sh, a, OrderParameter.delta_at(0.0, (0.0, sh.horizon)))
     x, cfg = sol.x_grid, sol.config
@@ -78,10 +76,10 @@ def test_level_one_kernel_matches_the_closed_form(a):
     u = x - a * t2
     th = np.tanh(u)
     exact = (0.5 * (1 + a * a) * t2 - a * x + np.log(2 * np.cosh(u)), th - a,
-             1 - th * th, -2 * th * (1 - th * th))
+             1 - th * th)
     inner = np.abs(x) <= 5
-    for k, bound in enumerate((1e-9, 1e-9, 1e-9, 0.2 * cfg.dx ** 2)):
-        assert np.max(np.abs(lower[k] - exact[k])[inner]) < bound
+    for k in range(3):
+        assert np.max(np.abs(lower[k] - exact[k])[inner]) < 1e-9
 
 
 def test_level_one_block_builds_no_layer(sk_full, monkeypatch):
@@ -632,6 +630,26 @@ def test_second_derivative_identity_quadrature(mixed_23, rng):
         assert abs(float(sol.phi_xx(q, x0)) - rhs) < 5e-8
 
 
+@pytest.mark.parametrize("model, interval, atoms", [
+    (MixedModel(coeffs_sq=(0.0, 1.0)), (0.2, 1.0), [(0.2, 0.4), (0.6, 0.6)]),
+    (MixedModel(coeffs_sq=(0.0, 0.5, 0.3)), (0.3, 1.0),
+     [(0.45, 0.7), (0.8, 0.3)]),
+    (sk_model(1.4), (0.0, 1.0), [(0.0, 0.3), (0.3, 0.3), (0.7, 0.4)]),
+    (MixedModel(coeffs_sq=(0.0, 0.6, 0.2)), (0.2, 1.0),
+     [(0.2, 0.25), (0.4, 0.25), (0.6, 0.25), (0.9, 0.25)]),
+], ids=["s2", "mixed-0.5-0.3", "sk-1.4", "mixed-0.6-0.2"])
+def test_second_derivative_identity_at_grid_accuracy(model, interval, atoms):
+    # Phi_xx(t0, x) = 1 - int E u(s)^2 dzeta(s), both sides on one grid:
+    # Phi_xx's Hermite slope is its fourth-order grid derivative, as the
+    # pulled u^2 has, so the sides agree far below the SDE's noise
+    zeta = OrderParameter.from_atoms(interval, atoms)
+    sol = solve(model, zeta)
+    x0 = np.linspace(-2.0, 2.0, 9)
+    rhs = 1.0 - sum(w * sol.expected_u_squared(s, x0)
+                    for s, w in zeta.measure.atoms)
+    assert np.max(np.abs(sol.phi_xx(sol.t0, x0) - rhs)) < 1e-9
+
+
 def test_martingale_property(mixed_23):
     q = 0.1
     zeta = OrderParameter.from_atoms((q, 1.0), [(q, 0.6), (0.55, 0.4)])
@@ -753,15 +771,6 @@ def _hermite_reference(x0, dx, f, d, xq):
     return np.where(xq > x0 + n * dx, f[-1] + d[-1] * (xq - (x0 + n * dx)), out)
 
 
-def _linear_reference(x0, dx, f, xq):
-    """Linear interpolation point by point, constant beyond the grid."""
-    n = f.size - 1
-    u = np.clip((xq - x0) / dx, 0.0, float(n))
-    i = np.clip(np.floor(u).astype(np.int64), 0, n - 1)
-    t = u - i
-    return (1.0 - t) * f[i] + t * f[i + 1]
-
-
 SHIFT_CASES = [
     # sigma < dx: every point in a cell next to its grid point
     (1.0 / 16, 3.0, 0.05 * gauss_hermite(40)[0]),
@@ -789,8 +798,6 @@ def test_stencil_matches_point_interpolation(dx, half_width, shifts):
         np.testing.assert_array_equal(st.hermite(vals, ders), ref)
         np.testing.assert_array_equal(
             hermite_eval(x[0], dx, vals, ders, pts[:, 0]), ref[:, 0])
-    ref = _linear_reference(x[0], dx, d3, pts)
-    np.testing.assert_array_equal(st.linear(d3), ref)
     # a scalar point gives a scalar
     point = hermite_eval(x[0], dx, f, d, pts[0, 0])
     assert np.ndim(point) == 0
@@ -811,9 +818,6 @@ def test_shift_stencil_matches_point_interpolation(dx, half_width, shifts):
         ref = _hermite_reference(x[0], dx, vals, ders, pts)
         np.testing.assert_allclose(st.hermite(vals, ders), ref, rtol=0,
                                    atol=1e-13 * np.abs(ref).max())
-    ref = _linear_reference(x[0], dx, d3, pts)
-    np.testing.assert_allclose(st.linear(d3), ref, rtol=0,
-                               atol=1e-13 * np.abs(ref).max())
 
 
 # times in a level-0 layer, a layer of level 0.4 and the level-1 block
